@@ -1,9 +1,9 @@
 #ifndef HPDR_BENCH_COMMON_HPP
 #define HPDR_BENCH_COMMON_HPP
 
-/// Shared helpers for the figure-reproduction benchmark binaries. Every
-/// binary runs with no arguments at a scaled-down size (CI friendly) and
-/// accepts --full to run at the paper's scale where feasible.
+/// Shared helpers for the benchmark binaries. Every binary runs with no
+/// arguments at a scaled-down size (CI friendly) and accepts --full to run
+/// at the paper's scale where feasible.
 
 #include <cstdio>
 #include <cstdlib>
@@ -120,15 +120,6 @@ inline std::string fmt_bytes(double bytes) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.1f %s", bytes, unit[u]);
   return buf;
-}
-
-/// Dimensionally scaled device for running a paper experiment of
-/// `paper_bytes` on `data_bytes` of input (see machine::scaled_replica).
-inline Device scaled_gpu(const std::string& name, std::size_t data_bytes,
-                         double paper_bytes) {
-  const double scale =
-      std::min(1.0, static_cast<double>(data_bytes) / paper_bytes);
-  return machine::scaled_replica(name, scale);
 }
 
 inline void header(const std::string& title, const std::string& paper_ref) {

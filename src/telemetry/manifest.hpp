@@ -47,8 +47,8 @@ struct ChunkDecision {
 /// The document. `config`, `dataset`, and `results` are free-form JSON
 /// objects so every tool can record its own knobs without schema churn.
 struct RunManifest {
-  std::string tool;     ///< e.g. "hpdr_cli", "fig13_end_to_end"
-  std::string command;  ///< e.g. "compress"
+  std::string tool;     ///< e.g. "hpdr_cli", "bench"
+  std::string command;  ///< e.g. "compress", "bench_paper"
   Value config = Value::object();
   Value dataset = Value::object();
   Value results = Value::object();

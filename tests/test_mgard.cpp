@@ -81,8 +81,10 @@ TEST(TridiagSolverTest, SolvesMassSystem) {
   }
 }
 
+// std::string, not const char*: gtest prints a char pointer's address into
+// the test name, which would change on every build.
 class TransformInvertibility
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(TransformInvertibility, DecomposeRecomposeIsIdentity) {
   const auto& [devname, rank] = GetParam();
@@ -110,8 +112,10 @@ TEST_P(TransformInvertibility, DecomposeRecomposeIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShapesAndAdapters, TransformInvertibility,
-    ::testing::Combine(::testing::Values("serial", "openmp", "V100",
-                                         "stdthread"),
+    ::testing::Combine(::testing::Values(std::string("serial"),
+                                         std::string("openmp"),
+                                         std::string("V100"),
+                                         std::string("stdthread")),
                        ::testing::Values(1, 2, 3, 4)));
 
 TEST(Transform, SmoothDataYieldsSmallCoefficients) {

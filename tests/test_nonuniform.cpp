@@ -85,8 +85,9 @@ TEST(NonUniform, InterpolationWeightsMatchSpacings) {
   EXPECT_DOUBLE_EQ(ops.wr[0], 1.0 / 4.0);
 }
 
+// std::string keeps the test names free of pointer addresses.
 class NonUniformInvertibility
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(NonUniformInvertibility, DecomposeRecomposeIsIdentity) {
   const auto& [devname, rank] = GetParam();
@@ -111,7 +112,8 @@ TEST_P(NonUniformInvertibility, DecomposeRecomposeIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grids, NonUniformInvertibility,
-    ::testing::Combine(::testing::Values("serial", "openmp"),
+    ::testing::Combine(::testing::Values(std::string("serial"),
+                                         std::string("openmp")),
                        ::testing::Values(1, 2, 3)));
 
 TEST(NonUniform, LinearFunctionsHaveZeroCoefficients) {
