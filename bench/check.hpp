@@ -64,6 +64,7 @@ bool check_op(bool ok, const char* a_expr, const char* op, const char* b_expr,
 #define HPDR_EXPECT_NE(a, b) HPDR_CHECK_OP_(a, !=, b)
 #define HPDR_EXPECT_LE(a, b) HPDR_CHECK_OP_(a, <=, b)
 #define HPDR_EXPECT_GE(a, b) HPDR_CHECK_OP_(a, >=, b)
+#define HPDR_EXPECT_GT(a, b) HPDR_CHECK_OP_(a, >, b)
 #define HPDR_EXPECT_TRUE(x)                                                \
   [&]() -> bool {                                                          \
     const bool hpdr_v_ = static_cast<bool>(x);                             \

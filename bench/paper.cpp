@@ -156,9 +156,9 @@ void fig10(data::Size size, telemetry::Value& doc) {
     t.row({name, std::to_string(r.chunk_rows.size()),
            bench::fmt_bytes(double(r.chunk_rows.front() * slab)) + " / " +
                bench::fmt_bytes(double(r.chunk_rows.back() * slab)),
-           bench::fmt(100 * r.overlap(), 1), bench::fmt(r.throughput_gbps(), 2),
-           bench::fmt(r.seconds() * 1e3, 2)});
-    return std::pair{r.throughput_gbps(), r.overlap()};
+           bench::fmt(100 * r.overlap(), 1), bench::fmt(r.model_gbps(), 2),
+           bench::fmt(r.model_seconds() * 1e3, 2)});
+    return std::pair{r.model_gbps(), r.overlap()};
   };
   const auto [small_gbps, small_overlap] = run("fixed-small", s.fixed);
   const auto [large_gbps, large_overlap] = run("fixed-large", large_fixed);
@@ -282,8 +282,8 @@ void fig13(data::Size size, telemetry::Value& doc) {
       const auto r_adapt = pipeline::compress(v100, *comp, ds.data(),
                                               ds.shape, ds.dtype, s.adaptive);
       auto row = [&](const char* mode, const pipeline::CompressResult& r) {
-        t.row({dsname, cname, mode, bench::fmt(r.throughput_gbps(), 2),
-               bench::fmt(r_none.seconds() / r.seconds(), 2),
+        t.row({dsname, cname, mode, bench::fmt(r.model_gbps(), 2),
+               bench::fmt(r_none.model_seconds() / r.model_seconds(), 2),
                bench::fmt(100 * r.overlap(), 1)});
       };
       row("none", r_none);
@@ -292,8 +292,10 @@ void fig13(data::Size size, telemetry::Value& doc) {
 
       // Pipelining always wins and adaptive never loses to fixed; the
       // overlap ratio is the mechanism. Slack for the model.
-      const double fixed_speedup = r_none.seconds() / r_fixed.seconds();
-      const double adapt_speedup = r_none.seconds() / r_adapt.seconds();
+      const double fixed_speedup =
+          r_none.model_seconds() / r_fixed.model_seconds();
+      const double adapt_speedup =
+          r_none.model_seconds() / r_adapt.model_seconds();
       HPDR_EXPECT_GE(fixed_speedup, 1.2);
       HPDR_EXPECT_GE(adapt_speedup, 0.95 * fixed_speedup);
       HPDR_EXPECT_GE(r_fixed.overlap(), 0.3);
@@ -723,11 +725,12 @@ void ablation_pipeline(data::Size size, telemetry::Value&) {
   const auto r_off = pipeline::decompress(v100, *comp, cres.stream, out.data(),
                                           ds.shape, ds.dtype, plain);
   bench::Table lo_table({"launch order", "reconstruct(ms)", "GB/s"});
-  lo_table.row({"default (copy-out first)", bench::fmt(r_off.seconds() * 1e3, 3),
-                bench::fmt(r_off.throughput_gbps(), 2)});
+  lo_table.row({"default (copy-out first)",
+                bench::fmt(r_off.model_seconds() * 1e3, 3),
+                bench::fmt(r_off.model_gbps(), 2)});
   lo_table.row({"reversed (deserialize first)",
-                bench::fmt(r_on.seconds() * 1e3, 3),
-                bench::fmt(r_on.throughput_gbps(), 2)});
+                bench::fmt(r_on.model_seconds() * 1e3, 3),
+                bench::fmt(r_on.model_gbps(), 2)});
   lo_table.print();
 }
 

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                                    ds.data(), ds.shape, ds.dtype, opts);
   std::printf("\npipeline: ratio %.1fx, %.2f GB/s (simulated V100), "
               "%.0f%% overlap\n",
-              result.ratio(), result.throughput_gbps(),
+              result.ratio(), result.model_gbps(),
               100 * result.overlap());
   return 0;
 }

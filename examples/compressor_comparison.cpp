@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
       auto sim = pipeline::compress(v100, *comp, ds.data(), ds.shape,
                                     ds.dtype, opts);
       std::printf("  %-11s %8.2f %12.3g %12.1f %14.2f %12s\n", cname.c_str(),
-                  result.ratio(), max_rel, host_ms, sim.throughput_gbps(),
+                  result.ratio(), max_rel, host_ms, sim.model_gbps(),
                   comp->lossless() ? "yes" : "no");
     }
     std::printf("\n");

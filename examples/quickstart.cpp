@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   if (dev.spec().is_gpu())
     std::printf("pipeline  : %.2f GB/s end-to-end, %.0f%% transfer overlap "
                 "(simulated %s)\n",
-                result.throughput_gbps(), 100 * result.overlap(),
+                result.model_gbps(), 100 * result.overlap(),
                 dev.name().c_str());
 
   // 4. Decompress and verify the error bound.

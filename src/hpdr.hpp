@@ -18,7 +18,7 @@
 ///                                    data.shape(), DType::F32, opts);
 ///   // result.stream  — portable compressed bytes
 ///   // result.ratio() — compression ratio
-///   // result.throughput_gbps() — end-to-end pipeline throughput
+///   // result.model_gbps() — modeled (HDEM) throughput, not wall time
 ///
 /// Layering (paper Fig. 2, top to bottom):
 ///   svc/        job-level serving: fair-share scheduler, session arenas,

@@ -77,46 +77,12 @@ ReducedReader::ReducedReader(const std::string& path, Device device)
 namespace {
 
 template <class T>
-NDArray<T> get_impl(BPReader& reader, const Device& device,
-                    std::size_t step, const std::string& name, DType expect,
-                    pipeline::ChunkRecovery recovery) {
-  telemetry::Span span("io.get", "io");
-  const VarRecord& r = reader.record(step, name);
-  HPDR_REQUIRE(r.dtype == expect, "variable '" << name << "' is "
-                                               << to_string(r.dtype));
-  auto payload = reader.read_payload(step, name);
-  if (telemetry::enabled()) {
-    auto& ins = IoInstruments::get();
-    ins.vars_read.add();
-    ins.stored_in.add(payload.size());
-    ins.raw_out.add(r.shape.size() * dtype_size(expect));
-  }
-  NDArray<T> out(r.shape);
-  if (r.reduction == "none") {
-    HPDR_REQUIRE(payload.size() == out.size_bytes(),
-                 "raw payload size mismatch for '" << name << "'");
-    std::memcpy(out.data(), payload.data(), payload.size());
-    return out;
-  }
-  auto comp = make_compressor(r.reduction);
-  pipeline::Options opts;  // reconstruction options don't affect contents
-  opts.recovery = recovery;
-  pipeline::decompress(device, *comp, payload, out.data(), r.shape, expect,
-                       opts);
-  return out;
-}
-
-}  // namespace
-
-namespace {
-
-template <class T>
 NDArray<T> get_rows_impl(BPReader& reader, const Device& device,
                          std::size_t step, const std::string& name,
                          DType expect, std::size_t row_begin,
                          std::size_t row_end,
                          pipeline::ChunkRecovery recovery) {
-  telemetry::Span span("io.get_rows", "io");
+  telemetry::Span span("io.get", "io");
   const VarRecord& r = reader.record(step, name);
   HPDR_REQUIRE(r.dtype == expect, "variable '" << name << "' is "
                                                << to_string(r.dtype));
@@ -153,8 +119,7 @@ NDArray<T> get_rows_impl(BPReader& reader, const Device& device,
 
 NDArray<float> ReducedReader::get_f32(std::size_t step,
                                       const std::string& name) {
-  return get_impl<float>(reader_, device_, step, name, DType::F32,
-                         recovery_);
+  return get_f32_rows(step, name, 0, reader_.record(step, name).shape[0]);
 }
 
 NDArray<float> ReducedReader::get_f32_rows(std::size_t step,
@@ -175,8 +140,7 @@ NDArray<double> ReducedReader::get_f64_rows(std::size_t step,
 
 NDArray<double> ReducedReader::get_f64(std::size_t step,
                                        const std::string& name) {
-  return get_impl<double>(reader_, device_, step, name, DType::F64,
-                          recovery_);
+  return get_f64_rows(step, name, 0, reader_.record(step, name).shape[0]);
 }
 
 }  // namespace hpdr::io

@@ -1,8 +1,8 @@
 #include "pipeline/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
+#include <utility>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -113,12 +113,13 @@ class KernelWidthSplit {
   bool active_ = false;
 };
 
-/// Per-thread decode scratch, reused across chunks and calls (the pooled
-/// arena that replaces per-call scratch allocation in decompress_rows).
-std::vector<std::uint8_t>& decode_scratch(std::size_t bytes) {
-  thread_local std::vector<std::uint8_t> scratch;
-  if (scratch.size() < bytes) scratch.resize(bytes);
-  return scratch;
+/// Per-thread decode scratch for boundary chunks, reused across chunks and
+/// calls. A user takes the buffer out of the slot and puts it back when
+/// done: a codec's nested parallel_for may run another chunk of the same
+/// loop on this thread while it waits, and that chunk needs its own buffer.
+std::vector<std::uint8_t>& scratch_slot() {
+  thread_local std::vector<std::uint8_t> slot;
+  return slot;
 }
 
 constexpr std::uint8_t kMagic = 0x48;  // 'H'
@@ -252,11 +253,6 @@ std::uint64_t cache_meta_base(std::uint64_t salt, const std::string& codec,
   return fnv1a64_fold(param, h);
 }
 
-double wall_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Cache participation gate for one pipeline call: opt-in via Options,
 /// never while a fault plan is armed (hits would skip indexed fault draws
 /// and diverge from cache-off accounting), never in degraded passthrough
@@ -294,18 +290,15 @@ bool decode_chunk(const Device& dev, const Compressor& comp, const Header& h,
                   std::uint8_t* dst, const Shape& chunk_shape,
                   std::size_t chunk_bytes, ChunkRecovery recovery,
                   ChunkCacheBase* cache, std::uint64_t meta_base,
-                  std::uint8_t& cache_hit, std::uint8_t& cache_miss,
-                  double& codec_s, double& hit_s) {
+                  std::uint8_t& cache_hit, std::uint8_t& cache_miss) {
   auto& ins = Instruments::get();
   std::uint64_t cmeta = 0;
   const bool cacheable =
       cache != nullptr && h.framed() && h.tags[c] == kTagCodec;
   if (cacheable) {
     cmeta = fnv1a64_fold(blob.size(), fnv1a64_fold(h.rows[c], meta_base));
-    const auto t0 = std::chrono::steady_clock::now();
     if (cache->get_raw(h.checksums[c], cmeta, dst, chunk_bytes)) {
       cache_hit = 1;
-      hit_s = wall_since(t0);
       return true;
     }
     cache_miss = 1;
@@ -324,9 +317,7 @@ bool decode_chunk(const Device& dev, const Compressor& comp, const Header& h,
     }
   } else {
     try {
-      const auto t0 = std::chrono::steady_clock::now();
       comp.decompress(dev, blob, dst, chunk_shape, h.dtype);
-      codec_s = wall_since(t0);
       if (cacheable)
         cache->put_raw(h.checksums[c], cmeta, {dst, chunk_bytes});
       return true;
@@ -347,9 +338,183 @@ bool decode_chunk(const Device& dev, const Compressor& comp, const Header& h,
 }
 
 /// True for a v3 progressive container (handled by ProgressiveReader, not
-/// the v1/v2 chunk-table paths below).
+/// the v1/v2 decoder below).
 bool is_progressive_stream(std::span<const std::uint8_t> stream) {
   return stream.size() >= 2 && stream[0] == kMagic && stream[1] == 3;
+}
+
+/// The one v1/v2 decoder (DESIGN.md §9): reconstruct rows [row_begin,
+/// row_end) of the tensor into `out` and bill the Fig. 9 reconstruction DAG
+/// over exactly the chunks that overlap them. decompress() is the
+/// whole-tensor call, decompress_rows() the range-checked one.
+DecompressResult decode_rows(const Device& dev, const Compressor& comp,
+                             std::span<const std::uint8_t> stream, void* out,
+                             const Shape& shape, DType dtype,
+                             std::size_t row_begin, std::size_t row_end,
+                             const Options& opts) {
+  HPDR_REQUIRE(!is_progressive_stream(stream),
+               "v3 progressive container: decode through "
+               "pipeline::ProgressiveReader (refine to a bound)");
+  auto& ins = Instruments::get();
+  ByteReader in(stream);
+  const Header h = parse_header(in);
+  check_stream_matches(h, comp, shape, dtype);
+  const Slabs slabs(shape, dtype);
+  const GpuPerfModel model(dev.spec());
+  const bool gpu = dev.spec().is_gpu();
+  auto* out_bytes = static_cast<std::uint8_t*>(out);
+
+  // Serial planning pass over the chunk table: which chunks overlap the row
+  // range, where their blobs sit, and which of their decoded bytes land
+  // where in the output.
+  struct Touched {
+    std::size_t c;         ///< chunk index in the stream
+    std::size_t blob_off;  ///< payload-relative blob offset
+    std::size_t skip;      ///< decoded bytes of the chunk before the range
+    std::size_t bytes;     ///< decoded bytes of the chunk inside the range
+    std::size_t out_off;   ///< byte offset into `out`
+  };
+  const std::uint8_t* payload =
+      stream.data() + (stream.size() - in.remaining());
+  std::vector<Touched> touched;
+  std::size_t off = 0;
+  std::size_t row = 0;
+  std::size_t written = 0;
+  for (std::size_t c = 0; c < h.rows.size(); ++c) {
+    // A subtraction, so a corrupt row count cannot wrap `row`.
+    HPDR_REQUIRE(h.rows[c] <= slabs.rows - row, "chunks overrun the tensor");
+    const std::size_t c_begin = row;
+    row += h.rows[c];
+    off += h.sizes[c];
+    HPDR_REQUIRE(off <= in.remaining(), "chunk blobs exceed container size");
+    if (row <= row_begin || c_begin >= row_end) {
+      ins.rows_chunks_skipped.add();
+      continue;
+    }
+    const std::size_t ov_begin = std::max(c_begin, row_begin);
+    const std::size_t bytes =
+        (std::min(row, row_end) - ov_begin) * slabs.slab_bytes;
+    touched.push_back({c, off - h.sizes[c],
+                       (ov_begin - c_begin) * slabs.slab_bytes, bytes,
+                       written});
+    written += bytes;
+  }
+  HPDR_REQUIRE(written == (row_end - row_begin) * slabs.slab_bytes,
+               "chunks do not cover rows [" << row_begin << ", " << row_end
+                                            << ")");
+  const std::size_t n = touched.size();
+
+  // Decode the touched chunks in parallel. Whole chunks decode straight
+  // into the output; a chunk straddling the range boundary decodes into
+  // the pooled scratch and is cropped. Corrupt chunks zero-fill under
+  // ChunkRecovery::Skip — partial reconstruction — and reject the stream
+  // under Strict; their indices gather in chunk order afterwards.
+  DecompressResult result;
+  {
+    telemetry::Span span("pipeline.decode", "pipeline");
+    auto& pool = ThreadPool::instance();
+    pool.reset_peak();
+    const KernelWidthSplit split(n, dev);
+    std::vector<std::uint8_t> chunk_ok(n, 1);
+    std::vector<std::uint8_t> cache_hit(n, 0);
+    std::vector<std::uint8_t> cache_miss(n, 0);
+    // Overlapping subdomain reads are the dedup cache's decode sweet spot:
+    // a boundary chunk decoded for one row range hits for every
+    // neighbouring range that touches the same chunk.
+    ChunkCacheBase* const cache = cache_for(opts);
+    const std::uint64_t meta_base =
+        cache != nullptr ? cache_meta_base(kCacheRawSalt, h.compressor,
+                                           h.dtype, shape, 0.0)
+                         : 0;
+    const telemetry::TraceContext trace = telemetry::current_trace();
+    const fault::CancelToken cancel = fault::current_cancel();
+    pool.parallel_for(n, [&](std::size_t i) {
+      const telemetry::TraceScope trace_scope(trace);
+      const fault::CancelScope cancel_scope(cancel);
+      fault::poll_cancel();
+      split.apply();
+      const Touched& t = touched[i];
+      const std::size_t chunk_bytes = h.rows[t.c] * slabs.slab_bytes;
+      const bool whole = t.bytes == chunk_bytes;
+      std::vector<std::uint8_t> scratch;
+      if (!whole) {
+        scratch = std::exchange(scratch_slot(), {});
+        if (scratch.size() < chunk_bytes) scratch.resize(chunk_bytes);
+      }
+      std::uint8_t* dst = whole ? out_bytes + t.out_off : scratch.data();
+      chunk_ok[i] = decode_chunk(
+          dev, comp, h, t.c, {payload + t.blob_off, h.sizes[t.c]}, dst,
+          slabs.chunk_shape(shape, h.rows[t.c]), chunk_bytes, opts.recovery,
+          cache, meta_base, cache_hit[i], cache_miss[i]);
+      if (!whole) {
+        std::memcpy(out_bytes + t.out_off, dst + t.skip, t.bytes);
+        scratch_slot() = std::move(scratch);
+      }
+    });
+    ins.pool_occupancy.observe(pool.peak_active());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!chunk_ok[i]) result.corrupt_chunks.push_back(touched[i].c);
+      result.cache_hits += cache_hit[i];
+      result.cache_misses += cache_miss[i];
+    }
+  }
+
+  // HDEM reconstruction DAG (Fig. 9 bottom) over the touched chunks, each
+  // copy-out sized to the bytes it delivers. Launch-order optimization:
+  // chunk i+1's deserialize is issued before chunk i's output copy so both
+  // D2H-engine clients don't serialize behind the (large) output copy.
+  const bool pipelined = opts.overlap;
+  const double page = pipelined ? 1.0 : kPageablePenalty;
+  auto queue = [&](std::size_t i) {
+    return pipelined ? static_cast<std::uint32_t>(i % 3) : 0u;
+  };
+  HdemSimulator sim(3);
+  std::vector<std::uint32_t> comp_id(n);
+  std::vector<std::uint32_t> copyout_id(n);
+  auto submit_copyout = [&](std::size_t i) {
+    copyout_id[i] = sim.submit(
+        queue(i), EngineId::D2H, "copy-out",
+        gpu ? model.d2h().seconds(touched[i].bytes) / page : 0.0);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t c = touched[i].c;
+    const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
+    const std::uint32_t q = queue(i);
+    if (!comp.uses_context_cache()) {
+      const double alloc_s =
+          gpu ? comp.allocs_per_call() *
+                    model.alloc_seconds(chunk_bytes /
+                                        std::max(1, comp.allocs_per_call()))
+              : 0.0;
+      sim.submit(q, EngineId::Compute, "alloc", alloc_s);
+    }
+    // Input buffer pair frees once chunk i-2's kernel consumed it.
+    std::vector<std::uint32_t> in_deps;
+    if (pipelined && i >= 2) in_deps.push_back(comp_id[i - 2]);
+    sim.submit(q, EngineId::H2D, "copy-in",
+               gpu ? model.h2d().seconds(h.sizes[c]) / page : 0.0, {},
+               std::move(in_deps));
+    // Default (unoptimized) order: the previous output copy is issued to
+    // the D2H engine before this chunk's deserialization, delaying it.
+    if (!opts.reorder_launches && i >= 1) submit_copyout(i - 1);
+    sim.submit(q, EngineId::D2H, "deserialize",
+               gpu ? model.d2h().seconds(
+                         static_cast<std::size_t>(kSerializeBytes))
+                   : 0.0);
+    std::vector<std::uint32_t> k_deps;
+    if (pipelined && i >= 2) k_deps.push_back(copyout_id[i - 2]);
+    comp_id[i] = sim.submit(
+        q, EngineId::Compute, "reconstruct",
+        comp.kernel_derate() *
+            model.kernel_seconds(comp.decompress_kernel(), chunk_bytes),
+        {}, std::move(k_deps));
+    if (opts.reorder_launches && i >= 1) submit_copyout(i - 1);
+  }
+  submit_copyout(n - 1);  // n >= 1: the range is non-empty and covered
+
+  result.timeline = sim.run();
+  result.raw_bytes = written;
+  return result;
 }
 
 }  // namespace
@@ -423,8 +588,6 @@ CompressResult compress(const Device& dev, const Compressor& comp,
   std::vector<int> workers(nchunks, 0);
   std::vector<std::uint8_t> cache_hit(nchunks, 0);
   std::vector<std::uint8_t> cache_miss(nchunks, 0);
-  std::vector<double> codec_secs(nchunks, 0.0);
-  std::vector<double> hit_secs(nchunks, 0.0);
   ChunkCacheBase* const cache = cache_for(opts);
   const std::uint64_t meta_base =
       cache != nullptr
@@ -476,10 +639,8 @@ CompressResult compress(const Device& dev, const Compressor& comp,
       if (cache != nullptr) {
         raw_hash = fnv1a64({src, schedule[c]});
         cmeta = fnv1a64_fold(chunk_rows[c], meta_base);
-        const auto t0 = std::chrono::steady_clock::now();
         if (cache->get_frame(raw_hash, cmeta, blobs[c], checksums[c])) {
           cache_hit[c] = 1;
-          hit_secs[c] = wall_since(t0);
           fault::corrupt_at("chunk.corrupt", c, blobs[c]);
           return;
         }
@@ -491,7 +652,6 @@ CompressResult compress(const Device& dev, const Compressor& comp,
         tags[c] = kTagRaw;
         ins.fallbacks.add();
       } else {
-        const auto t0 = std::chrono::steady_clock::now();
         for (std::size_t attempt = 0;; ++attempt) {
           try {
             if (fault::should_fire_at("hdem.task", c, attempt))
@@ -515,7 +675,6 @@ CompressResult compress(const Device& dev, const Compressor& comp,
             break;
           }
         }
-        codec_secs[c] = wall_since(t0);
       }
       // Checksum the payload as produced, then let the fault plan corrupt
       // the stored bytes — decode detects exactly this mismatch. Only a
@@ -532,8 +691,6 @@ CompressResult compress(const Device& dev, const Compressor& comp,
       if (tags[c] == kTagRaw) ++result.fallback_chunks;
       result.cache_hits += cache_hit[c];
       result.cache_misses += cache_miss[c];
-      result.codec_s += codec_secs[c];
-      result.cache_hit_s += hit_secs[c];
     }
   }
 
@@ -654,6 +811,20 @@ CompressResult compress(const Device& dev, const Compressor& comp,
   return result;
 }
 
+DecompressResult decompress(const Device& dev, const Compressor& comp,
+                            std::span<const std::uint8_t> stream, void* out,
+                            const Shape& shape, DType dtype,
+                            const Options& opts) {
+  auto& ins = Instruments::get();
+  ins.decompress_calls.add();
+  telemetry::Span span_all("pipeline.decompress", "pipeline");
+  DecompressResult result =
+      decode_rows(dev, comp, stream, out, shape, dtype, 0,
+                  Slabs(shape, dtype).rows, opts);
+  ins.decompress_raw_bytes.add(result.raw_bytes);
+  return result;
+}
+
 DecompressResult decompress_rows(const Device& dev, const Compressor& comp,
                                  std::span<const std::uint8_t> stream,
                                  void* out, const Shape& shape, DType dtype,
@@ -664,136 +835,8 @@ DecompressResult decompress_rows(const Device& dev, const Compressor& comp,
                              << ") out of bounds");
   Instruments::get().rows_calls.add();
   telemetry::Span span_all("pipeline.decompress_rows", "pipeline");
-  HPDR_REQUIRE(!is_progressive_stream(stream),
-               "v3 progressive container: decode through "
-               "pipeline::ProgressiveReader (refine to a bound)");
-  ByteReader in(stream);
-  const Header h = parse_header(in);
-  check_stream_matches(h, comp, shape, dtype);
-  const std::size_t nchunks = h.rows.size();
-  const Slabs slabs(shape, dtype);
-  const GpuPerfModel model(dev.spec());
-  const bool gpu = dev.spec().is_gpu();
-  auto* out_bytes = static_cast<std::uint8_t*>(out);
-
-  DecompressResult result;
-
-  // Serial planning pass over the chunk table: which chunks overlap the row
-  // range, where their blobs sit, and where their rows land in the output.
-  struct Touched {
-    std::size_t c;            ///< chunk index in the stream
-    std::size_t blob_off;     ///< payload-relative blob offset
-    std::size_t c_begin;      ///< first tensor row of the chunk
-    std::size_t ov_begin;     ///< overlap with [row_begin, row_end)
-    std::size_t ov_end;
-    std::size_t written_off;  ///< byte offset into `out`
-  };
-  const std::uint8_t* payload =
-      stream.data() + (stream.size() - in.remaining());
-  std::vector<Touched> touched;
-  std::size_t off = 0;
-  std::size_t row = 0;
-  std::size_t written = 0;
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    const std::size_t c_begin = row;
-    const std::size_t c_end = row + h.rows[c];
-    HPDR_REQUIRE(c_end <= slabs.rows, "chunks overrun the tensor");
-    row = c_end;
-    const std::size_t blob_off = off;
-    off += h.sizes[c];
-    HPDR_REQUIRE(off <= in.remaining(), "chunk blobs exceed container size");
-    if (c_end <= row_begin || c_begin >= row_end) {  // skip chunk
-      Instruments::get().rows_chunks_skipped.add();
-      continue;
-    }
-    const std::size_t ov_begin = std::max(c_begin, row_begin);
-    const std::size_t ov_end = std::min(c_end, row_end);
-    touched.push_back({c, blob_off, c_begin, ov_begin, ov_end, written});
-    written += (ov_end - ov_begin) * slabs.slab_bytes;
-  }
-  HPDR_REQUIRE(written == (row_end - row_begin) * slabs.slab_bytes,
-               "row range not fully covered by chunks");
-
-  // Decode the touched chunks in parallel. Fully-covered chunks decode
-  // straight into the output; boundary chunks decode into the per-thread
-  // pooled scratch and crop to the overlapping rows.
-  auto& pool = ThreadPool::instance();
-  pool.reset_peak();
-  const KernelWidthSplit split(touched.size(), dev);
-  std::vector<std::uint8_t> chunk_ok(touched.size(), 1);
-  std::vector<std::uint8_t> cache_hit(touched.size(), 0);
-  std::vector<std::uint8_t> cache_miss(touched.size(), 0);
-  std::vector<double> codec_secs(touched.size(), 0.0);
-  std::vector<double> hit_secs(touched.size(), 0.0);
-  // Overlapping subdomain reads are the dedup cache's decode sweet spot:
-  // a boundary chunk decoded for one row range hits for every neighbouring
-  // range that touches the same chunk.
-  ChunkCacheBase* const cache = cache_for(opts);
-  const std::uint64_t meta_base =
-      cache != nullptr
-          ? cache_meta_base(kCacheRawSalt, h.compressor, h.dtype, shape, 0.0)
-          : 0;
-  const telemetry::TraceContext trace = telemetry::current_trace();
-  const fault::CancelToken cancel = fault::current_cancel();
-  pool.parallel_for(touched.size(), [&](std::size_t i) {
-    const telemetry::TraceScope trace_scope(trace);
-    const fault::CancelScope cancel_scope(cancel);
-    fault::poll_cancel();
-    split.apply();
-    const Touched& t = touched[i];
-    const std::size_t c = t.c;
-    const Shape chunk_shape = slabs.chunk_shape(shape, h.rows[c]);
-    const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
-    const std::span<const std::uint8_t> blob{payload + t.blob_off,
-                                             h.sizes[c]};
-    if (t.ov_begin == t.c_begin &&
-        t.ov_end == t.c_begin + h.rows[c]) {
-      chunk_ok[i] = decode_chunk(dev, comp, h, c, blob,
-                                 out_bytes + t.written_off, chunk_shape,
-                                 chunk_bytes, opts.recovery, cache, meta_base,
-                                 cache_hit[i], cache_miss[i], codec_secs[i],
-                                 hit_secs[i]);
-    } else {
-      auto& scratch = decode_scratch(chunk_bytes);
-      chunk_ok[i] = decode_chunk(dev, comp, h, c, blob, scratch.data(),
-                                 chunk_shape, chunk_bytes, opts.recovery,
-                                 cache, meta_base, cache_hit[i],
-                                 cache_miss[i], codec_secs[i], hit_secs[i]);
-      std::memcpy(
-          out_bytes + t.written_off,
-          scratch.data() + (t.ov_begin - t.c_begin) * slabs.slab_bytes,
-          (t.ov_end - t.ov_begin) * slabs.slab_bytes);
-    }
-  });
-  Instruments::get().pool_occupancy.observe(pool.peak_active());
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    if (!chunk_ok[i]) result.corrupt_chunks.push_back(touched[i].c);
-    result.cache_hits += cache_hit[i];
-    result.cache_misses += cache_miss[i];
-    result.codec_s += codec_secs[i];
-    result.cache_hit_s += hit_secs[i];
-  }
-
-  // Bill only the touched chunks (queue assignment follows touched order,
-  // exactly as the serial loop billed them).
-  HdemSimulator sim(3);
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    const Touched& t = touched[i];
-    const auto q = static_cast<std::uint32_t>(i % 3);
-    sim.submit(q, EngineId::H2D, "copy-in",
-               gpu ? model.h2d().seconds(h.sizes[t.c]) : 0.0);
-    sim.submit(q, EngineId::Compute, "reconstruct",
-               comp.kernel_derate() *
-                   model.kernel_seconds(comp.decompress_kernel(),
-                                        h.rows[t.c] * slabs.slab_bytes));
-    sim.submit(q, EngineId::D2H, "copy-out",
-               gpu ? model.d2h().seconds((t.ov_end - t.ov_begin) *
-                                         slabs.slab_bytes)
-                   : 0.0);
-  }
-  result.timeline = sim.run();
-  result.raw_bytes = written;
-  return result;
+  return decode_rows(dev, comp, stream, out, shape, dtype, row_begin, row_end,
+                     opts);
 }
 
 StreamInfo inspect(std::span<const std::uint8_t> stream) {
@@ -809,147 +852,6 @@ StreamInfo inspect(std::span<const std::uint8_t> stream) {
   for (std::uint8_t t : h.tags)
     if (t == kTagRaw) ++info.fallback_chunks;
   return info;
-}
-
-DecompressResult decompress(const Device& dev, const Compressor& comp,
-                            std::span<const std::uint8_t> stream, void* out,
-                            const Shape& shape, DType dtype,
-                            const Options& opts) {
-  auto& ins = Instruments::get();
-  ins.decompress_calls.add();
-  telemetry::Span span_all("pipeline.decompress", "pipeline");
-  HPDR_REQUIRE(!is_progressive_stream(stream),
-               "v3 progressive container: decode through "
-               "pipeline::ProgressiveReader (refine to a bound)");
-  ByteReader in(stream);
-  const Header h = parse_header(in);
-  check_stream_matches(h, comp, shape, dtype);
-  const std::size_t nchunks = h.rows.size();
-
-  const Slabs slabs(shape, dtype);
-  const GpuPerfModel model(dev.spec());
-  const bool gpu = dev.spec().is_gpu();
-  auto* out_bytes = static_cast<std::uint8_t*>(out);
-  const bool pipelined = opts.overlap;
-  const double page = pipelined ? 1.0 : kPageablePenalty;
-
-  // Decode chunks (eager, like compression) and verify coverage. Corrupt
-  // chunks zero-fill under ChunkRecovery::Skip — partial reconstruction —
-  // and reject the stream under Strict. The chunk table gives every blob's
-  // offset and every chunk's output rows up front, so the decode loop fans
-  // out across the pool; corrupt-chunk indices gather in order afterwards.
-  DecompressResult result;
-  {
-    telemetry::Span span("pipeline.decode", "pipeline");
-    const std::uint8_t* payload =
-        stream.data() + (stream.size() - in.remaining());
-    std::vector<std::size_t> blob_off(nchunks);
-    std::vector<std::size_t> row_begin(nchunks);
-    std::size_t off = 0;
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      HPDR_REQUIRE(row + h.rows[c] <= slabs.rows,
-                   "chunks overrun the tensor");
-      blob_off[c] = off;
-      row_begin[c] = row;
-      off += h.sizes[c];
-      row += h.rows[c];
-    }
-    HPDR_REQUIRE(off <= in.remaining(), "chunk blobs exceed container size");
-    HPDR_REQUIRE(row == slabs.rows, "chunks do not cover the tensor");
-    auto& pool = ThreadPool::instance();
-    pool.reset_peak();
-    const KernelWidthSplit split(nchunks, dev);
-    std::vector<std::uint8_t> chunk_ok(nchunks, 1);
-    std::vector<std::uint8_t> cache_hit(nchunks, 0);
-    std::vector<std::uint8_t> cache_miss(nchunks, 0);
-    std::vector<double> codec_secs(nchunks, 0.0);
-    std::vector<double> hit_secs(nchunks, 0.0);
-    ChunkCacheBase* const cache = cache_for(opts);
-    const std::uint64_t meta_base =
-        cache != nullptr ? cache_meta_base(kCacheRawSalt, h.compressor,
-                                           h.dtype, shape, 0.0)
-                         : 0;
-    const telemetry::TraceContext trace = telemetry::current_trace();
-    const fault::CancelToken cancel = fault::current_cancel();
-    pool.parallel_for(nchunks, [&](std::size_t c) {
-      const telemetry::TraceScope trace_scope(trace);
-      const fault::CancelScope cancel_scope(cancel);
-      fault::poll_cancel();
-      split.apply();
-      const Shape chunk_shape = slabs.chunk_shape(shape, h.rows[c]);
-      const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
-      chunk_ok[c] = decode_chunk(
-          dev, comp, h, c, {payload + blob_off[c], h.sizes[c]},
-          out_bytes + row_begin[c] * slabs.slab_bytes, chunk_shape,
-          chunk_bytes, opts.recovery, cache, meta_base, cache_hit[c],
-          cache_miss[c], codec_secs[c], hit_secs[c]);
-    });
-    ins.pool_occupancy.observe(pool.peak_active());
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      if (!chunk_ok[c]) result.corrupt_chunks.push_back(c);
-      result.cache_hits += cache_hit[c];
-      result.cache_misses += cache_miss[c];
-      result.codec_s += codec_secs[c];
-      result.cache_hit_s += hit_secs[c];
-    }
-  }
-
-  // HDEM reconstruction DAG (Fig. 9 bottom) with the launch-order
-  // optimization: chunk c+1's deserialize is issued before chunk c's
-  // output copy so both D2H-engine clients don't serialize behind the
-  // (large) output copy.
-  HdemSimulator sim(3);
-  std::vector<std::uint32_t> comp_id(nchunks);
-  std::vector<std::uint32_t> copyout_id(nchunks);
-  auto submit_copyout = [&](std::size_t c) {
-    const std::uint32_t q =
-        pipelined ? static_cast<std::uint32_t>(c % 3) : 0;
-    copyout_id[c] = sim.submit(
-        q, EngineId::D2H, "copy-out",
-        gpu ? model.d2h().seconds(h.rows[c] * slabs.slab_bytes) / page
-            : 0.0);
-  };
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    const std::uint32_t q =
-        pipelined ? static_cast<std::uint32_t>(c % 3) : 0;
-    if (!comp.uses_context_cache()) {
-      const double alloc_s =
-          gpu ? comp.allocs_per_call() *
-                    model.alloc_seconds(h.rows[c] * slabs.slab_bytes /
-                                        std::max(1, comp.allocs_per_call()))
-              : 0.0;
-      sim.submit(q, EngineId::Compute, "alloc", alloc_s);
-    }
-    // Input buffer pair frees once chunk c-2's kernel consumed it.
-    std::vector<std::uint32_t> in_deps;
-    if (pipelined && c >= 2) in_deps.push_back(comp_id[c - 2]);
-    sim.submit(q, EngineId::H2D, "copy-in",
-               gpu ? model.h2d().seconds(h.sizes[c]) / page : 0.0, {},
-               std::move(in_deps));
-    // Default (unoptimized) order: the previous output copy is issued to
-    // the D2H engine before this chunk's deserialization, delaying it.
-    if (!opts.reorder_launches && c >= 1) submit_copyout(c - 1);
-    sim.submit(q, EngineId::D2H, "deserialize",
-               gpu ? model.d2h().seconds(
-                         static_cast<std::size_t>(kSerializeBytes))
-                   : 0.0);
-    std::vector<std::uint32_t> k_deps;
-    if (pipelined && c >= 2) k_deps.push_back(copyout_id[c - 2]);
-    comp_id[c] = sim.submit(
-        q, EngineId::Compute, "reconstruct",
-        comp.kernel_derate() *
-            model.kernel_seconds(comp.decompress_kernel(),
-                                 h.rows[c] * slabs.slab_bytes),
-        {}, std::move(k_deps));
-    if (opts.reorder_launches && c >= 1) submit_copyout(c - 1);
-  }
-  if (nchunks > 0) submit_copyout(nchunks - 1);
-
-  result.timeline = sim.run();
-  result.raw_bytes = shape.size() * dtype_size(dtype);
-  ins.decompress_raw_bytes.add(result.raw_bytes);
-  return result;
 }
 
 }  // namespace hpdr::pipeline

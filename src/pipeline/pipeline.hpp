@@ -131,17 +131,16 @@ struct CompressResult {
   std::size_t fallback_chunks = 0;
   /// Codec re-attempts absorbed across all chunks.
   std::size_t codec_retries = 0;
-  /// Dedup-cache outcome (zero unless Options::cache was consulted) and
-  /// the wall-clock phase split — codec work vs. cache-hit memcpy — the
-  /// serving bench reports (DESIGN.md §14).
+  /// Dedup-cache outcome (zero unless Options::cache was consulted). Host
+  /// wall time lives in the codec.<name>.*.seconds and
+  /// svc.cache.hit.latency histograms, not here (DESIGN.md §14).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  double codec_s = 0.0;      ///< wall seconds inside codec compress calls
-  double cache_hit_s = 0.0;  ///< wall seconds serving cache hits
 
-  double seconds() const { return timeline.makespan(); }
-  double throughput_gbps() const {
-    const double s = seconds();
+  /// Modeled HDEM makespan of the simulated DAG, not host wall time.
+  double model_seconds() const { return timeline.makespan(); }
+  double model_gbps() const {
+    const double s = model_seconds();
     return s > 0 ? static_cast<double>(raw_bytes) / (s * 1e9) : 0.0;
   }
   double ratio() const {
@@ -159,15 +158,14 @@ struct DecompressResult {
   /// Chunk indices detected corrupt (checksum mismatch or decode failure)
   /// and zero-filled under ChunkRecovery::Skip. Empty on a clean stream.
   std::vector<std::size_t> corrupt_chunks;
-  /// Dedup-cache outcome and phase split; see CompressResult.
+  /// Dedup-cache outcome; see CompressResult.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  double codec_s = 0.0;
-  double cache_hit_s = 0.0;
   bool partial() const { return !corrupt_chunks.empty(); }
-  double seconds() const { return timeline.makespan(); }
-  double throughput_gbps() const {
-    const double s = seconds();
+  /// Modeled time; see CompressResult.
+  double model_seconds() const { return timeline.makespan(); }
+  double model_gbps() const {
+    const double s = model_seconds();
     return s > 0 ? static_cast<double>(raw_bytes) / (s * 1e9) : 0.0;
   }
 };
@@ -186,10 +184,10 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
 
 /// Decompress only rows [row_begin, row_end) along the slowest dimension
 /// into `out`, which must hold (row_end−row_begin)·(elements per slab)
-/// values. Only the chunks overlapping the range are decoded and billed —
-/// the partial-retrieval path an ADIOS-style reader takes for
-/// sub-selections. Whole-chunk granularity: a chunk straddling the range
-/// boundary is decoded fully and cropped.
+/// values — the partial-retrieval path an ADIOS-style reader takes for
+/// sub-selections. It is decompress()'s decoder and DAG restricted to the
+/// chunks overlapping the range, so the full range bills what decompress()
+/// bills. A chunk straddling the range boundary is decoded fully, cropped.
 DecompressResult decompress_rows(const Device& dev, const Compressor& comp,
                                  std::span<const std::uint8_t> stream,
                                  void* out, const Shape& shape, DType dtype,

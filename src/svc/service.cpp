@@ -136,8 +136,6 @@ telemetry::Value JobResult::to_json() const {
   if (cache_hits + cache_misses > 0) {
     v.set("cache_hits", telemetry::Value(cache_hits));
     v.set("cache_misses", telemetry::Value(cache_misses));
-    v.set("codec_s", telemetry::Value(codec_s));
-    v.set("cache_hit_s", telemetry::Value(cache_hit_s));
   }
   if (kind == JobKind::Progressive) {
     v.set("bytes_fetched", telemetry::Value(bytes_fetched));
@@ -307,7 +305,6 @@ std::future<JobResult> Service::enqueue(
       shed_result = stillborn(
           p, ErrorKind::Overload,
           std::string("shed at admission (") + shed_reason + ")");
-      job_records_.push_back(shed_result.to_json());
       shed_promise = std::move(p.promise);
       was_shed = true;
     } else {
@@ -352,7 +349,6 @@ bool Service::cancel(std::uint64_t job_id) {
       }
       result = stillborn(p, ErrorKind::Cancelled,
                          "job cancelled before start");
-      job_records_.push_back(result.to_json());
       promise = std::move(p.promise);
       resolved = found = true;
       break;
@@ -406,7 +402,6 @@ void Service::runner_loop() {
         ++failed_;
         ++failed_by_kind_[static_cast<std::size_t>(result.error_kind)];
       }
-      job_records_.push_back(result.to_json());
     }
     idle_cv_.notify_all();
     job.promise.set_value(std::move(result));
@@ -579,8 +574,6 @@ JobResult Service::run_job(Pending& job) {
         r.output = std::move(cr.stream);
         r.cache_hits = cr.cache_hits;
         r.cache_misses = cr.cache_misses;
-        r.codec_s = cr.codec_s;
-        r.cache_hit_s = cr.cache_hit_s;
       } else {
         r.output.resize(r.raw_bytes);
         auto dr = pipeline::decompress(
@@ -589,8 +582,6 @@ JobResult Service::run_job(Pending& job) {
         r.corrupt_chunks = dr.corrupt_chunks.size();
         r.cache_hits = dr.cache_hits;
         r.cache_misses = dr.cache_misses;
-        r.codec_s = dr.codec_s;
-        r.cache_hit_s = dr.cache_hit_s;
       }
     }
     r.ok = true;
@@ -699,13 +690,6 @@ std::uint64_t Service::shed() const {
 std::uint64_t Service::failed_by(ErrorKind kind) const {
   std::lock_guard<std::mutex> g(mu_);
   return failed_by_kind_[static_cast<std::size_t>(kind)];
-}
-
-telemetry::Value Service::jobs_json() const {
-  std::lock_guard<std::mutex> g(mu_);
-  telemetry::Value arr = telemetry::Value::array();
-  for (const auto& rec : job_records_) arr.push_back(rec);
-  return arr;
 }
 
 }  // namespace hpdr::svc

@@ -116,12 +116,9 @@ struct JobResult {
   double run_s = 0.0;             ///< wall-clock inside the pipeline
   unsigned share_slots = 0;       ///< fair share at admission
   std::size_t corrupt_chunks = 0; ///< Decompress with ChunkRecovery::Skip
-  /// Dedup-cache outcome (zero unless JobSpec::use_cache) and the phase
-  /// split: wall seconds inside codec calls vs. serving cache hits.
+  /// Dedup-cache outcome (zero unless JobSpec::use_cache).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  double codec_s = 0.0;
-  double cache_hit_s = 0.0;
   /// Progressive jobs: payload bytes this job actually fetched (0 when the
   /// session already held the requested precision), the worst relative
   /// bound across chunks after the job, and whether the job refined
@@ -227,10 +224,6 @@ class Service {
   /// under Overload).
   std::uint64_t failed_by(ErrorKind kind) const;
 
-  /// Per-job manifest section: one JSON record per resolved job, in
-  /// completion order (payloads omitted). CLI `serve --metrics` embeds it.
-  telemetry::Value jobs_json() const;
-
   /// One immediate stats publish to the configured sink (also what the
   /// publisher thread runs every interval). Safe to call any time.
   void publish_stats();
@@ -294,7 +287,6 @@ class Service {
   std::uint64_t failed_ = 0;
   std::uint64_t shed_ = 0;
   std::array<std::uint64_t, 5> failed_by_kind_{};  ///< indexed by ErrorKind
-  std::vector<telemetry::Value> job_records_;
   std::vector<std::thread> runners_;
   std::thread publisher_;
   std::thread watchdog_;

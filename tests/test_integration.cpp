@@ -94,8 +94,8 @@ TEST(Integration, SimulatedThroughputConsistentAcrossLayers) {
       pipeline::compress(v100, *comp, ds.data(), ds.shape, ds.dtype, opts);
   auto node = sim::run_node(v100, 1, *comp, opts, ds.data(), ds.shape,
                             ds.dtype, true, 1);
-  EXPECT_NEAR(node.aggregate_gbps, direct.throughput_gbps(),
-              direct.throughput_gbps() * 0.05);
+  EXPECT_NEAR(node.aggregate_gbps, direct.model_gbps(),
+              direct.model_gbps() * 0.05);
 }
 
 TEST(Integration, WeakScalingIsMonotoneInNodes) {

@@ -154,6 +154,68 @@ TEST(CorruptStreamsExtra, HostileHeaderSizesAreRejectedBeforeAllocation) {
   EXPECT_THROW(mgard::decompress_f32(dev, forged), Error);
 }
 
+/// `stream` (a v2 pipeline container) with every chunk's row count
+/// replaced. The chunk table carries no checksum, so nothing else flags
+/// the edit.
+std::vector<std::uint8_t> with_chunk_rows(
+    std::span<const std::uint8_t> stream,
+    const std::vector<std::uint64_t>& rows) {
+  ByteReader in(stream);
+  ByteWriter w;
+  w.put_u8(in.get_u8());  // magic
+  w.put_u8(in.get_u8());  // version
+  w.put_string(in.get_string());
+  w.put_u8(in.get_u8());  // dtype
+  const std::uint8_t rank = in.get_u8();
+  w.put_u8(rank);
+  for (std::size_t d = 0; d < rank; ++d) w.put_varint(in.get_varint());
+  w.put_u8(in.get_u8());  // mode
+  const std::size_t nchunks = in.get_varint();
+  EXPECT_EQ(nchunks, rows.size());
+  w.put_varint(nchunks);
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    in.get_varint();
+    w.put_varint(rows[c]);
+    w.put_varint(in.get_varint());  // blob size
+    w.put_u8(in.get_u8());          // codec tag
+    w.put_u64(in.get_u64());        // checksum
+  }
+  auto out = w.take();
+  const auto payload = stream.subspan(stream.size() - in.remaining());
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+TEST(CorruptStreamsExtra, WrappingChunkRowCountsAreRejected) {
+  // Chunk 1 claims 2^64 - 4 rows: the running row total wraps and the
+  // counts still sum to the tensor height. Unless the chunk table check
+  // is wrap-proof, chunk 1's decode target (and, under Skip, its
+  // zero-fill) spans far past the output buffer.
+  const Device dev = Device::serial();
+  auto comp = make_compressor("zfp-x");
+  const auto ds = data::make("nyx", data::Size::Small);  // 64 rows
+  pipeline::Options opts;
+  opts.mode = pipeline::Mode::Fixed;
+  opts.param = 1e-2;
+  opts.fixed_chunk_bytes = ds.size_bytes() / 8;  // 8 chunks of 8 rows
+  const auto good =
+      pipeline::compress(dev, *comp, ds.data(), ds.shape, ds.dtype, opts)
+          .stream;
+  const auto bad = with_chunk_rows(
+      good, {8, ~std::uint64_t{0} - 3, 20, 8, 8, 8, 8, 8});
+  std::vector<float> out(ds.elements());
+  for (const auto recovery :
+       {pipeline::ChunkRecovery::Strict, pipeline::ChunkRecovery::Skip}) {
+    opts.recovery = recovery;
+    EXPECT_THROW(pipeline::decompress(dev, *comp, bad, out.data(), ds.shape,
+                                      ds.dtype, opts),
+                 Error);
+    EXPECT_THROW(pipeline::decompress_rows(dev, *comp, bad, out.data(),
+                                           ds.shape, ds.dtype, 0, 8, opts),
+                 Error);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BPLite containers under hostile bytes: every truncation or byte flip must
 // either throw hpdr::Error on open/read or yield data that fails the

@@ -314,19 +314,29 @@ TEST_F(SvcTest, CacheServesDecompressAcrossJobsAndRecordsOutcome) {
     spec.input_bytes = stream.size();
     return service.submit(std::move(spec)).get();
   };
+  // The time ledger shows where each decode went: the cold one into the
+  // codec, the warm all-hit one into the cache and not the codec.
+  const auto& codec_ledger =
+      telemetry::latency("codec.mgard-x.decompress.seconds");
+  const auto& hit_ledger = telemetry::latency("svc.cache.hit.latency");
+  const auto codec_calls0 = codec_ledger.count();
   const auto cold = submit_decode();
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_GT(cold.cache_misses, 0u);
-  EXPECT_GT(cold.codec_s, 0.0);
+  const auto codec_calls1 = codec_ledger.count();
+  EXPECT_GT(codec_calls1, codec_calls0);
+  const auto hits1 = hit_ledger.count();
   const auto warm = submit_decode();
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_EQ(warm.output, cold.output);  // identical reconstruction
   EXPECT_EQ(warm.cache_misses, 0u);
   EXPECT_GT(warm.cache_hits, 0u);
+  EXPECT_EQ(codec_ledger.count(), codec_calls1);
+  EXPECT_GT(hit_ledger.count(), hits1);
   // The job record carries the dedup outcome for the manifest.
-  const auto jobs = telemetry::dump(service.jobs_json());
-  EXPECT_NE(jobs.find("\"cache_hits\""), std::string::npos);
+  const auto record = telemetry::dump(warm.to_json());
+  EXPECT_NE(record.find("\"cache_hits\""), std::string::npos) << record;
 }
 
 // --- Service: backpressure, containment, records -------------------------
@@ -405,8 +415,7 @@ TEST_F(SvcTest, JobRecordsCarryOutcomeAndTiming) {
   EXPECT_GT(res.run_s, 0.0);
   EXPECT_GE(res.share_slots, 1u);
   EXPECT_EQ(res.raw_bytes, ds.size_bytes());
-  service.drain();
-  const auto json = telemetry::dump(service.jobs_json());
+  const auto json = telemetry::dump(res.to_json());
   EXPECT_NE(json.find("\"kind\":\"compress\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos) << json;
 }
@@ -415,6 +424,7 @@ TEST_F(SvcTest, HighPriorityJumpsTheAdmissionQueue) {
   // One runner, blocked on a deliberately slow first job; then three Low
   // jobs and one High job enqueue. The High job must complete before the
   // last Low job.
+  telemetry::FlightRecorder::instance().clear();
   Shape big = Shape::of_rank(3);
   big[0] = 96;
   big[1] = big[2] = 64;
@@ -447,14 +457,17 @@ TEST_F(SvcTest, HighPriorityJumpsTheAdmissionQueue) {
   const auto high_res = high.get();
   service.drain();
   ASSERT_TRUE(high_res.ok) << high_res.error;
-  // Completion order is recorded in jobs_json; the High job (id 5) must
-  // appear before the last Low job (id 4).
-  const auto json = telemetry::dump(service.jobs_json());
-  const auto pos_high = json.find("\"id\":5");
-  const auto pos_low = json.find("\"id\":4");
-  ASSERT_NE(pos_high, std::string::npos) << json;
-  ASSERT_NE(pos_low, std::string::npos) << json;
-  EXPECT_LT(pos_high, pos_low) << json;
+  // Completion order comes from the flight recorder's JobFinish events
+  // (arg = job id); the High job (id 5) must finish before the last Low
+  // job (id 4).
+  std::vector<std::uint64_t> finished;
+  for (const auto& e : telemetry::FlightRecorder::instance().snapshot())
+    if (e.kind == telemetry::EventKind::JobFinish) finished.push_back(e.arg);
+  const auto pos_high = std::find(finished.begin(), finished.end(), 5u);
+  const auto pos_low = std::find(finished.begin(), finished.end(), 4u);
+  ASSERT_NE(pos_high, finished.end());
+  ASSERT_NE(pos_low, finished.end());
+  EXPECT_LT(pos_high, pos_low);
 }
 
 // --- Observability (DESIGN.md §12) --------------------------------------
@@ -478,6 +491,10 @@ TEST_F(SvcTest, EveryJobGetsADistinctTraceId) {
     const auto res = f.get();
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_NE(res.trace_id, 0u);
+    // The record carries the trace, hex-encoded for operators.
+    EXPECT_NE(telemetry::dump(res.to_json())
+                  .find(telemetry::trace_id_hex(res.trace_id)),
+              std::string::npos);
     traces.push_back(res.trace_id);
   }
   std::sort(traces.begin(), traces.end());
@@ -493,10 +510,6 @@ TEST_F(SvcTest, EveryJobGetsADistinctTraceId) {
     ASSERT_NE(root, spans.end());
     for (const auto& s : spans) EXPECT_EQ(s.trace_id, t);
   }
-  // And the record is in the job result itself, hex-encoded for operators.
-  const auto json = telemetry::dump(service.jobs_json());
-  EXPECT_NE(json.find(telemetry::trace_id_hex(traces[0])),
-            std::string::npos);
 }
 
 TEST_F(SvcTest, FailedJobDrainsFlightRecorderIntoManifest) {

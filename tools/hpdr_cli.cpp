@@ -356,15 +356,15 @@ int cmd_compress(int argc, char** argv) {
               result.chunk_rows.size());
   if (dev.spec().is_gpu())
     std::printf("simulated %s pipeline: %.2f GB/s, %.0f%% overlap\n",
-                dev.name().c_str(), result.throughput_gbps(),
+                dev.name().c_str(), result.model_gbps(),
                 100 * result.overlap());
   telemetry::Value res = telemetry::Value::object();
   res.set("raw_bytes", telemetry::Value(result.raw_bytes));
   res.set("stored_bytes", telemetry::Value(result.stream.size()));
   res.set("ratio", telemetry::Value(result.ratio()));
   res.set("chunks", telemetry::Value(result.chunk_rows.size()));
-  res.set("simulated_seconds", telemetry::Value(result.seconds()));
-  res.set("simulated_gbps", telemetry::Value(result.throughput_gbps()));
+  res.set("simulated_seconds", telemetry::Value(result.model_seconds()));
+  res.set("simulated_gbps", telemetry::Value(result.model_gbps()));
   res.set("overlap_ratio", telemetry::Value(result.overlap()));
   emit_observability(flags, "compress", config_json(algo, dev, opts),
                      telemetry::dataset_json(shape, to_string(dtype),
@@ -400,8 +400,8 @@ int cmd_decompress(int argc, char** argv) {
   telemetry::Value res = telemetry::Value::object();
   res.set("raw_bytes", telemetry::Value(result.raw_bytes));
   res.set("stored_bytes", telemetry::Value(stream.size()));
-  res.set("simulated_seconds", telemetry::Value(result.seconds()));
-  res.set("simulated_gbps", telemetry::Value(result.throughput_gbps()));
+  res.set("simulated_seconds", telemetry::Value(result.model_seconds()));
+  res.set("simulated_gbps", telemetry::Value(result.model_gbps()));
   res.set("corrupt_chunks", telemetry::Value(result.corrupt_chunks.size()));
   emit_observability(flags, "decompress",
                      config_json(info.compressor, dev, {}),
@@ -562,11 +562,11 @@ int cmd_trace(int argc, char** argv) {
   write_chrome_trace(result.timeline, argv[3]);
   std::printf("wrote %s: %zu tasks, makespan %.3f ms, overlap %.0f%%\n",
               argv[3], result.timeline.tasks.size(),
-              result.seconds() * 1e3, 100 * result.overlap());
+              result.model_seconds() * 1e3, 100 * result.overlap());
   std::printf("open in chrome://tracing or https://ui.perfetto.dev\n");
   telemetry::Value res = telemetry::Value::object();
   res.set("tasks", telemetry::Value(result.timeline.tasks.size()));
-  res.set("simulated_seconds", telemetry::Value(result.seconds()));
+  res.set("simulated_seconds", telemetry::Value(result.model_seconds()));
   res.set("overlap_ratio", telemetry::Value(result.overlap()));
   emit_observability(flags, "trace",
                      config_json(comp->name(), dev, options_from(flags)),
@@ -969,7 +969,10 @@ int cmd_serve(int argc, char** argv) {
     res.set("progressive_refines", telemetry::Value(prog_refines));
     res.set("progressive_bytes_fetched", telemetry::Value(prog_fetched));
   }
-  res.set("jobs", service.jobs_json());
+  // Per-job records in submission order (payloads omitted).
+  telemetry::Value job_records = telemetry::Value::array();
+  for (const auto& r : results) job_records.push_back(r.to_json());
+  res.set("jobs", std::move(job_records));
   telemetry::Value config = telemetry::Value::object();
   config.set("algo", telemetry::Value(algo));
   config.set("device", telemetry::Value(device));
