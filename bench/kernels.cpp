@@ -1,20 +1,22 @@
 // Single-thread throughput of the hot serial kernels every codec rides on
 // (DESIGN.md §11/§16): bitstream put/read/append, Huffman encode/decode
 // (single- and multi-stream), LZ4 block compress/decompress, the ZFP block
-// transform, and SZ dual-quantization. Each optimized kernel is raced
-// against an in-binary *reference* implementation — a faithful copy of the
-// pre-optimization code — and the outputs are compared bit-for-bit, so this
-// binary is both a perf gate and a correctness differential. Gates
+// transform and bitplane coder, and SZ dual-quantization. Each optimized
+// kernel is raced against an in-binary *reference* implementation — a
+// faithful copy of the pre-optimization code — and the outputs are
+// compared bit-for-bit, so this binary is both a perf gate and a
+// correctness differential. Gates
 // (HPDR_EXPECT_GE on the speedup ratios) trip the exit code for CI; the
 // measured numbers go to BENCH_kernels.json (--out F overrides). Under
-// HPDR_ISA=scalar the SIMD-dispatched kernels (ZFP, SZ) run their scalar
-// reference slots, so their gates relax to a no-regression check.
+// HPDR_ISA=scalar the SIMD-dispatched kernels (ZFP transforms, SZ) run their
+// scalar reference slots, so their gates relax to a no-regression check.
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <random>
+#include <thread>
 
 #include "algorithms/huffman/codebook.hpp"
 #include "check.hpp"
@@ -332,6 +334,112 @@ void ref_inv_transform(std::int64_t* q, std::size_t rank) {
     for (std::size_t k = 0; k < 4; ++k)
       zfp::detail::inv_lift4(q + 16 * i + k, 4);
   for (std::size_t i = 0; i < 16; ++i) zfp::detail::inv_lift4(q + 4 * i, 1);
+}
+
+/// Pre-optimization ZFP bitplane coder: per-plane gather/deposit loops and
+/// one put_bit/get_bit per group-test and zero-run bit.
+std::size_t ref_encode_planes(BitWriter& w, const std::uint64_t* u,
+                              std::size_t n, int intprec, std::size_t budget,
+                              int kmin = 0) {
+  std::size_t bits = budget;
+  std::size_t sig = 0;
+  for (int k = intprec - 1; k >= kmin && bits; --k) {
+    // Gather plane k into a word (bit i = coefficient i's bit; n ≤ 64).
+    std::uint64_t x = 0;
+#pragma omp simd reduction(| : x)
+    for (std::size_t i = 0; i < n; ++i) x |= ((u[i] >> k) & 1u) << i;
+    // Value pass.
+    const std::size_t m = std::min(sig, bits);
+    w.put(x, static_cast<unsigned>(m));
+    bits -= m;
+    x = m < 64 ? x >> m : 0;
+    // Group-test pass.
+    std::size_t i = sig;
+    while (i < n && bits) {
+      --bits;
+      const bool any = x != 0;
+      w.put_bit(any);
+      if (!any) break;
+      // Emit value bits until a 1 is emitted; the last position's test bit
+      // doubles as its value bit (group of one).
+      while (i < n - 1 && bits) {
+        --bits;
+        const bool bit = x & 1u;
+        w.put_bit(bit);
+        if (bit) break;
+        x >>= 1;
+        ++i;
+      }
+      // Consume the significant (or implied/unfinished) position.
+      x >>= 1;
+      ++i;
+    }
+    sig = i;
+  }
+  return budget - bits;
+}
+
+void ref_decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
+                       int intprec, std::size_t budget, int kmin = 0) {
+  std::fill(u, u + n, 0);
+  std::size_t bits = budget;
+  std::size_t sig = 0;
+  for (int k = intprec - 1; k >= kmin && bits; --k) {
+    const std::size_t m = std::min(sig, bits);
+    std::uint64_t x = r.get(static_cast<unsigned>(m));
+    bits -= m;
+    std::size_t i = sig;
+    while (i < n && bits) {
+      --bits;
+      const bool any = r.get_bit();
+      if (!any) break;
+      while (i < n - 1 && bits) {
+        --bits;
+        const bool bit = r.get_bit();
+        if (bit) break;
+        ++i;
+      }
+      x |= std::uint64_t{1} << i;
+      ++i;
+    }
+    sig = i;
+    // Branch-free plane deposit (vectorizes; `-(bit)` is an all-ones mask).
+#pragma omp simd
+    for (std::size_t j = 0; j < n; ++j)
+      u[j] |= (std::uint64_t{0} - ((x >> j) & 1u)) & (std::uint64_t{1} << k);
+  }
+}
+
+/// Negabinary coefficients of the interior 4³ blocks of an f32 field, as
+/// zfp-x computes them: block floating point at 28 bits, the decorrelating
+/// transform, total-sequency order. Zero blocks (no planes) are skipped.
+std::vector<std::uint64_t> zfp_block_coefficients(const NDArray<float>& f,
+                                                  std::size_t max_blocks) {
+  const Shape& s = f.shape();
+  const auto order = zfp::detail::sequency_order(3);
+  std::vector<std::uint64_t> out;
+  for (std::size_t x = 0; x + 4 <= s[0]; x += 4)
+    for (std::size_t y = 0; y + 4 <= s[1]; y += 4)
+      for (std::size_t z = 0; z + 4 <= s[2]; z += 4) {
+        if (out.size() >= max_blocks * 64) return out;
+        double vals[64];
+        double vmax = 0;
+        for (std::size_t i = 0; i < 64; ++i) {
+          vals[i] = f.at(x + i / 16, y + i / 4 % 4, z + i % 4);
+          vmax = std::max(vmax, std::abs(vals[i]));
+        }
+        if (vmax == 0) continue;
+        int e;
+        std::frexp(vmax, &e);
+        const double scale = std::ldexp(1.0, 28 - e);
+        std::int64_t q[64];
+        for (std::size_t i = 0; i < 64; ++i)
+          q[i] = static_cast<std::int64_t>(vals[i] * scale);
+        zfp::detail::fwd_transform(q, 3);
+        for (std::size_t i = 0; i < 64; ++i)
+          out.push_back(zfp::detail::to_negabinary(q[order[i]]));
+      }
+  return out;
 }
 
 /// Pre-optimization SZ Lorenzo prediction: per-element coordinate recovery
@@ -762,6 +870,104 @@ int main(int argc, char** argv) {
     record("zfp_inv_transform", ki, simd_gate);
   }
 
+  // ---- ZFP bitplane coder: one bit-matrix transpose per block and one put
+  // (or peek) per group vs per-plane gather/deposit loops and one bit per
+  // call. Real NYX 4³ blocks at zfp-x's rate 11 (704 − 9 exponent
+  // bits = 695 per block) and unbounded (the variable modes); both budgets
+  // run in each timed pass. The coder has no ISA slot, so its gates hold
+  // under HPDR_ISA=scalar too.
+  {
+    const std::size_t max_blocks = tiny ? (1u << 13) : (1u << 15);
+    const auto field =
+        data::nyx_density(data::dataset_shape("nyx", data::Size::Medium), 1);
+    const std::vector<std::uint64_t> u =
+        zfp_block_coefficients(field, max_blocks);
+    const std::size_t nblocks = u.size() / 64;
+    constexpr int kIntprec = 28 + 3 + 1;  // f32, rank 3
+    const std::size_t budgets[2] = {695, SIZE_MAX / 2};
+    // Worst case of an unbounded f32 block: n + 1 bits per plane plus n.
+    const std::size_t slot_words[2] = {(695 + 63) / 64,
+                                       (kIntprec * 65 + 64 + 63) / 64};
+    std::vector<std::uint64_t> slots[2];
+    std::vector<std::size_t> nbits[2];
+    std::vector<BitWriter> ref_out[2];
+    for (int p = 0; p < 2; ++p) {
+      slots[p].resize(nblocks * slot_words[p]);
+      nbits[p].resize(nblocks);
+      ref_out[p].resize(nblocks);
+    }
+    const double bytes = 2.0 * static_cast<double>(u.size()) * 8;
+    const auto [se, ser] = best_of_pair(
+        reps,
+        [&] {
+          for (int p = 0; p < 2; ++p) {
+            std::fill(slots[p].begin(), slots[p].end(), 0);
+            for (std::size_t b = 0; b < nblocks; ++b)
+              nbits[p][b] = zfp::detail::encode_planes(
+                  slots[p].data() + b * slot_words[p], 0, u.data() + 64 * b,
+                  64, kIntprec, budgets[p]);
+          }
+        },
+        [&] {
+          for (int p = 0; p < 2; ++p)
+            for (std::size_t b = 0; b < nblocks; ++b) {
+              ref_out[p][b].clear();
+              ref_encode_planes(ref_out[p][b], u.data() + 64 * b, 64,
+                                kIntprec, budgets[p]);
+            }
+        });
+    bool same = true;
+    for (int p = 0; p < 2; ++p)
+      for (std::size_t b = 0; b < nblocks; ++b) {
+        const auto rw = ref_out[p][b].words();
+        same = same && nbits[p][b] == ref_out[p][b].bit_size() &&
+               std::equal(rw.begin(), rw.end(),
+                          slots[p].begin() + b * slot_words[p]);
+      }
+    HPDR_EXPECT_TRUE(same);
+    KernelResult ke;
+    ke.fast_gbps = bytes / 1e9 / se;
+    ke.ref_gbps = bytes / 1e9 / ser;
+    ke.speedup = ser / se;
+    record("zfp_encode_planes", ke, 2.0);
+
+    // Decode the same streams; the unbounded pass must give u back.
+    std::vector<std::uint8_t> stream[2];
+    for (int p = 0; p < 2; ++p) {
+      stream[p].resize(slots[p].size() * 8);
+      std::memcpy(stream[p].data(), slots[p].data(), stream[p].size());
+    }
+    std::vector<std::uint64_t> out_fast[2], out_ref[2];
+    for (int p = 0; p < 2; ++p) {
+      out_fast[p].resize(u.size());
+      out_ref[p].resize(u.size());
+    }
+    auto decode_all = [&](bool fast, std::vector<std::uint64_t>* out) {
+      for (int p = 0; p < 2; ++p)
+        for (std::size_t b = 0; b < nblocks; ++b) {
+          const std::span<const std::uint8_t> block(
+              stream[p].data() + b * slot_words[p] * 8, slot_words[p] * 8);
+          BitReader r(block, nbits[p][b]);
+          std::uint64_t* o = out[p].data() + 64 * b;
+          if (fast)
+            zfp::detail::decode_planes(r, o, 64, kIntprec, budgets[p]);
+          else
+            ref_decode_planes(r, o, 64, kIntprec, budgets[p]);
+        }
+    };
+    const auto [sd, sdr] =
+        best_of_pair(reps, [&] { decode_all(true, out_fast); },
+                     [&] { decode_all(false, out_ref); });
+    HPDR_EXPECT_TRUE(out_fast[0] == out_ref[0]);
+    HPDR_EXPECT_TRUE(out_fast[1] == out_ref[1]);
+    HPDR_EXPECT_TRUE(out_fast[1] == u);
+    KernelResult kd;
+    kd.fast_gbps = bytes / 1e9 / sd;
+    kd.ref_gbps = bytes / 1e9 / sdr;
+    kd.speedup = sdr / sd;
+    record("zfp_decode_planes", kd, 1.8);
+  }
+
   // ---- SZ dual-quantization (prequantize + Lorenzo residuals): row-wise
   // SIMD kernels vs the per-element reference with coordinate div/mod.
   {
@@ -813,6 +1019,8 @@ int main(int argc, char** argv) {
   telemetry::Value doc = telemetry::Value::object();
   doc.set("bench", telemetry::Value("kernels"));
   doc.set("threads", telemetry::Value(threads));
+  doc.set("hardware_concurrency",
+          telemetry::Value(std::thread::hardware_concurrency()));
   doc.set("tiny", telemetry::Value(tiny));
   doc.set("reps", telemetry::Value(reps));
   {

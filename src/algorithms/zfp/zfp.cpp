@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -495,6 +496,176 @@ void inv_transform(std::int64_t* q, std::size_t rank) {
   kInvTransform.get()(q, rank);
 }
 
+namespace {
+
+// A 64×64 bit matrix is held as 64 row words, bit c of a[r] being column c.
+// Transposing it swaps bit J of the row index with bit J of the column
+// index for J = 32, 16, ..., 1, one round each; the rounds commute.
+
+/// Round J on rows [0, rows): swaps bit c + J of row k with bit c of row
+/// k + J wherever bit J of k and of c is clear (`M` selects those c).
+template <unsigned J, std::uint64_t M>
+inline void transpose_round(std::uint64_t* a, unsigned rows) {
+  for (unsigned b = 0; b < rows; b += 2 * J)
+    for (unsigned k = b; k < b + J; ++k) {
+      const std::uint64_t t = ((a[k] >> J) ^ a[k + J]) & M;
+      a[k] ^= t << J;
+      a[k + J] ^= t;
+    }
+}
+
+inline void transpose_rounds_below_32(std::uint64_t* a, unsigned rows) {
+  transpose_round<16, 0x0000ffff0000ffffull>(a, rows);
+  transpose_round<8, 0x00ff00ff00ff00ffull>(a, rows);
+  transpose_round<4, 0x0f0f0f0f0f0f0f0full>(a, rows);
+  transpose_round<2, 0x3333333333333333ull>(a, rows);
+  transpose_round<1, 0x5555555555555555ull>(a, rows);
+}
+
+/// Coefficients (rows) → plane words: bit i of a[k] becomes bit k of the
+/// old a[i]. With intprec ≤ 32 (f32) planes 32..63 are never coded, so
+/// round 32 only folds the low halves of rows 32..63 into rows 0..31 and
+/// the other rounds run on those 32 rows: half the work.
+void coefficients_to_planes(std::uint64_t* a, int intprec) {
+  if (intprec <= 32) {
+    for (unsigned k = 0; k < 32; ++k)
+      a[k] = (a[k] & 0xffffffffull) | (a[k + 32] << 32);
+    transpose_rounds_below_32(a, 32);
+  } else {
+    transpose_round<32, 0x00000000ffffffffull>(a, 64);
+    transpose_rounds_below_32(a, 64);
+  }
+}
+
+/// The inverse (the same transpose). With intprec ≤ 32 planes 32..63 are
+/// zero, so the rounds below 32 leave them be and round 32 is a split.
+void planes_to_coefficients(std::uint64_t* a, int intprec) {
+  if (intprec <= 32) {
+    transpose_rounds_below_32(a, 32);
+    for (unsigned k = 0; k < 32; ++k) {
+      a[k + 32] = a[k] >> 32;
+      a[k] &= 0xffffffffull;
+    }
+  } else {
+    transpose_rounds_below_32(a, 64);
+    transpose_round<32, 0x00000000ffffffffull>(a, 64);
+  }
+}
+
+/// BitWriter::put over a caller-sized, zeroed word buffer (one block's
+/// slot): no growth check, because the slot holds the block's worst case.
+class SlotWriter {
+ public:
+  SlotWriter(std::uint64_t* words, std::size_t pos)
+      : words_(words), pos_(pos) {}
+
+  void put(std::uint64_t value, unsigned nbits) {
+    if (nbits == 0) return;
+    if (nbits < 64) value &= (std::uint64_t{1} << nbits) - 1;
+    const unsigned off = pos_ & 63u;
+    std::uint64_t* w = words_ + (pos_ >> 6u);
+    w[0] |= value << off;
+    if (off + nbits > 64) w[1] = value >> (64 - off);
+    pos_ += nbits;
+  }
+
+ private:
+  std::uint64_t* words_;
+  std::size_t pos_;
+};
+
+}  // namespace
+
+std::size_t encode_planes(std::uint64_t* words, std::size_t pos,
+                          const std::uint64_t* u, std::size_t n, int intprec,
+                          std::size_t budget, int kmin) {
+  HPDR_ASSERT(n <= 64 && kmin >= 0 && intprec <= 64);
+  // One transpose turns the coefficients into plane words: bit i of
+  // planes[k] is bit k of u[i], zero past n.
+  std::uint64_t planes[64] = {};
+  std::copy_n(u, n, planes);
+  coefficients_to_planes(planes, intprec);
+  SlotWriter w(words, pos);
+  std::size_t bits = budget;
+  std::size_t sig = 0;  // significance watermark: ZFP encode_ints' `n`
+  for (int k = intprec - 1; k >= kmin && bits; --k) {
+    std::uint64_t x = planes[k];
+    // Value pass: the already-significant prefix, verbatim.
+    const std::size_t m = std::min(sig, bits);
+    w.put(x, static_cast<unsigned>(m));
+    bits -= m;
+    x = m < 64 ? x >> m : 0;
+    // Group-test pass, one put per group: a 1 test bit, the zero value bits
+    // before the next one, and that one (1 | 2 << tz, tz + 2 bits). At the
+    // last position the one is implied by the test bit (group of one), so
+    // the group ends a bit early. A 0 test bit ends the plane. A put cut at
+    // the budget keeps its low bits, which are the bits emitted first.
+    std::size_t i = sig;
+    while (i < n && bits) {
+      if (x == 0) {
+        w.put(0, 1);
+        --bits;
+        break;
+      }
+      const unsigned tz = static_cast<unsigned>(std::countr_zero(x));
+      const std::size_t len = tz + (i + tz + 1 < n ? 2 : 1);
+      const std::size_t take = std::min(len, bits);
+      w.put(1 | (std::uint64_t{2} << tz), static_cast<unsigned>(take));
+      bits -= take;
+      x = x >> tz >> 1;
+      i += tz + 1;
+    }
+    sig = i;
+  }
+  return budget - bits;
+}
+
+void decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
+                   int intprec, std::size_t budget, int kmin) {
+  HPDR_ASSERT(n <= 64 && kmin >= 0 && intprec <= 64);
+  std::uint64_t planes[64] = {};
+  std::size_t bits = budget;
+  std::size_t sig = 0;
+  for (int k = intprec - 1; k >= kmin && bits; --k) {
+    const std::size_t m = std::min(sig, bits);
+    std::uint64_t x = r.get(static_cast<unsigned>(m));
+    bits -= m;
+    // Group-test pass. One peek holds the test bit and the longest zero
+    // run the group may have. A window cut short by the reader's limit
+    // takes the rest of the stream but leaves budget and positions, so the
+    // next read throws.
+    std::size_t i = sig;
+    while (i < n && bits) {
+      const std::size_t want = std::min(bits, n - i);
+      const unsigned w =
+          static_cast<unsigned>(std::min(want, r.remaining()));
+      HPDR_REQUIRE(w > 0, "bitstream exhausted");
+      const std::uint64_t win = r.peek(w);
+      if ((win & 1) == 0) {
+        r.skip(1);
+        --bits;
+        break;
+      }
+      // A run that fills the window ends at the last position or at the
+      // budget; the encoder's one there is implied or was cut off, and the
+      // position is deposited either way.
+      const std::uint64_t run = win >> 1;
+      const unsigned tz =
+          run != 0 ? static_cast<unsigned>(std::countr_zero(run)) : w - 1;
+      const unsigned len = run != 0 ? tz + 2 : w;
+      r.skip(len);
+      bits -= len;
+      i += tz;
+      x |= std::uint64_t{1} << i;
+      ++i;
+    }
+    sig = i;
+    planes[k] = x;
+  }
+  planes_to_coefficients(planes, intprec);
+  std::copy_n(planes, n, u);
+}
+
 }  // namespace detail
 
 namespace {
@@ -658,54 +829,6 @@ void scatter(const BlockGrid& g, T* data, std::size_t bx, std::size_t by,
   }
 }
 
-/// Embedded bitplane encoder: ZFP's per-plane value pass (raw bits of the
-/// already-significant prefix) followed by the unary group-test pass, all
-/// truncated at `budget` bits. `sig` is the significance watermark: it only
-/// grows, and it advances past every position the group-test scan has
-/// consumed — exactly the `n` counter in ZFP's encode_ints. The decoder
-/// mirrors every budget decrement, so both sides stay in bit lockstep even
-/// when the budget runs out mid-plane.
-std::size_t encode_planes(BitWriter& w, const std::uint64_t* u,
-                          std::size_t n, int intprec, std::size_t budget,
-                          int kmin = 0) {
-  std::size_t bits = budget;
-  std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
-    // Gather plane k into a word (bit i = coefficient i's bit; n ≤ 64).
-    std::uint64_t x = 0;
-#pragma omp simd reduction(| : x)
-    for (std::size_t i = 0; i < n; ++i) x |= ((u[i] >> k) & 1u) << i;
-    // Value pass.
-    const std::size_t m = std::min(sig, bits);
-    w.put(x, static_cast<unsigned>(m));
-    bits -= m;
-    x = m < 64 ? x >> m : 0;
-    // Group-test pass.
-    std::size_t i = sig;
-    while (i < n && bits) {
-      --bits;
-      const bool any = x != 0;
-      w.put_bit(any);
-      if (!any) break;
-      // Emit value bits until a 1 is emitted; the last position's test bit
-      // doubles as its value bit (group of one).
-      while (i < n - 1 && bits) {
-        --bits;
-        const bool bit = x & 1u;
-        w.put_bit(bit);
-        if (bit) break;
-        x >>= 1;
-        ++i;
-      }
-      // Consume the significant (or implied/unfinished) position.
-      x >>= 1;
-      ++i;
-    }
-    sig = i;
-  }
-  return budget - bits;
-}
-
 }  // namespace
 
 std::size_t block_bits(double rate, std::size_t rank) {
@@ -713,42 +836,6 @@ std::size_t block_bits(double rate, std::size_t rank) {
   return static_cast<std::size_t>(
       std::ceil(rate * static_cast<double>(n)));
 }
-
-namespace {
-
-/// Exact mirror of encode_planes; reconstructs negabinary coefficients.
-void decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
-                   int intprec, std::size_t budget, int kmin = 0) {
-  std::fill(u, u + n, 0);
-  std::size_t bits = budget;
-  std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
-    const std::size_t m = std::min(sig, bits);
-    std::uint64_t x = r.get(static_cast<unsigned>(m));
-    bits -= m;
-    std::size_t i = sig;
-    while (i < n && bits) {
-      --bits;
-      const bool any = r.get_bit();
-      if (!any) break;
-      while (i < n - 1 && bits) {
-        --bits;
-        const bool bit = r.get_bit();
-        if (bit) break;
-        ++i;
-      }
-      x |= std::uint64_t{1} << i;
-      ++i;
-    }
-    sig = i;
-    // Branch-free plane deposit (vectorizes; `-(bit)` is an all-ones mask).
-#pragma omp simd
-    for (std::size_t j = 0; j < n; ++j)
-      u[j] |= (std::uint64_t{0} - ((x >> j) & 1u)) & (std::uint64_t{1} << k);
-  }
-}
-
-}  // namespace
 
 namespace {
 
@@ -812,7 +899,17 @@ std::vector<std::uint8_t> compress_generic(const Device& dev,
   const int intprec = Tr::precision + static_cast<int>(grid.rank) + 1;
   const auto order = detail::sequency_order(grid.rank);
 
-  std::vector<BitWriter> writers(grid.total_blocks);
+  // Blocks encode into one zeroed buffer, a word-aligned slot each, sized
+  // for the worst case: maxbits at fixed rate; otherwise the exponent plus,
+  // per plane, n value/run bits and a closing test bit, plus one bit per
+  // coefficient for the one that ends its group.
+  const std::size_t slot_bits =
+      fixed_rate ? maxbits
+                 : Tr::ebits + static_cast<std::size_t>(intprec) * (bn + 1) +
+                       bn;
+  const std::size_t slot_words = (slot_bits + 63) / 64;
+  std::vector<std::uint64_t> slots(grid.total_blocks * slot_words);
+  std::vector<std::size_t> used(grid.total_blocks);
   // Locality abstraction: each 4^d block is one group (Alg. 3 lines 2-4).
   locality(
       dev, Shape{grid.total_blocks}, Shape{1}, [&](const Block& blk) {
@@ -834,13 +931,14 @@ std::vector<std::uint8_t> compress_generic(const Device& dev,
         T vmax = 0;
         for (std::size_t i = 0; i < bn; ++i)
           vmax = std::max(vmax, std::abs(vals[i]));
-        BitWriter& w = writers[b];
-        if (vmax == 0 || !std::isfinite(static_cast<double>(vmax))) {
-          w.put(0, Tr::ebits);  // zero (or unencodable) block marker
-        } else {
+        std::uint64_t* slot = slots.data() + b * slot_words;
+        // A zero (or unencodable) block is the all-zero exponent marker.
+        std::size_t nbits = Tr::ebits;
+        if (vmax != 0 && std::isfinite(static_cast<double>(vmax))) {
           int e;
           std::frexp(static_cast<double>(vmax), &e);
-          w.put(static_cast<std::uint64_t>(e + Tr::ebias), Tr::ebits);
+          slot[0] = static_cast<std::uint64_t>(e + Tr::ebias) &
+                    ((std::uint64_t{1} << Tr::ebits) - 1);
           std::size_t budget;
           int kmin;
           block_limits(mp, intprec, e, grid.rank,
@@ -856,17 +954,14 @@ std::vector<std::uint8_t> compress_generic(const Device& dev,
             std::uint64_t u[64];
             for (std::size_t i = 0; i < bn; ++i)
               u[i] = detail::to_negabinary(q[order[i]]);
-            encode_planes(w, u, bn, intprec, budget, kmin);
+            nbits += detail::encode_planes(slot, Tr::ebits, u, bn, intprec,
+                                           budget, kmin);
+            HPDR_ASSERT(nbits <= slot_bits);
           }
         }
-        // Fixed rate: every block occupies exactly maxbits bits.
-        if (fixed_rate) {
-          while (w.bit_size() < maxbits) {
-            const unsigned pad = static_cast<unsigned>(
-                std::min<std::size_t>(64, maxbits - w.bit_size()));
-            w.put(0, pad);
-          }
-        }
+        // Fixed rate: every block occupies exactly maxbits bits (the rest
+        // of its slot is zero padding).
+        used[b] = fixed_rate ? maxbits : nbits;
       });
 
   ByteWriter out;
@@ -889,10 +984,14 @@ std::vector<std::uint8_t> compress_generic(const Device& dev,
   }
   if (!fixed_rate) {
     // Variable-length blocks: per-block bit counts make decode parallel.
-    for (const auto& w : writers) out.put_varint(w.bit_size());
+    for (const std::size_t nbits : used) out.put_varint(nbits);
   }
   BitWriter payload;
-  for (const auto& w : writers) payload.append(w);
+  payload.reserve_bits(std::accumulate(used.begin(), used.end(),
+                                       std::size_t{0}));
+  for (std::size_t b = 0; b < grid.total_blocks; ++b)
+    payload.append_words({slots.data() + b * slot_words, slot_words},
+                         used[b]);
   const auto bytes = payload.to_bytes();
   out.put_varint(bytes.size());
   out.put_bytes(bytes);
@@ -981,7 +1080,7 @@ NDArray<T> decompress_impl(const Device& dev,
                    fixed_rate ? maxbits - Tr::ebits : 0, &budget, &kmin);
       std::uint64_t u[64];
       if (kmin < intprec) {
-        decode_planes(r, u, bn, intprec, budget, kmin);
+        detail::decode_planes(r, u, bn, intprec, budget, kmin);
       } else {
         std::fill(u, u + bn, 0);
       }
@@ -1135,7 +1234,7 @@ NDArray<T> decompress_region_impl(const Device& dev,
     } else {
       const int e = static_cast<int>(estore) - Tr::ebias;
       std::uint64_t u[64];
-      decode_planes(r, u, bn, intprec, maxbits - Tr::ebits);
+      detail::decode_planes(r, u, bn, intprec, maxbits - Tr::ebits);
       std::int64_t q[64];
       for (std::size_t i = 0; i < bn; ++i)
         q[order[i]] = detail::from_negabinary(u[i]);

@@ -32,6 +32,10 @@
 #include "adapter/device.hpp"
 #include "core/ndarray.hpp"
 
+namespace hpdr {
+class BitReader;
+}
+
 namespace hpdr::zfp {
 
 /// ZFP's three compression modes. The paper evaluates fix-rate (the only
@@ -113,6 +117,20 @@ std::span<const std::uint16_t> sequency_order(std::size_t rank);
 /// serially along each axis. Exposed for unit tests and bench/kernels.
 void fwd_transform(std::int64_t* q, std::size_t rank);
 void inv_transform(std::int64_t* q, std::size_t rank);
+
+/// Embedded bitplane coder for one block's n ≤ 64 negabinary coefficients:
+/// planes intprec−1 down to kmin, MSB first, each a value pass over the
+/// already-significant prefix and a unary group-test pass, truncated at
+/// `budget` bits. encode_planes writes at bit `pos` of `words`, which must
+/// be zero from there on and hold the block's bits; it returns the bit
+/// count. decode_planes mirrors every bit, including a budget that ends
+/// mid-run, and throws hpdr::Error when it would read past `r`'s limit.
+/// Exposed for unit tests and bench/kernels.
+std::size_t encode_planes(std::uint64_t* words, std::size_t pos,
+                          const std::uint64_t* u, std::size_t n, int intprec,
+                          std::size_t budget, int kmin = 0);
+void decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
+                   int intprec, std::size_t budget, int kmin = 0);
 
 }  // namespace detail
 

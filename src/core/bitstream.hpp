@@ -75,22 +75,29 @@ class BitWriter {
   /// Append another writer's bits. This is the merge step of parallel
   /// serialization: threads encode disjoint chunks into private writers and
   /// a prefix sum of bit counts places each at its global offset.
+  void append(const BitWriter& other) {
+    append_words(other.words_, other.bit_count_);
+  }
+
+  /// Append the first `nbits` bits of a word buffer laid out like this
+  /// writer's (LSB-first). Bits of `src` at positions >= nbits must be zero,
+  /// as they are in any BitWriter and in the ZFP codec's zeroed block slots.
   ///
   /// Word-at-a-time: the destination is resized once to the exact final
   /// word count, then source words are either memcpy'd (64-bit-aligned
   /// destination) or funnel-shifted into two destination words each.
-  void append(const BitWriter& other) {
-    const std::size_t nbits = other.bit_count_;
+  void append_words(std::span<const std::uint64_t> src, std::size_t nbits) {
     if (nbits == 0) return;
     const std::size_t nwords = (nbits + 63) >> 6u;
+    HPDR_ASSERT(src.size() >= nwords);
     const unsigned off = bit_count_ & 63u;
     const std::size_t w = bit_count_ >> 6u;
     bit_count_ += nbits;
     const std::size_t need = (bit_count_ + 63) >> 6u;
     if (need > words_.size()) words_.resize(need, 0);
-    const std::uint64_t* src = other.words_.data();
     if (off == 0) {
-      std::memcpy(words_.data() + w, src, nwords * sizeof(std::uint64_t));
+      std::memcpy(words_.data() + w, src.data(),
+                  nwords * sizeof(std::uint64_t));
     } else {
       std::uint64_t* dst = words_.data() + w;
       dst[0] |= src[0] << off;

@@ -1,12 +1,16 @@
 // Tests for ZFP-X fixed-rate compression: transform invertibility,
-// negabinary mapping, rate exactness, accuracy-vs-rate, and adapter
-// portability.
+// negabinary mapping, the bitplane coder against its per-bit reference,
+// rate exactness, accuracy-vs-rate, and adapter portability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <random>
 
 #include "algorithms/zfp/zfp.hpp"
+#include "core/bitstream.hpp"
 #include "core/stats.hpp"
 #include "machine/device_registry.hpp"
 
@@ -74,6 +78,193 @@ TEST(ZfpSequency, OrderIsAPermutationSortedByFrequency) {
     EXPECT_EQ(order[0], 0u);  // DC coefficient first
   }
 }
+
+// ---------------------------------------------------------------------------
+// Bitplane coder: the word-parallel encode_planes/decode_planes against the
+// per-bit coder they replaced, kept here verbatim as the reference.
+// ---------------------------------------------------------------------------
+
+std::size_t ref_encode_planes(BitWriter& w, const std::uint64_t* u,
+                              std::size_t n, int intprec, std::size_t budget,
+                              int kmin) {
+  std::size_t bits = budget;
+  std::size_t sig = 0;
+  for (int k = intprec - 1; k >= kmin && bits; --k) {
+    std::uint64_t x = 0;
+    for (std::size_t i = 0; i < n; ++i) x |= ((u[i] >> k) & 1u) << i;
+    const std::size_t m = std::min(sig, bits);
+    w.put(x, static_cast<unsigned>(m));
+    bits -= m;
+    x = m < 64 ? x >> m : 0;
+    std::size_t i = sig;
+    while (i < n && bits) {
+      --bits;
+      const bool any = x != 0;
+      w.put_bit(any);
+      if (!any) break;
+      while (i < n - 1 && bits) {
+        --bits;
+        const bool bit = x & 1u;
+        w.put_bit(bit);
+        if (bit) break;
+        x >>= 1;
+        ++i;
+      }
+      x >>= 1;
+      ++i;
+    }
+    sig = i;
+  }
+  return budget - bits;
+}
+
+void ref_decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
+                       int intprec, std::size_t budget, int kmin) {
+  std::fill(u, u + n, 0);
+  std::size_t bits = budget;
+  std::size_t sig = 0;
+  for (int k = intprec - 1; k >= kmin && bits; --k) {
+    const std::size_t m = std::min(sig, bits);
+    std::uint64_t x = r.get(static_cast<unsigned>(m));
+    bits -= m;
+    std::size_t i = sig;
+    while (i < n && bits) {
+      --bits;
+      const bool any = r.get_bit();
+      if (!any) break;
+      while (i < n - 1 && bits) {
+        --bits;
+        const bool bit = r.get_bit();
+        if (bit) break;
+        ++i;
+      }
+      x |= std::uint64_t{1} << i;
+      ++i;
+    }
+    sig = i;
+    for (std::size_t j = 0; j < n; ++j)
+      u[j] |= (std::uint64_t{0} - ((x >> j) & 1u)) & (std::uint64_t{1} << k);
+  }
+}
+
+/// (rank, f64): n = 4^rank coefficients, intprec of the codec's dtype.
+class ZfpPlaneCoder
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {
+ protected:
+  std::size_t n() const { return std::size_t{1} << (2 * rank()); }
+  std::size_t rank() const { return std::get<0>(GetParam()); }
+  int intprec() const {
+    return (std::get<1>(GetParam()) ? 52 : 28) + static_cast<int>(rank()) + 1;
+  }
+  std::vector<int> kmins() const { return {0, intprec() / 2, intprec() - 1}; }
+
+  /// Seeded blocks: dense, sparse, all-zero, one-hot (first, middle and
+  /// last position), and magnitudes decaying along the sequency order the
+  /// way transformed smooth data does.
+  std::vector<std::vector<std::uint64_t>> blocks() const {
+    std::mt19937_64 rng(41 + rank() * 2 + std::get<1>(GetParam()));
+    const std::uint64_t top = std::uint64_t{1} << intprec();
+    auto below = [&](unsigned bitlen) {
+      return bitlen == 0 ? 0 : rng() & ((std::uint64_t{1} << bitlen) - 1);
+    };
+    std::vector<std::vector<std::uint64_t>> out;
+    std::vector<std::uint64_t> dense(n()), sparse(n(), 0), decay(n());
+    for (auto& v : dense) v = rng() & (top - 1);
+    for (auto& v : sparse)
+      if (rng() % 8 == 0) v = below(static_cast<unsigned>(rng() % intprec()));
+    for (std::size_t i = 0; i < n(); ++i)
+      decay[i] = below(static_cast<unsigned>(
+          intprec() - std::min<std::size_t>(intprec(), i * intprec() / n() +
+                                                           rng() % 4)));
+    out.push_back(dense);
+    out.push_back(sparse);
+    out.push_back(decay);
+    out.emplace_back(n(), 0);
+    for (const std::size_t at : {std::size_t{0}, n() / 2, n() - 1}) {
+      std::vector<std::uint64_t> hot(n(), 0);
+      hot[at] = (top >> 1) | below(static_cast<unsigned>(intprec() / 3));
+      out.push_back(hot);
+    }
+    return out;
+  }
+};
+
+// Every budget from 0 to the full length cuts the stream in the value pass,
+// on a test bit, inside a zero run and on a group's closing one. The words,
+// the bit count, the coefficients decoded and the bits consumed must all
+// match the per-bit coder. The write position walks every word offset.
+TEST_P(ZfpPlaneCoder, MatchesPerBitReferenceAtEveryBudget) {
+  const std::size_t nn = n();
+  const int P = intprec();
+  for (const int kmin : kmins()) {
+    for (const auto& u : blocks()) {
+      BitWriter full;
+      const std::size_t len =
+          ref_encode_planes(full, u.data(), nn, P, SIZE_MAX / 2, kmin);
+      for (std::size_t budget = 0; budget <= len; ++budget) {
+        const std::size_t pos = budget % 64;
+        BitWriter ref;
+        ref.put(0, static_cast<unsigned>(pos));
+        const std::size_t ref_bits =
+            ref_encode_planes(ref, u.data(), nn, P, budget, kmin);
+        std::vector<std::uint64_t> words(64, 0);
+        const std::size_t bits = detail::encode_planes(
+            words.data(), pos, u.data(), nn, P, budget, kmin);
+        ASSERT_EQ(bits, ref_bits) << "kmin " << kmin << " budget " << budget;
+        const auto rw = ref.words();
+        for (std::size_t i = 0; i < words.size(); ++i)
+          ASSERT_EQ(words[i], i < rw.size() ? rw[i] : 0)
+              << "word " << i << " kmin " << kmin << " budget " << budget;
+
+        const auto bytes = ref.to_bytes();
+        BitReader rr(bytes, pos + ref_bits), rn(bytes, pos + ref_bits);
+        rr.seek(pos);
+        rn.seek(pos);
+        std::vector<std::uint64_t> ur(nn), un(nn, ~std::uint64_t{0});
+        ref_decode_planes(rr, ur.data(), nn, P, budget, kmin);
+        detail::decode_planes(rn, un.data(), nn, P, budget, kmin);
+        ASSERT_EQ(un, ur) << "kmin " << kmin << " budget " << budget;
+        ASSERT_EQ(rn.position(), rr.position());
+        if (budget == len && kmin == 0) {
+          EXPECT_EQ(ur, u);
+        }
+      }
+    }
+  }
+}
+
+// A variable-mode block (budget SIZE_MAX/2) read through a limit that cuts
+// it anywhere before its end must throw, never read past the limit.
+TEST_P(ZfpPlaneCoder, DecodeCutShortThrows) {
+  const std::size_t nn = n();
+  const int P = intprec();
+  for (const int kmin : kmins()) {
+    for (const auto& u : blocks()) {
+      std::vector<std::uint64_t> words(64, 0);
+      const std::size_t end = detail::encode_planes(
+          words.data(), 0, u.data(), nn, P, SIZE_MAX / 2, kmin);
+      std::vector<std::uint8_t> bytes(words.size() * 8);
+      std::memcpy(bytes.data(), words.data(), bytes.size());
+      std::vector<std::uint64_t> out(nn);
+      for (std::size_t limit = 0; limit < end; ++limit) {
+        BitReader r(bytes, limit);
+        EXPECT_THROW(detail::decode_planes(r, out.data(), nn, P,
+                                           SIZE_MAX / 2, kmin),
+                     Error)
+            << "kmin " << kmin << " limit " << limit << " of " << end;
+      }
+      BitReader whole(bytes, end);
+      detail::decode_planes(whole, out.data(), nn, P, SIZE_MAX / 2, kmin);
+      EXPECT_EQ(whole.position(), end);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankDtype, ZfpPlaneCoder,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{3}),
+                       ::testing::Bool()));
 
 TEST(Zfp, BlockBitsMatchesRate) {
   EXPECT_EQ(block_bits(8.0, 3), 8u * 64);
