@@ -1,7 +1,8 @@
 // Single-thread throughput of the hot serial kernels every codec rides on
 // (DESIGN.md §11/§16): bitstream put/read/append, Huffman encode/decode
 // (single- and multi-stream), LZ4 block compress/decompress, the ZFP block
-// transform and bitplane coder, and SZ dual-quantization. Each optimized
+// transform and bitplane coder, the MGARD level step (decompose and
+// recompose), and SZ dual-quantization. Each optimized
 // kernel is raced against an in-binary *reference* implementation — a
 // faithful copy of the pre-optimization code — and the outputs are
 // compared bit-for-bit, so this binary is both a perf gate and a
@@ -10,6 +11,7 @@
 // measured numbers go to BENCH_kernels.json (--out F overrides). Under
 // HPDR_ISA=scalar the SIMD-dispatched kernels (ZFP transforms, SZ) run their
 // scalar reference slots, so their gates relax to a no-regression check.
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -442,6 +444,147 @@ std::vector<std::uint64_t> zfp_block_coefficients(const NDArray<float>& f,
   return out;
 }
 
+// Pre-optimization MGARD level step: one pencil at a time, each a strided
+// scalar recurrence (lerp, load vector, Thomas solve, correction), 16
+// pencils per GEM group sharing one scratch arena. Verbatim copy of the
+// code the lockstep group kernel replaced; only the dispatch adapts to
+// iterative_staged handing each group its vector range.
+namespace ref_mgard {
+
+using mgard::Hierarchy;
+using mgard::LevelDimOps;
+
+struct PencilSet {
+  std::size_t count = 1;   ///< number of pencils
+  std::size_t length = 1;  ///< active nodes per pencil
+  std::size_t step = 1;    ///< flat stride along the pencil
+
+  std::array<std::size_t, kMaxRank> other_sizes{};
+  std::array<std::size_t, kMaxRank> other_steps{};
+  std::size_t other_rank = 0;
+
+  std::size_t base_of(std::size_t pencil) const {
+    std::size_t off = 0;
+    for (std::size_t d = other_rank; d-- > 0;) {
+      off += (pencil % other_sizes[d]) * other_steps[d];
+      pencil /= other_sizes[d];
+    }
+    return off;
+  }
+};
+
+PencilSet make_pencils(const Hierarchy& h, std::size_t level,
+                       std::size_t dim) {
+  const Shape& shape = h.shape();
+  const auto strides = shape.strides();
+  const std::size_t lvl_stride = std::size_t{1}
+                                 << (h.num_levels() - level);
+  PencilSet p;
+  p.length = h.level_dim(level, dim);
+  p.step = strides[dim] * lvl_stride;
+  for (std::size_t d = 0; d < shape.rank(); ++d) {
+    if (d == dim) continue;
+    p.other_sizes[p.other_rank] = h.level_dim(level, d);
+    p.other_steps[p.other_rank] = strides[d] * lvl_stride;
+    ++p.other_rank;
+    p.count *= h.level_dim(level, d);
+  }
+  return p;
+}
+
+template <class T>
+void load_vector(const T* v, std::size_t n, std::size_t s,
+                 const LevelDimOps& ops, double* rhs) {
+  const std::size_t nc = (n + 1) / 2;
+  for (std::size_t j = 0; j < nc; ++j) {
+    double b = 0;
+    if (j > 0)
+      b += ops.tr[j - 1] * static_cast<double>(v[(2 * j - 1) * s]);
+    if (2 * j + 1 < n)
+      b += ops.tl[j] * static_cast<double>(v[(2 * j + 1) * s]);
+    rhs[j] = b;
+  }
+}
+
+template <class T>
+void fwd_pencil(T* v, std::size_t n, std::size_t s, const LevelDimOps& ops,
+                double* rhs) {
+  const std::size_t nc = (n + 1) / 2;
+  for (std::size_t i = 1; i < n; i += 2) {
+    const std::size_t o = i / 2;
+    double approx =
+        ops.wl[o] * static_cast<double>(v[(i - 1) * s]);
+    if (i + 1 < n)
+      approx += ops.wr[o] * static_cast<double>(v[(i + 1) * s]);
+    v[i * s] = static_cast<T>(static_cast<double>(v[i * s]) - approx);
+  }
+  load_vector(v, n, s, ops, rhs);
+  ops.solver.solve(rhs, nc, 1);
+  for (std::size_t j = 0; j < nc; ++j)
+    v[(2 * j) * s] =
+        static_cast<T>(static_cast<double>(v[(2 * j) * s]) + rhs[j]);
+}
+
+template <class T>
+void inv_pencil(T* v, std::size_t n, std::size_t s, const LevelDimOps& ops,
+                double* rhs) {
+  const std::size_t nc = (n + 1) / 2;
+  load_vector(v, n, s, ops, rhs);
+  ops.solver.solve(rhs, nc, 1);
+  for (std::size_t j = 0; j < nc; ++j)
+    v[(2 * j) * s] =
+        static_cast<T>(static_cast<double>(v[(2 * j) * s]) - rhs[j]);
+  for (std::size_t i = 1; i < n; i += 2) {
+    const std::size_t o = i / 2;
+    double approx =
+        ops.wl[o] * static_cast<double>(v[(i - 1) * s]);
+    if (i + 1 < n)
+      approx += ops.wr[o] * static_cast<double>(v[(i + 1) * s]);
+    v[i * s] = static_cast<T>(static_cast<double>(v[i * s]) + approx);
+  }
+}
+
+template <class T, bool Forward>
+void level_step(const Device& dev, const Hierarchy& h, T* data,
+                std::size_t level) {
+  const std::size_t rank = h.rank();
+  for (std::size_t k = 0; k < rank; ++k) {
+    const std::size_t dim = Forward ? k : rank - 1 - k;
+    const PencilSet p = make_pencils(h, level, dim);
+    if (p.length < 3) continue;
+    const LevelDimOps& ops = h.ops(level, dim);
+    const std::size_t nc = (p.length + 1) / 2;
+    iterative_staged(dev, p.count, 16, nc * sizeof(double),
+                     [&](std::size_t begin, std::size_t end, GroupCtx& ctx) {
+                       auto rhs = ctx.scratch<double>(nc);
+                       for (std::size_t pencil = begin; pencil < end;
+                            ++pencil) {
+                         T* base = data + p.base_of(pencil);
+                         if constexpr (Forward)
+                           fwd_pencil(base, p.length, p.step, ops,
+                                      rhs.data());
+                         else
+                           inv_pencil(base, p.length, p.step, ops,
+                                      rhs.data());
+                       }
+                     });
+  }
+}
+
+template <class T>
+void decompose(const Device& dev, const Hierarchy& h, T* data) {
+  for (std::size_t l = h.num_levels(); l >= 1; --l)
+    level_step<T, true>(dev, h, data, l);
+}
+
+template <class T>
+void recompose(const Device& dev, const Hierarchy& h, T* data) {
+  for (std::size_t l = 1; l <= h.num_levels(); ++l)
+    level_step<T, false>(dev, h, data, l);
+}
+
+}  // namespace ref_mgard
+
 /// Pre-optimization SZ Lorenzo prediction: per-element coordinate recovery
 /// (div/mod against the strides) and a stencil that re-derives the strides
 /// on every call.
@@ -544,7 +687,7 @@ telemetry::Value to_json(const KernelResult& k) {
 
 int main(int argc, char** argv) {
   bench::header("Kernel hot paths — optimized vs pre-optimization reference",
-                "bitstream / Huffman / ZFP / SZ serial kernels, DESIGN.md §11");
+                "bitstream / Huffman / ZFP / MGARD / SZ serial kernels, DESIGN.md §11");
   const bool tiny = bench::has_flag(argc, argv, "--tiny");
   const unsigned threads = bench::apply_threads(argc, argv);
   const int reps = tiny ? 3 : 5;
@@ -966,6 +1109,60 @@ int main(int argc, char** argv) {
     kd.ref_gbps = bytes / 1e9 / sdr;
     kd.speedup = sdr / sd;
     record("zfp_decode_planes", kd, 1.8);
+  }
+
+  // ---- MGARD level step: 16 pencils stepped in lockstep per group (the
+  // inner loop over lanes) vs one strided scalar recurrence per pencil, on
+  // one NYX Medium chunk as the pipeline hands it to mgard-x (16×128×128
+  // f32, 1 MiB). Each rep copies the input in both closures. The kernel has
+  // no ISA slot, so its gates hold under HPDR_ISA=scalar too.
+  {
+    const auto field =
+        data::nyx_density(data::dataset_shape("nyx", data::Size::Medium), 1);
+    const Shape cs{16, 128, 128};
+    const std::vector<float> chunk(field.data(), field.data() + cs.size());
+    const mgard::Hierarchy h(cs);
+    const double bytes = static_cast<double>(chunk.size()) * sizeof(float);
+    std::vector<float> fast(chunk.size()), ref(chunk.size());
+    const auto [sd, sdr] = best_of_pair(
+        reps + 2,
+        [&] {
+          std::copy(chunk.begin(), chunk.end(), fast.begin());
+          mgard::decompose(dev, h, fast.data());
+        },
+        [&] {
+          std::copy(chunk.begin(), chunk.end(), ref.begin());
+          ref_mgard::decompose(dev, h, ref.data());
+        });
+    // Bit for bit: float == would let −0 match +0.
+    auto same_bits = [&] {
+      return std::memcmp(fast.data(), ref.data(),
+                         fast.size() * sizeof(float)) == 0;
+    };
+    HPDR_EXPECT_TRUE(same_bits());
+    KernelResult kd;
+    kd.fast_gbps = bytes / 1e9 / sd;
+    kd.ref_gbps = bytes / 1e9 / sdr;
+    kd.speedup = sdr / sd;
+    record("mgard_decompose", kd, 2.0);
+
+    const std::vector<float> coeffs = fast;
+    const auto [sr, srr] = best_of_pair(
+        reps + 2,
+        [&] {
+          std::copy(coeffs.begin(), coeffs.end(), fast.begin());
+          mgard::recompose(dev, h, fast.data());
+        },
+        [&] {
+          std::copy(coeffs.begin(), coeffs.end(), ref.begin());
+          ref_mgard::recompose(dev, h, ref.data());
+        });
+    HPDR_EXPECT_TRUE(same_bits());
+    KernelResult kr;
+    kr.fast_gbps = bytes / 1e9 / sr;
+    kr.ref_gbps = bytes / 1e9 / srr;
+    kr.speedup = srr / sr;
+    record("mgard_recompose", kr, 2.0);
   }
 
   // ---- SZ dual-quantization (prequantize + Lorenzo residuals): row-wise

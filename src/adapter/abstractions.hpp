@@ -76,15 +76,18 @@ namespace detail {
 /// enough that the poll (a thread-local load) never shows in profiles.
 constexpr std::size_t kCancelStride = 1024;
 
-template <class F>
+/// Runs f(i) for i in [0, n) on `dev`, polling for cancellation every
+/// `PollEvery` indices (a power of two) where the adapter allows it.
+template <std::size_t PollEvery = kCancelStride, class F>
 void run_indexed(const Device& dev, std::size_t n, F&& f) {
+  static_assert((PollEvery & (PollEvery - 1)) == 0, "PollEvery: power of 2");
   // Stage boundary: every codec encode/decode loop funnels through here,
   // so a fired job token aborts before the next stage launches.
   fault::poll_cancel();
   switch (dev.kind()) {
     case DeviceKind::Serial:
       for (std::size_t i = 0; i < n; ++i) {
-        if ((i & (kCancelStride - 1)) == 0) fault::poll_cancel();
+        if ((i & (PollEvery - 1)) == 0) fault::poll_cancel();
         f(i);
       }
       break;
@@ -97,7 +100,7 @@ void run_indexed(const Device& dev, std::size_t n, F&& f) {
         ThreadPool::instance().parallel_for(n, f);
       } else {
         ThreadPool::instance().parallel_for(n, [&](std::size_t i) {
-          if ((i & (kCancelStride - 1)) == 0) tok.check();
+          if ((i & (PollEvery - 1)) == 0) tok.check();
           f(i);
         });
       }
@@ -172,9 +175,11 @@ void iterative(const Device& dev, std::size_t num_vectors,
 
 /// Iterative abstraction with group staging: like iterative(), but each
 /// GEM group owns `scratch_bytes` of staging memory shared by the vectors
-/// it processes (Table II: working data staged in cache/shared memory).
-/// This removes per-vector allocation from recurrence-heavy kernels like
-/// MGARD's tridiagonal solves. `f` is void(std::size_t vector, GroupCtx&).
+/// it processes (Table II: working data staged in cache/shared memory),
+/// and receives its whole vector range so it can step its vectors in
+/// lockstep (MGARD's level step runs its tridiagonal solves this way).
+/// `f` is void(std::size_t begin, std::size_t end, GroupCtx&) over the
+/// group's vectors [begin, end).
 template <class F>
 void iterative_staged(const Device& dev, std::size_t num_vectors,
                       std::size_t group_size, std::size_t scratch_bytes,
@@ -192,28 +197,24 @@ struct Subset {
 /// Map & Process abstraction (Fig. 3c). The input is mapped to subsets and
 /// each subset is processed with a (potentially) different function: `f`
 /// receives (subset, element_index) and may branch on subset.id. All
-/// subsets execute in the whole domain at once (DEM).
+/// subsets execute in the whole domain at once (DEM), dispatched as ranges
+/// of at most kCancelStride elements that never cross a subset boundary:
+/// each range calls `f` in a tight loop and polls for cancellation once.
 template <class F>
 void map_and_process(const Device& dev, std::span<const Subset> subsets,
                      F&& f) {
-  std::size_t total = 0;
-  for (const Subset& s : subsets) total += s.size();
-  // Prefix table so a flat DEM index can be mapped back to (subset, element).
-  std::vector<std::size_t> prefix(subsets.size() + 1, 0);
-  for (std::size_t i = 0; i < subsets.size(); ++i)
-    prefix[i + 1] = prefix[i] + subsets[i].size();
-  detail::run_indexed(dev, total, [&](std::size_t flat) {
-    // Binary search for the owning subset.
-    std::size_t lo = 0, hi = subsets.size();
-    while (hi - lo > 1) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (prefix[mid] <= flat)
-        lo = mid;
-      else
-        hi = mid;
-    }
-    const Subset& s = subsets[lo];
-    f(s, s.begin + (flat - prefix[lo]));
+  struct Range {
+    const Subset* subset;
+    std::size_t begin, end;
+  };
+  std::vector<Range> ranges;
+  for (const Subset& s : subsets)
+    for (std::size_t b = s.begin; b < s.end; b += detail::kCancelStride)
+      ranges.push_back({&s, b, std::min(b + detail::kCancelStride, s.end)});
+  detail::run_indexed<1>(dev, ranges.size(), [&](std::size_t r) {
+    const Range& range = ranges[r];
+    for (std::size_t i = range.begin; i < range.end; ++i)
+      f(*range.subset, i);
   });
 }
 
@@ -289,8 +290,7 @@ void iterative_staged(const Device& dev, std::size_t num_vectors,
     std::vector<std::byte> arena(scratch_bytes);
     GroupCtx ctx(arena);
     const std::size_t begin = g * group_size;
-    const std::size_t end = std::min(begin + group_size, num_vectors);
-    for (std::size_t v = begin; v < end; ++v) f(v, ctx);
+    f(begin, std::min(begin + group_size, num_vectors), ctx);
   });
 }
 

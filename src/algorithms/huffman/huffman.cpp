@@ -23,38 +23,54 @@ inline std::size_t stream_count(std::size_t m, std::size_t K, std::size_t s) {
   return m / K + (s < m % K ? 1 : 0);
 }
 
+constexpr std::uint64_t kAllValid = ~std::uint64_t{0};
+
+/// Counts `symbols` into `hist`. Returns the first symbol outside the
+/// alphabet (counting stops there), or kAllValid.
+std::uint64_t count_slice(std::span<const std::uint32_t> symbols,
+                          std::uint64_t* hist, std::size_t alphabet_size) {
+  for (const std::uint32_t s : symbols) {
+    if (s >= alphabet_size) return s;
+    ++hist[s];
+  }
+  return kAllValid;
+}
+
 }  // namespace
 
 std::vector<std::uint64_t> histogram_u32(
     const Device& dev, std::span<const std::uint32_t> symbols,
     std::size_t alphabet_size) {
   // Global abstraction: all threads cooperatively build the frequency
-  // counters. We privatize per chunk (the r-per-block replication strategy
-  // of the GPU histogram in [43]) and merge — identical result on every
-  // adapter.
-  const std::size_t nchunks =
-      std::max<std::size_t>(1, (symbols.size() + kEncodeChunk - 1) / kEncodeChunk);
-  std::vector<std::vector<std::uint64_t>> partial(
-      nchunks, std::vector<std::uint64_t>(alphabet_size, 0));
-  global_stage(dev, nchunks, [&](std::size_t c) {
-    const std::size_t begin = c * kEncodeChunk;
-    const std::size_t end = std::min(begin + kEncodeChunk, symbols.size());
-    auto& h = partial[c];
-    for (std::size_t i = begin; i < end; ++i) {
-      HPDR_REQUIRE(symbols[i] < alphabet_size,
-                   "symbol " << symbols[i] << " outside alphabet of "
-                             << alphabet_size);
-      ++h[symbols[i]];
-    }
+  // counters. Each worker privatizes one table over a contiguous slice
+  // (the r-per-block replication strategy of the GPU histogram in [43])
+  // and the tables merge — identical result on every adapter. The table
+  // count follows the device's parallel width, capped at one table per
+  // kEncodeChunk symbols, so a Serial call zeroes one alphabet-sized
+  // table and merges nothing.
+  const std::size_t n = symbols.size();
+  const std::size_t parts = std::clamp<std::size_t>(
+      dev.parallel_width(), 1,
+      std::max<std::size_t>(1, (n + kEncodeChunk - 1) / kEncodeChunk));
+  std::vector<std::vector<std::uint64_t>> partial(parts);
+  // A symbol outside the alphabet ends its slice; the throw waits until
+  // after the stage, because it must not cross an OpenMP region.
+  std::vector<std::uint64_t> bad(parts, kAllValid);
+  global_stage(dev, parts, [&](std::size_t p) {
+    partial[p].assign(alphabet_size, 0);
+    bad[p] = count_slice(symbols.subspan(p * n / parts,
+                                         (p + 1) * n / parts - p * n / parts),
+                         partial[p].data(), alphabet_size);
   });
-  std::vector<std::uint64_t> hist(alphabet_size, 0);
-  // Merge parallelized over the alphabet (second Global stage).
-  global_stage(dev, alphabet_size, [&](std::size_t s) {
-    std::uint64_t sum = 0;
-    for (std::size_t c = 0; c < nchunks; ++c) sum += partial[c][s];
-    hist[s] = sum;
-  });
-  return hist;
+  for (const std::uint64_t s : bad)
+    HPDR_REQUIRE(s == kAllValid,
+                 "symbol " << s << " outside alphabet of " << alphabet_size);
+  std::vector<std::uint64_t>& hist = partial[0];
+  if (parts > 1)  // merge parallelized over the alphabet (second stage)
+    global_stage(dev, alphabet_size, [&](std::size_t s) {
+      for (std::size_t p = 1; p < parts; ++p) hist[s] += partial[p][s];
+    });
+  return std::move(hist);
 }
 
 std::vector<std::uint8_t> encode_u32(const Device& dev,

@@ -182,25 +182,12 @@ void Hierarchy::build_tables() {
       ops.solver = TridiagSolver(std::move(lower), diag, upper);
     }
   }
-
-  // Uniform solvers by size (kept for tests / external callers).
-  if (uniform_)
-    for (std::size_t l = 0; l < levels_; ++l)
-      for (std::size_t d = 0; d < shape.rank(); ++d)
-        solvers_.try_emplace(level_dims_[l][d], level_dims_[l][d]);
 }
 
 const LevelDimOps& Hierarchy::ops(std::size_t l, std::size_t d) const {
   HPDR_REQUIRE(l >= 1 && l <= levels_, "level out of range");
   HPDR_ASSERT(d < shape_.rank());
   return ops_[l - 1][d];
-}
-
-const TridiagSolver& Hierarchy::solver(std::size_t n) const {
-  auto it = solvers_.find(n);
-  HPDR_REQUIRE(it != solvers_.end(),
-               "no prefactorized solver for size " << n);
-  return it->second;
 }
 
 Shape Hierarchy::level_shape(std::size_t l) const {

@@ -21,7 +21,6 @@
 /// same-shaped data perform no allocations.
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -147,10 +146,6 @@ class Hierarchy {
   /// along dimension `d`.
   const LevelDimOps& ops(std::size_t l, std::size_t d) const;
 
-  /// Prefactorized uniform mass solver for a coarse grid of `n` nodes
-  /// (retained for tests; level steps use ops()).
-  const TridiagSolver& solver(std::size_t n) const;
-
   /// Bytes of table storage held by this context (CMM accounting).
   std::size_t context_bytes() const;
 
@@ -166,7 +161,6 @@ class Hierarchy {
   std::vector<std::uint64_t> level_order_;   // permutation
   std::vector<Subset> subsets_;
   std::vector<std::vector<LevelDimOps>> ops_;  // [l-1][d]
-  std::map<std::size_t, TridiagSolver> solvers_;  // uniform sizes (tests)
 };
 
 }  // namespace hpdr::mgard

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "algorithms/huffman/huffman.hpp"
+#include "algorithms/mgard/quantize.hpp"
 #include "algorithms/mgard/transform.hpp"
 #include "core/bitstream.hpp"
 #include "core/error.hpp"
@@ -19,11 +20,6 @@ constexpr std::uint8_t kMagic = 0x47;  // 'G'
 constexpr std::uint8_t kVersion = 2;
 constexpr std::uint8_t kModeRaw = 0;     // stored uncompressed (tiny input)
 constexpr std::uint8_t kModeLossy = 1;
-
-/// Quantization dictionary: symbols 1..kDictSize map to q ∈ [−R, R−1];
-/// symbol 0 marks an outlier stored explicitly.
-constexpr std::int64_t kRadius = 1 << 15;
-constexpr std::size_t kAlphabet = 2 * kRadius + 1;
 
 template <class T>
 constexpr std::uint8_t dtype_of() {
@@ -184,31 +180,17 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   for (std::size_t l = 0; l <= L; ++l)
     bins[l] = level_bin_s(abs_eb, l, L, shape.rank(), snorm);
   map_and_process(dev, subsets, [&](const Subset& s, std::size_t pos) {
-    const std::size_t flat = order[pos];
-    const double coef = static_cast<double>(work[flat]);
-    const double q = std::nearbyint(coef / bins[s.id]);
-    if (q < static_cast<double>(-kRadius) ||
-        q >= static_cast<double>(kRadius) || !std::isfinite(q)) {
-      symbols[pos] = 0;  // outlier marker
-    } else {
-      symbols[pos] =
-          static_cast<std::uint32_t>(static_cast<std::int64_t>(q) + kRadius + 1);
-    }
+    symbols[pos] = symbol_of(
+        quantize(static_cast<double>(work[order[pos]]), bins[s.id]));
   });
   // Second pass for outliers (sequential per subset; rare path).
   for (std::size_t si = 0; si < subsets.size(); ++si) {
     const Subset& s = subsets[si];
-    for (std::size_t pos = s.begin; pos < s.end; ++pos) {
-      if (symbols[pos] != 0) continue;
-      const double coef = static_cast<double>(work[order[pos]]);
-      const double q = std::nearbyint(coef / bins[s.id]);
-      const std::int64_t qi =
-          std::isfinite(q)
-              ? static_cast<std::int64_t>(std::clamp(
-                    q, -9.0e18, 9.0e18))
-              : 0;
-      outlier_parts[si].emplace_back(pos, qi);
-    }
+    for (std::size_t pos = s.begin; pos < s.end; ++pos)
+      if (symbols[pos] == 0)
+        outlier_parts[si].emplace_back(
+            pos,
+            quantize(static_cast<double>(work[order[pos]]), bins[s.id]).q);
   }
   std::size_t n_outliers = 0;
   for (const auto& partition : outlier_parts) n_outliers += partition.size();
@@ -225,7 +207,7 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
     }
 
   // Alg. 1 line 15: Huffman entropy coding of level-ordered symbols.
-  const auto blob = huffman::encode_u32(dev, symbols, kAlphabet + 1);
+  const auto blob = huffman::encode_u32(dev, symbols, kQuantAlphabet);
   out.put_varint(blob.size());
   out.put_bytes(blob);
   return out.take();
@@ -297,12 +279,8 @@ NDArray<T> decompress_impl(const Device& dev,
     bins[l] = level_bin_s(abs_eb, l, L, shape.rank(), snorm);
   std::vector<T> work(shape.size());
   map_and_process(dev, subsets, [&](const Subset& s, std::size_t pos) {
-    const std::uint32_t sym = symbols[pos];
-    const double q =
-        sym == 0 ? 0.0
-                 : static_cast<double>(static_cast<std::int64_t>(sym) -
-                                       kRadius - 1);
-    work[order[pos]] = static_cast<T>(q * bins[s.id]);
+    work[order[pos]] = static_cast<T>(
+        static_cast<double>(bin_of(symbols[pos])) * bins[s.id]);
   });
   for (auto [pos, q] : outliers) {
     HPDR_REQUIRE(pos < order.size(), "outlier position out of range");

@@ -8,6 +8,7 @@
 
 #include "algorithms/mgard/hierarchy.hpp"
 #include "algorithms/mgard/mgard.hpp"
+#include "algorithms/mgard/quantize.hpp"
 #include "algorithms/mgard/transform.hpp"
 #include "algorithms/zfp/zfp.hpp"
 #include "core/bitstream.hpp"
@@ -23,9 +24,6 @@ namespace {
 // (level, plane-group) components.
 constexpr std::uint8_t kKindRaw = 0;
 constexpr std::uint8_t kKindPlanes = 1;
-
-// Mirrors the v2 codec's quantization dictionary (mgard.cpp).
-constexpr std::int64_t kRadius = 1 << 15;
 
 /// Same hierarchy cache key the v2 codec uses (uniform grid: the empty
 /// coords hash is the FNV offset basis), so progressive encode/decode
@@ -111,19 +109,9 @@ ProgressiveChunk encode_impl(const Device& dev, const T* data,
     for (std::size_t pos = s.begin; pos < s.end; ++pos) {
       const double coef = static_cast<double>(work[order[pos]]);
       plan.max_abs = std::max(plan.max_abs, std::abs(coef));
-      const double q = std::nearbyint(coef / bins[s.id]);
-      if (q < static_cast<double>(-kRadius) ||
-          q >= static_cast<double>(kRadius) || !std::isfinite(q)) {
-        const std::int64_t qi =
-            std::isfinite(q)
-                ? static_cast<std::int64_t>(std::clamp(q, -9.0e18, 9.0e18))
-                : 0;
-        plan.outliers.emplace_back(pos - s.begin, qi);
-        plan.u[pos - s.begin] = 0;
-      } else {
-        plan.u[pos - s.begin] =
-            zfp::detail::to_negabinary(static_cast<std::int64_t>(q));
-      }
+      const Quantized v = quantize(coef, bins[s.id]);
+      if (v.outlier) plan.outliers.emplace_back(pos - s.begin, v.q);
+      plan.u[pos - s.begin] = v.outlier ? 0 : zfp::detail::to_negabinary(v.q);
     }
     std::uint64_t all = 0;
     for (std::uint64_t u : plan.u) all |= u;

@@ -7,6 +7,7 @@
 
 #include "algorithms/huffman/huffman.hpp"
 #include "algorithms/mgard/mgard.hpp"
+#include "algorithms/mgard/quantize.hpp"
 #include "algorithms/mgard/transform.hpp"
 #include "core/bitstream.hpp"
 #include "core/error.hpp"
@@ -18,8 +19,6 @@ namespace {
 
 constexpr std::uint8_t kMagic = 0x52;  // 'R'
 constexpr std::uint8_t kVersion = 1;
-constexpr std::int64_t kRadius = 1 << 15;
-constexpr std::size_t kAlphabet = 2 * kRadius + 2;  // 0 = outlier marker
 
 std::shared_ptr<Hierarchy> cached_hierarchy(const Device& dev,
                                             const Shape& shape) {
@@ -37,19 +36,9 @@ std::vector<std::uint8_t> encode_level(const Device& dev,
   std::vector<std::uint32_t> symbols(s.size());
   std::vector<std::pair<std::uint64_t, std::int64_t>> outliers;
   for (std::size_t pos = s.begin; pos < s.end; ++pos) {
-    const double coef = static_cast<double>(work[order[pos]]);
-    const double q = std::nearbyint(coef / bin);
-    if (!std::isfinite(q) || q < double(-kRadius) || q >= double(kRadius)) {
-      symbols[pos - s.begin] = 0;
-      const double clamped = std::clamp(q, -9.0e18, 9.0e18);
-      outliers.emplace_back(pos - s.begin,
-                            std::isfinite(q)
-                                ? static_cast<std::int64_t>(clamped)
-                                : 0);
-    } else {
-      symbols[pos - s.begin] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(q) + kRadius + 1);
-    }
+    const Quantized v = quantize(static_cast<double>(work[order[pos]]), bin);
+    symbols[pos - s.begin] = symbol_of(v);
+    if (v.outlier) outliers.emplace_back(pos - s.begin, v.q);
   }
   ByteWriter out;
   out.put_varint(outliers.size());
@@ -59,7 +48,7 @@ std::vector<std::uint8_t> encode_level(const Device& dev,
                              static_cast<std::uint64_t>(q >> 63);
     out.put_varint(zz);
   }
-  const auto blob = huffman::encode_u32(dev, symbols, kAlphabet);
+  const auto blob = huffman::encode_u32(dev, symbols, kQuantAlphabet);
   out.put_varint(blob.size());
   out.put_bytes(blob);
   return out.take();
@@ -83,15 +72,9 @@ void decode_level(const Device& dev, const Hierarchy& h, T* work,
   const auto symbols = huffman::decode_u32(dev, in.get_bytes(blob_size));
   HPDR_REQUIRE(symbols.size() == s.size(),
                "level component symbol count mismatch");
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    const std::uint32_t sym = symbols[i];
-    const double q =
-        sym == 0
-            ? 0.0
-            : static_cast<double>(static_cast<std::int64_t>(sym) - kRadius -
-                                  1);
-    work[order[s.begin + i]] = static_cast<T>(q * bin);
-  }
+  for (std::size_t i = 0; i < symbols.size(); ++i)
+    work[order[s.begin + i]] =
+        static_cast<T>(static_cast<double>(bin_of(symbols[i])) * bin);
   for (auto [pos, q] : outliers) {
     HPDR_REQUIRE(pos < s.size(), "outlier beyond level extent");
     work[order[s.begin + pos]] =

@@ -4,10 +4,13 @@
 
 #include <atomic>
 #include <numeric>
+#include <random>
 #include <set>
 
 #include "adapter/abstractions.hpp"
 #include "adapter/device.hpp"
+#include "algorithms/huffman/huffman.hpp"
+#include "fault/cancel.hpp"
 #include "machine/context_memory.hpp"
 #include "machine/device_registry.hpp"
 
@@ -76,6 +79,75 @@ TEST_P(AbstractionsOnDevice, MapAndProcessRoutesSubsets) {
   }
 }
 
+TEST_P(AbstractionsOnDevice, MapAndProcessVisitsEveryIndexOnceWithItsSubset) {
+  // Ranges are cut at kCancelStride from each subset's start, so a subset
+  // longer than the stride, empty subsets, and boundaries off the stride
+  // grid all have to come out right.
+  const Device dev = device();
+  constexpr std::size_t kStride = detail::kCancelStride;
+  const std::vector<std::size_t> sizes{0, 5, 0, 3 * kStride + 7, 1,
+                                       kStride,  kStride - 1, 0, 1500};
+  std::vector<Subset> subsets;
+  std::size_t total = 0;
+  for (std::size_t id = 0; id < sizes.size(); ++id) {
+    subsets.push_back({id, total, total + sizes[id]});
+    total += sizes[id];
+  }
+  std::vector<std::atomic<int>> visits(total);
+  std::vector<std::atomic<std::size_t>> owner(total);
+  map_and_process(dev, subsets, [&](const Subset& s, std::size_t i) {
+    visits[i].fetch_add(1);
+    owner[i].store(s.id);
+  });
+  for (const Subset& s : subsets)
+    for (std::size_t i = s.begin; i < s.end; ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << i;
+      EXPECT_EQ(owner[i].load(), s.id) << i;
+    }
+}
+
+TEST_P(AbstractionsOnDevice, MapAndProcessOverEmptySubsetsIsANoOp) {
+  const Device dev = device();
+  std::vector<Subset> subsets{{0, 0, 0}, {1, 0, 0}};
+  map_and_process(dev, subsets, [&](const Subset&, std::size_t) { FAIL(); });
+  map_and_process(dev, std::span<const Subset>{},
+                  [&](const Subset&, std::size_t) { FAIL(); });
+}
+
+TEST_P(AbstractionsOnDevice, HistogramIsTheSameTableOnEveryAdapter) {
+  const Device dev = device();
+  constexpr std::size_t kChunk = huffman::kEncodeChunk;
+  std::mt19937_64 rng(29);
+  for (const std::size_t alphabet : {std::size_t{256}, std::size_t{65538}})
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kChunk - 1,
+                                kChunk, 3 * kChunk + 5}) {
+      std::vector<std::uint32_t> symbols(n);
+      std::vector<std::uint64_t> expect(alphabet, 0);
+      for (auto& s : symbols) {
+        // Half the symbols on one hot value, as quantized codes are.
+        s = (rng() & 1) ? static_cast<std::uint32_t>(alphabet / 2)
+                        : static_cast<std::uint32_t>(rng() % alphabet);
+        ++expect[s];
+      }
+      EXPECT_EQ(huffman::histogram_u32(dev, symbols, alphabet), expect)
+          << "alphabet " << alphabet << ", " << n << " symbols";
+    }
+}
+
+TEST_P(AbstractionsOnDevice, HistogramRejectsOutOfAlphabetSymbol) {
+  // The per-symbol check throws on every adapter, wherever the bad symbol
+  // sits among the workers' slices.
+  const Device dev = device();
+  const std::size_t n = 3 * huffman::kEncodeChunk + 5;
+  for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+    std::vector<std::uint32_t> symbols(n, 7);
+    symbols[at] = 256;
+    EXPECT_THROW(huffman::histogram_u32(dev, symbols, 256), Error) << at;
+  }
+  const std::vector<std::uint32_t> one{65538};
+  EXPECT_THROW(huffman::histogram_u32(dev, one, 65538), Error);
+}
+
 TEST_P(AbstractionsOnDevice, GlobalPipelineStagesAreOrdered) {
   const Device dev = device();
   std::vector<int> data(50, 0);
@@ -141,6 +213,38 @@ TEST_P(AbstractionsOnDevice, FusedScratchOverflowThrows) {
                                 ctx.scratch<double>(100);
                               }),
                Error);
+}
+
+TEST(MapAndProcessCancel, FiredTokenStopsSerialRun) {
+  // A token fired before launch throws on the Serial adapter, however
+  // many stride-sized ranges the subsets cut into.
+  const Device dev = Device::serial();
+  const std::size_t n = 4 * detail::kCancelStride + 3;
+  const std::vector<Subset> subsets{{0, 0, 10}, {1, 10, n}};
+  {
+    auto tok = fault::CancelToken::make();
+    const fault::CancelScope scope(tok);
+    tok.cancel();
+    std::size_t calls = 0;
+    EXPECT_THROW(
+        map_and_process(dev, subsets,
+                        [&](const Subset&, std::size_t) { ++calls; }),
+        Error);
+    EXPECT_EQ(calls, 0u);
+  }
+  {
+    // Fired inside the first range (subset 0's 10 elements): the range
+    // runs to its end, and the next range's poll throws.
+    auto tok = fault::CancelToken::make();
+    const fault::CancelScope scope(tok);
+    std::size_t calls = 0;
+    EXPECT_THROW(map_and_process(dev, subsets,
+                                 [&](const Subset&, std::size_t) {
+                                   if (++calls == 1) tok.cancel();
+                                 }),
+                 Error);
+    EXPECT_EQ(calls, 10u);
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {
