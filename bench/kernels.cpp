@@ -1,6 +1,7 @@
 // Single-thread throughput of the hot serial kernels every codec rides on
 // (DESIGN.md §11/§16): bitstream put/read/append, Huffman encode/decode
-// (single- and multi-stream), LZ4 block compress/decompress, the ZFP block
+// (the LUT kernel and the Huffman-X byte path on XGC bytes), LZ4 block
+// compress/decompress, the ZFP block
 // transform and bitplane coder, the MGARD level step (decompose and
 // recompose), and SZ dual-quantization. Each optimized
 // kernel is raced against an in-binary *reference* implementation — a
@@ -24,6 +25,7 @@
 #include "check.hpp"
 #include "common.hpp"
 #include "core/isa.hpp"
+#include "huffman_reference.hpp"
 
 using namespace hpdr;
 
@@ -854,50 +856,56 @@ int main(int argc, char** argv) {
     kd.ref_gbps = in_bytes / 1e9 / sr;
     kd.speedup = sr / sf;
     record("huffman_decode", kd, 2.0);
+  }
 
-    // Multi-stream decode (DESIGN.md §16): the same symbols split into
-    // K = 4 independent bitstreams decoded round-robin — one LUT probe per
-    // stream per round, so each stream's serial bit-position dependency
-    // hides behind the others'. Raced against the same pre-optimization
-    // per-symbol reference as huffman_decode; output must equal the
-    // single-stream decode exactly.
-    {
-      constexpr std::size_t K = 4;
-      std::size_t counts[K], starts[K];
-      std::size_t acc = 0;
-      for (std::size_t s = 0; s < K; ++s) {
-        counts[s] = n / K + (s < n % K ? 1 : 0);
-        starts[s] = acc;
-        acc += counts[s];
-      }
-      std::vector<BitWriter> sw(K);
-      std::size_t bit_begin[K + 1];
-      bit_begin[0] = 0;
-      for (std::size_t s = 0; s < K; ++s) {
-        for (std::size_t i = starts[s]; i < starts[s] + counts[s]; ++i)
-          sw[s].put(cb.codes_reversed[symbols[i]], cb.lengths[symbols[i]]);
-        bit_begin[s + 1] = bit_begin[s] + sw[s].bit_size();
-      }
-      BitWriter pw;
-      pw.reserve_bits(bit_begin[K]);
-      for (const auto& s : sw) pw.append(s);
-      const auto payload_ms = pw.to_bytes();
-      const auto table = huffman::DecodeTable::cached(cb);
-      std::vector<std::uint32_t> out_ms(n);
-      huffman::DecodeTable::StreamSeg segs[K];
-      const double sm = best_of(reps, [&] {
-        for (std::size_t s = 0; s < K; ++s)
-          segs[s] = {bit_begin[s], bit_begin[s + 1], counts[s],
-                     out_ms.data() + starts[s]};
-        table->decode_streams(payload_ms, segs, K);
-      });
-      HPDR_EXPECT_TRUE(out_ms == symbols);
-      KernelResult km;
-      km.fast_gbps = in_bytes / 1e9 / sm;
-      km.ref_gbps = kd.ref_gbps;
-      km.speedup = km.fast_gbps / kd.ref_gbps;
-      record("huffman_decode_ms4", km, 2.5);
-    }
+  // ---- Huffman-X byte path in the codec's own units: GB/s of raw XGC f64
+  // bytes (Tiny under --tiny, otherwise one 9.6 MiB chunk of Small, the
+  // chunk xgc-lossless hands the codec). The reference is the byte path as
+  // it was before the in-place coder (tests/huffman_reference.hpp): widen
+  // to u32, one BitWriter per chunk, append, to_bytes; decode per chunk
+  // into u32, then narrow. Streams must be byte-identical and the decode
+  // must return the input.
+  {
+    const data::Dataset ds =
+        data::make("xgc", tiny ? data::Size::Tiny : data::Size::Small);
+    const std::span<const std::uint8_t> raw(
+        ds.bytes.data(), tiny ? ds.bytes.size() : ds.bytes.size() / 2);
+    const double in_bytes = static_cast<double>(raw.size());
+    std::vector<std::uint8_t> blob, blob_ref;
+    const auto [se, se_ref] = best_of_pair(
+        reps, [&] { blob = huffman::compress_bytes(dev, raw); },
+        [&] {
+          std::vector<std::uint32_t> wide(raw.size());
+          global_stage(dev, raw.size(),
+                       [&](std::size_t i) { wide[i] = raw[i]; });
+          blob_ref = huffman::reference::encode<std::uint32_t>(wide, 256);
+        });
+    HPDR_EXPECT_TRUE(blob == blob_ref);
+    KernelResult ke;
+    ke.fast_gbps = in_bytes / 1e9 / se;
+    ke.ref_gbps = in_bytes / 1e9 / se_ref;
+    ke.speedup = se_ref / se;
+    record("huffman_bytes_encode", ke, 3.0);
+
+    std::vector<std::uint8_t> back(raw.size()), back_ref;
+    const auto [sd, sd_ref] = best_of_pair(
+        reps, [&] { huffman::decompress_bytes(dev, blob, back); },
+        [&] {
+          const std::vector<std::uint32_t> wide =
+              huffman::reference::decode(blob);
+          back_ref.resize(wide.size());
+          global_stage(dev, wide.size(), [&](std::size_t i) {
+            back_ref[i] = static_cast<std::uint8_t>(wide[i]);
+          });
+        });
+    HPDR_EXPECT_TRUE(
+        std::equal(raw.begin(), raw.end(), back.begin(), back.end()));
+    HPDR_EXPECT_TRUE(back_ref == back);
+    KernelResult kd;
+    kd.fast_gbps = in_bytes / 1e9 / sd;
+    kd.ref_gbps = in_bytes / 1e9 / sd_ref;
+    kd.speedup = sd_ref / sd;
+    record("huffman_bytes_decode", kd, 2.0);
   }
 
   // ---- LZ4 block codec: hash-chain match finder + wild-copy decoder vs

@@ -299,7 +299,8 @@ std::uint32_t DecodeTable::decode_one_lut(BitReader& reader) const {
   return decode_one(reader);
 }
 
-void DecodeTable::decode_run(BitReader& reader, std::uint32_t* out,
+template <class T>
+void DecodeTable::decode_run(BitReader& reader, T* out,
                              std::size_t count) const {
   const std::uint64_t* tbl = lut.data();
   std::size_t i = 0;
@@ -310,127 +311,44 @@ void DecodeTable::decode_run(BitReader& reader, std::uint32_t* out,
       if (ns == 2 && count - i >= 2) {
         reader.skip(
             static_cast<unsigned>((e >> kEntryTotalShift) & kEntryLenMask));
-        out[i] = static_cast<std::uint32_t>((e >> kEntrySym0Shift) &
-                                            kEntrySymMask);
-        out[i + 1] = static_cast<std::uint32_t>((e >> kEntrySym1Shift) &
-                                                kEntrySymMask);
+        out[i] = static_cast<T>((e >> kEntrySym0Shift) & kEntrySymMask);
+        out[i + 1] = static_cast<T>((e >> kEntrySym1Shift) & kEntrySymMask);
         i += 2;
         continue;
       }
       if (ns != 0) {
         reader.skip(
             static_cast<unsigned>((e >> kEntryLen0Shift) & kEntryLenMask));
-        out[i++] = static_cast<std::uint32_t>((e >> kEntrySym0Shift) &
-                                              kEntrySymMask);
+        out[i++] = static_cast<T>((e >> kEntrySym0Shift) & kEntrySymMask);
         continue;
       }
     }
     // Long code or fewer than kLutBits left before the chunk boundary.
-    out[i++] = decode_one(reader);
+    out[i++] = static_cast<T>(decode_one(reader));
   }
 }
 
-namespace {
+template void DecodeTable::decode_run(BitReader&, std::uint8_t*,
+                                      std::size_t) const;
+template void DecodeTable::decode_run(BitReader&, std::uint32_t*,
+                                      std::size_t) const;
 
-/// Next kLutBits payload bits at absolute bit `pos`, LSB-first. Unsafe
-/// 8-byte load — callers must guarantee (pos >> 3) + 8 <= payload size.
-inline std::uint64_t peek_lut_unsafe(const std::uint8_t* data,
-                                     std::size_t pos) {
-  std::uint64_t w;
-  std::memcpy(&w, data + (pos >> 3), 8);
-  return (w >> (pos & 7)) &
-         ((std::uint64_t{1} << DecodeTable::kLutBits) - 1);
-}
-
-struct StreamCursor {
-  std::size_t pos = 0;
-  std::size_t limit = 0;
-  std::size_t rem = 0;
-  std::uint32_t* out = nullptr;
-};
-
-/// Round-robin hot loop, unrolled for a compile-time stream count so each
-/// cursor lives in registers. Rounds run while *every* stream can take an
-/// unchecked probe (≥ 2 symbols wanted, ≥ kLutBits before its limit, a full
-/// 8-byte load available); the stragglers drain through decode_run.
-template <unsigned K>
-void decode_streams_fixed(const DecodeTable& t,
-                          std::span<const std::uint8_t> payload,
-                          DecodeTable::StreamSeg* segs) {
-  const std::uint8_t* data = payload.data();
-  const std::size_t nbytes = payload.size();
-  const std::uint64_t* tbl = t.lut.data();
-  StreamCursor c[K];
-  for (unsigned s = 0; s < K; ++s)
-    c[s] = {segs[s].bit_begin, segs[s].bit_end, segs[s].count, segs[s].out};
-  for (;;) {
-    bool fast = true;
-    for (unsigned s = 0; s < K; ++s)
-      fast &= c[s].rem >= 2 && c[s].limit - c[s].pos >= DecodeTable::kLutBits &&
-              (c[s].pos >> 3) + 8 <= nbytes;
-    if (!fast) break;
-    for (unsigned s = 0; s < K; ++s) {
-      StreamCursor& st = c[s];
-      const std::uint64_t e = tbl[peek_lut_unsafe(data, st.pos)];
-      const unsigned ns =
-          static_cast<unsigned>((e >> DecodeTable::kEntryCountShift) & 3);
-      if (ns == 2) {
-        st.pos += (e >> DecodeTable::kEntryTotalShift) &
-                  DecodeTable::kEntryLenMask;
-        st.out[0] = static_cast<std::uint32_t>(
-            (e >> DecodeTable::kEntrySym0Shift) & DecodeTable::kEntrySymMask);
-        st.out[1] = static_cast<std::uint32_t>(
-            (e >> DecodeTable::kEntrySym1Shift) & DecodeTable::kEntrySymMask);
-        st.out += 2;
-        st.rem -= 2;
-      } else if (ns == 1) {
-        st.pos += (e >> DecodeTable::kEntryLen0Shift) &
-                  DecodeTable::kEntryLenMask;
-        *st.out++ = static_cast<std::uint32_t>(
-            (e >> DecodeTable::kEntrySym0Shift) & DecodeTable::kEntrySymMask);
-        st.rem -= 1;
-      } else {
-        // Code longer than the LUT window: bit-serial, fully guarded.
-        BitReader r(payload, st.limit);
-        r.seek(st.pos);
-        *st.out++ = t.decode_one(r);
-        st.pos = r.position();
-        st.rem -= 1;
-      }
-    }
+bool DecodeTable::complete() const {
+  const std::size_t live = symbols.size();
+  if (live <= 1) return live == 1 && max_length == 1;
+  // Walk the code tree level by level; `open` counts the unassigned nodes
+  // at depth l. Each open node needs at least one deeper leaf, so more open
+  // nodes than unplaced symbols can never close (which also keeps `open`
+  // far from overflow).
+  std::size_t open = 1, unplaced = live;
+  for (unsigned l = 1; l <= max_length; ++l) {
+    open *= 2;
+    if (count[l] > open) return false;  // over-subscribed
+    open -= count[l];
+    unplaced -= count[l];
+    if (open > unplaced) return false;
   }
-  // Tail: per-stream guarded decode of whatever the hot loop left behind.
-  for (unsigned s = 0; s < K; ++s) {
-    if (c[s].rem == 0) continue;
-    BitReader r(payload, c[s].limit);
-    r.seek(c[s].pos);
-    t.decode_run(r, c[s].out, c[s].rem);
-  }
-}
-
-}  // namespace
-
-void DecodeTable::decode_streams(std::span<const std::uint8_t> payload,
-                                 StreamSeg* segs, unsigned nstreams) const {
-  switch (nstreams) {
-    case 1: {
-      BitReader r(payload, segs[0].bit_end);
-      r.seek(segs[0].bit_begin);
-      decode_run(r, segs[0].out, segs[0].count);
-      return;
-    }
-    case 2: decode_streams_fixed<2>(*this, payload, segs); return;
-    case 4: decode_streams_fixed<4>(*this, payload, segs); return;
-    case 8: decode_streams_fixed<8>(*this, payload, segs); return;
-    default: break;
-  }
-  // Uncommon widths: decode each segment independently (still correct, no
-  // interleaving benefit).
-  for (unsigned s = 0; s < nstreams; ++s) {
-    BitReader r(payload, segs[s].bit_end);
-    r.seek(segs[s].bit_begin);
-    decode_run(r, segs[s].out, segs[s].count);
-  }
+  return open == 0;
 }
 
 std::uint32_t DecodeTable::decode_one(BitReader& reader) const {

@@ -68,7 +68,7 @@ struct DecodeTable {
   ///   bits [9:8]   number of packed symbols (1 or 2)
   ///   bits [33:10] first symbol
   ///   bits [57:34] second symbol (when two are packed)
-  /// Symbols fit 24 bits — decode_u32 rejects larger alphabets up front.
+  /// Symbols fit 24 bits — the decoders reject larger alphabets up front.
   static constexpr unsigned kEntryTotalShift = 0;
   static constexpr unsigned kEntryLen0Shift = 4;
   static constexpr unsigned kEntryCountShift = 8;
@@ -98,6 +98,12 @@ struct DecodeTable {
   /// serving layer hit this cache instead of rebuilding the LUT per chunk.
   static std::shared_ptr<const DecodeTable> cached(const Codebook& cb);
 
+  /// True when the code lengths form a complete prefix code (Kraft sum 1)
+  /// or a single one-bit code: the only codebooks build_codebook makes for
+  /// a non-empty input. Any other codebook leaves bit patterns that match
+  /// no codeword, so decoders reject it up front.
+  bool complete() const;
+
   /// Decode one symbol by consuming bits from `reader` (bit-serial).
   std::uint32_t decode_one(BitReader& reader) const;
 
@@ -107,26 +113,9 @@ struct DecodeTable {
 
   /// Decode exactly `count` symbols into `out`, taking multi-symbol LUT
   /// entries where the stream allows. Identical output to `count` calls of
-  /// decode_one.
-  void decode_run(BitReader& reader, std::uint32_t* out,
-                  std::size_t count) const;
-
-  /// One independent sub-stream of a multi-stream chunk: a bit range inside
-  /// the shared payload and the output slot its symbols decode into.
-  struct StreamSeg {
-    std::size_t bit_begin = 0;  ///< absolute payload bit offset
-    std::size_t bit_end = 0;    ///< one past the stream's last bit
-    std::size_t count = 0;      ///< symbols encoded in this stream
-    std::uint32_t* out = nullptr;
-  };
-
-  /// Decode `nstreams` independent sub-streams round-robin: one LUT probe
-  /// per stream per round, so the serial bit-position dependency of each
-  /// stream is hidden behind the others' loads (the cuSZ/Huff0 multi-stream
-  /// trick, applied per CPU core). Identical output to decoding each
-  /// segment alone with decode_run.
-  void decode_streams(std::span<const std::uint8_t> payload, StreamSeg* segs,
-                      unsigned nstreams) const;
+  /// decode_one. Instantiated for `std::uint8_t` and `std::uint32_t`.
+  template <class T>
+  void decode_run(BitReader& reader, T* out, std::size_t count) const;
 };
 
 }  // namespace hpdr::huffman

@@ -17,8 +17,12 @@
 ///                             bit counts places every chunk at its final
 ///                             bit offset in the output stream.
 ///
-/// The chunk structure is retained in the container (per-chunk bit counts),
-/// which is what makes *decoding* parallel too.
+/// One coder serves every symbol type: bytes (Huffman-X itself) and the
+/// `u32` quantization codes of MGARD-X and SZ run the same encoder and
+/// decoder (DESIGN.md §16.3). The encoder counts each chunk's bits before
+/// it writes, so every group writes its codes straight into the returned
+/// buffer. The chunk structure is retained in the container (per-chunk bit
+/// counts), which is what makes *decoding* parallel too.
 
 #include <cstdint>
 #include <span>
@@ -33,22 +37,11 @@ namespace hpdr::huffman {
 /// granularity recorded in the stream container.
 inline constexpr std::size_t kEncodeChunk = 1u << 16;
 
-/// Maximum sub-streams per chunk accepted by the multi-stream container.
-inline constexpr std::size_t kMaxStreams = 8;
-
 /// Encode `symbols` (values must be < alphabet_size) into a self-describing
 /// compressed buffer.
-///
-/// `streams` selects the number of independent sub-streams each chunk's
-/// symbols are split into (DESIGN.md §16). 1 (the default wire format)
-/// emits the legacy version-1 container byte-for-byte; K > 1 emits a
-/// version-2 container whose chunks decode K-way interleaved, breaking the
-/// serial bit-position dependency of entropy decode. Both versions decode
-/// through the same decode_u32.
 std::vector<std::uint8_t> encode_u32(const Device& dev,
                                      std::span<const std::uint32_t> symbols,
-                                     std::size_t alphabet_size,
-                                     std::size_t streams = 1);
+                                     std::size_t alphabet_size);
 
 /// Inverse of encode_u32.
 std::vector<std::uint32_t> decode_u32(const Device& dev,
@@ -60,6 +53,11 @@ std::vector<std::uint8_t> compress_bytes(const Device& dev,
                                          std::span<const std::uint8_t> data);
 std::vector<std::uint8_t> decompress_bytes(
     const Device& dev, std::span<const std::uint8_t> stream);
+
+/// Decode straight into `out`, which must be exactly as long as the stream
+/// says; a stream of any other length throws before a byte is written.
+void decompress_bytes(const Device& dev, std::span<const std::uint8_t> stream,
+                      std::span<std::uint8_t> out);
 
 /// Step 1 of the pipeline, exposed for reuse and tests: cooperative
 /// histogram over the whole domain (Global abstraction).

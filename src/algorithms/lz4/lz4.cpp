@@ -379,7 +379,12 @@ std::vector<std::uint8_t> compress(const Device& dev,
                              compressed.end());
     }
   });
+  // One allocation for the whole frame (a varint takes at most 10 bytes),
+  // so the payload is copied once, not once per doubling of the buffer.
+  std::size_t frame = 10 * (nblocks + 2);
+  for (const auto& blk : blocks) frame += blk.size();
   ByteWriter out;
+  out.reserve(frame);
   out.put_varint(data.size());
   out.put_varint(nblocks);
   for (const auto& blk : blocks) out.put_varint(blk.size());

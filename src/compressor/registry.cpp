@@ -329,10 +329,9 @@ class HuffmanCompressor final : public CompressorBase {
   void do_decompress(const Device& dev, std::span<const std::uint8_t> stream,
                      void* out, const Shape& shape,
                      DType dtype) const override {
-    auto bytes = huffman::decompress_bytes(dev, stream);
-    HPDR_REQUIRE(bytes.size() == shape.size() * dtype_size(dtype),
-                 "huffman payload size mismatch");
-    std::memcpy(out, bytes.data(), bytes.size());
+    huffman::decompress_bytes(
+        dev, stream,
+        {static_cast<std::uint8_t*>(out), shape.size() * dtype_size(dtype)});
   }
 };
 

@@ -252,6 +252,7 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }

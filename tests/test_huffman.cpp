@@ -1,5 +1,7 @@
 // Tests for the Huffman-X pipeline: codebook optimality/canonicality,
-// encode/decode round trips, and portability across device adapters.
+// encode/decode round trips, portability across device adapters, the
+// in-place coder against the frozen reference (huffman_reference.hpp), and
+// malformed headers.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,6 +11,7 @@
 #include "algorithms/huffman/codebook.hpp"
 #include "algorithms/huffman/huffman.hpp"
 #include "core/error.hpp"
+#include "huffman_reference.hpp"
 #include "machine/device_registry.hpp"
 
 namespace hpdr::huffman {
@@ -257,42 +260,6 @@ TEST(Huffman, CorruptStreamThrows) {
   EXPECT_THROW(decode_u32(dev, blob), Error);
 }
 
-TEST(Huffman, MultiStreamDecodesIdenticallyToSingleStream) {
-  // K=4 containers (version 2) must decode to exactly the symbols a K=1
-  // (version 1) container decodes to — the stream count is a layout
-  // choice, never a semantic one.
-  const Device dev = Device::serial();
-  std::mt19937_64 rng(61);
-  std::geometric_distribution<int> mag(0.3);
-  std::vector<std::uint32_t> symbols(70000);
-  for (auto& s : symbols) s = static_cast<std::uint32_t>(mag(rng)) % 200;
-  const auto v1 = encode_u32(dev, symbols, 200, /*streams=*/1);
-  const auto v2 = encode_u32(dev, symbols, 200, /*streams=*/4);
-  EXPECT_NE(v1, v2);  // different containers...
-  EXPECT_EQ(decode_u32(dev, v1), symbols);  // ...same symbols
-  EXPECT_EQ(decode_u32(dev, v2), symbols);
-  // K=1 must stay byte-identical to the legacy default-arg encoding.
-  EXPECT_EQ(v1, encode_u32(dev, symbols, 200));
-}
-
-TEST(Huffman, MultiStreamEdgeShapes) {
-  const Device dev = Device::serial();
-  for (std::size_t streams : {std::size_t{2}, std::size_t{4},
-                              std::size_t{8}}) {
-    // Fewer symbols than streams, exact multiples, and odd remainders.
-    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                          std::size_t{8}, std::size_t{1000},
-                          std::size_t{1001}}) {
-      std::vector<std::uint32_t> symbols(n);
-      for (std::size_t i = 0; i < n; ++i)
-        symbols[i] = static_cast<std::uint32_t>(i % 17);
-      const auto blob = encode_u32(dev, symbols, 17, streams);
-      EXPECT_EQ(decode_u32(dev, blob), symbols)
-          << "streams " << streams << " n " << n;
-    }
-  }
-}
-
 TEST(Huffman, PortableAcrossAdapters) {
   // The portability property of §II-B: data encoded with one adapter must
   // decode bit-identically on every other adapter.
@@ -307,6 +274,228 @@ TEST(Huffman, PortableAcrossAdapters) {
   EXPECT_EQ(decode_u32(cpu, blob_gpu), symbols);
   EXPECT_EQ(decode_u32(gpu, blob_cpu), symbols);
 }
+
+// ---- Malformed headers --------------------------------------------------
+
+/// A version-1 container taken apart, so tests can rebuild it with one
+/// field changed.
+struct StreamParts {
+  std::uint8_t version = 1;
+  std::size_t n = 0;
+  std::size_t alphabet = 0;
+  std::vector<std::uint8_t> lengths;
+  std::vector<std::size_t> bits;
+  std::vector<std::uint8_t> payload;
+};
+
+StreamParts split(std::span<const std::uint8_t> stream) {
+  ByteReader in(stream);
+  StreamParts p;
+  p.version = in.get_u8();
+  p.n = in.get_varint();
+  p.alphabet = in.get_varint();
+  p.lengths = Codebook::deserialize(in).lengths;
+  p.bits.resize(in.get_varint());
+  for (std::size_t& b : p.bits) b = in.get_varint();
+  const auto payload = in.get_bytes(in.get_varint());
+  p.payload.assign(payload.begin(), payload.end());
+  return p;
+}
+
+std::vector<std::uint8_t> join(const StreamParts& p) {
+  ByteWriter w;
+  w.put_u8(p.version);
+  w.put_varint(p.n);
+  w.put_varint(p.alphabet);
+  Codebook cb;
+  cb.lengths = p.lengths;
+  cb.serialize(w);
+  w.put_varint(p.bits.size());
+  for (const std::size_t b : p.bits) w.put_varint(b);
+  w.put_varint(p.payload.size());
+  w.put_bytes(p.payload);
+  return w.take();
+}
+
+TEST(Huffman, ChunkTableMustCoverDeclaredSymbols) {
+  // 100 declared bytes, a two-symbol codebook and no chunks at all: there
+  // is nothing to decode them from, so the stream must not decode.
+  StreamParts p;
+  p.n = 100;
+  p.alphabet = 256;
+  p.lengths.assign(256, 0);
+  p.lengths[10] = p.lengths[100] = 1;
+  const auto stream = join(p);
+  ASSERT_EQ(stream.size(), 19u);
+  const Device dev = Device::serial();
+  EXPECT_THROW(decompress_bytes(dev, stream), Error);
+  std::vector<std::uint8_t> out(100, 0xAB);
+  EXPECT_THROW(decompress_bytes(dev, stream, out), Error);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(100, 0xAB));
+}
+
+TEST(Huffman, OverDeclaredSymbolCountThrows) {
+  // One full chunk re-declared as 1000 symbols longer: the chunk table no
+  // longer covers the symbols, so the tail would have no bits behind it.
+  const Device dev = Device::serial();
+  std::vector<std::uint8_t> data(kEncodeChunk);
+  std::mt19937_64 rng(7);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng() % 5);
+  StreamParts p = split(compress_bytes(dev, data));
+  ASSERT_EQ(p.bits.size(), 1u);
+  p.n += 1000;
+  EXPECT_THROW(decompress_bytes(dev, join(p)), Error);
+  // More symbols than payload bits can hold, with a matching chunk count.
+  p.n = 9 * kEncodeChunk;
+  p.bits.resize(9, 1);
+  EXPECT_THROW(decompress_bytes(dev, join(p)), Error);
+}
+
+TEST(Huffman, OutputSizeMismatchThrowsBeforeWriting) {
+  const Device dev = Device::serial();
+  const std::vector<std::uint8_t> data(5000, 42);
+  const auto blob = compress_bytes(dev, data);
+  for (const std::size_t size : {std::size_t{4999}, std::size_t{5001}}) {
+    std::vector<std::uint8_t> out(size, 7);
+    EXPECT_THROW(decompress_bytes(dev, blob, out), Error);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(size, 7));
+  }
+  std::vector<std::uint8_t> out(data.size());
+  decompress_bytes(dev, blob, out);
+  EXPECT_EQ(out, data);
+}
+
+TEST(Huffman, MultiStreamVersionIsRejected) {
+  // Version 2 (K sub-streams per chunk) is no longer written or read.
+  const Device dev = Device::serial();
+  const std::vector<std::uint32_t> symbols(1000, 3);
+  auto blob = encode_u32(dev, symbols, 8);
+  blob[0] = 2;
+  EXPECT_THROW(decode_u32(dev, blob), Error);
+}
+
+TEST(Huffman, LongCodesMatchReference) {
+  // Fibonacci frequencies give codes of up to ~30 bits, past the widths
+  // the in-place writer batches several codes per store for.
+  std::vector<std::uint32_t> symbols;
+  std::uint64_t a = 1, b = 1;
+  for (std::uint32_t s = 0; s < 31; ++s, b += a, a = b - a)
+    symbols.insert(symbols.end(), a, s);
+  std::shuffle(symbols.begin(), symbols.end(), std::mt19937_64(9));
+  std::vector<std::uint64_t> freq(40, 0);
+  for (const auto s : symbols) ++freq[s];
+  ASSERT_GT(build_codebook(freq).max_length, 28);
+  for (const char* name : {"serial", "stdthread"}) {
+    const Device dev = machine::make_device(name);
+    const auto blob = encode_u32(dev, symbols, 40);
+    EXPECT_EQ(blob, reference::encode<std::uint32_t>(symbols, 40)) << name;
+    EXPECT_EQ(decode_u32(dev, blob), symbols) << name;
+  }
+}
+
+// ---- Property matrix: the in-place coder against the reference ----------
+
+/// The matrix's alphabets: one live symbol; two; 256 uniform; and a skewed
+/// one whose longest codes exceed 12 bits (at the larger sizes).
+enum class Draw { One, Two, Uniform, Skewed };
+
+template <class T>
+std::vector<T> draw(Draw kind, std::size_t n, std::mt19937_64& rng) {
+  std::geometric_distribution<int> skew(0.45);
+  std::vector<T> out(n);
+  for (T& s : out) {
+    switch (kind) {
+      case Draw::One: s = 7; break;
+      case Draw::Two: s = (rng() & 1) ? 3 : 200; break;
+      case Draw::Uniform: s = static_cast<T>(rng() % 256); break;
+      case Draw::Skewed: s = static_cast<T>(std::min(skew(rng), 255)); break;
+    }
+  }
+  return out;
+}
+
+constexpr std::size_t kMatrixSizes[] = {
+    0, 1, 3, kEncodeChunk - 1, kEncodeChunk, kEncodeChunk + 1,
+    4 * kEncodeChunk + 5, 9 * kEncodeChunk + 3};
+constexpr Draw kDraws[] = {Draw::One, Draw::Two, Draw::Uniform, Draw::Skewed};
+
+class HuffmanMatrix : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override { dev_ = machine::make_device(GetParam()); }
+  Device dev_ = Device::serial();
+};
+
+TEST_P(HuffmanMatrix, StreamsMatchReferenceAndRoundTrip) {
+  std::mt19937_64 rng(101);
+  bool long_codes = false;
+  for (const Draw kind : kDraws) {
+    for (const std::size_t n : kMatrixSizes) {
+      const auto bytes = draw<std::uint8_t>(kind, n, rng);
+      const auto blob = compress_bytes(dev_, bytes);
+      ASSERT_EQ(blob, reference::encode<std::uint8_t>(bytes, 256))
+          << "u8 draw " << int(kind) << " n " << n;
+      ASSERT_EQ(decompress_bytes(dev_, blob), bytes);
+      std::vector<std::uint8_t> out(n, 0x5A);
+      decompress_bytes(dev_, blob, out);
+      ASSERT_EQ(out, bytes);
+
+      const auto wide = draw<std::uint32_t>(kind, n, rng);
+      const std::size_t alphabet = kind == Draw::Skewed ? 600 : 256;
+      const auto wblob = encode_u32(dev_, wide, alphabet);
+      ASSERT_EQ(wblob, reference::encode<std::uint32_t>(wide, alphabet))
+          << "u32 draw " << int(kind) << " n " << n;
+      ASSERT_EQ(decode_u32(dev_, wblob), wide);
+      ByteReader in(wblob);
+      in.get_u8();
+      in.get_varint();
+      in.get_varint();
+      long_codes |= Codebook::deserialize(in).max_length >
+                    DecodeTable::kLutBits;
+    }
+  }
+  EXPECT_TRUE(long_codes);
+}
+
+TEST_P(HuffmanMatrix, IncompleteCodebookThrows) {
+  // Lengths {1, 2} (Kraft sum 3/4) leave the pattern "11" unmatched.
+  StreamParts p;
+  p.n = 4;
+  p.alphabet = 256;
+  p.lengths.assign(256, 0);
+  p.lengths[0] = 1;
+  p.lengths[1] = 2;
+  p.bits = {8};
+  p.payload = {0xFF};
+  EXPECT_THROW(decompress_bytes(dev_, join(p)), Error);
+  p.lengths.resize(4);
+  p.alphabet = 4;
+  EXPECT_THROW(decode_u32(dev_, join(p)), Error);
+}
+
+TEST_P(HuffmanMatrix, TruncatedPayloadThrows) {
+  std::mt19937_64 rng(103);
+  const auto bytes =
+      draw<std::uint8_t>(Draw::Skewed, 4 * kEncodeChunk + 5, rng);
+  const auto blob = compress_bytes(dev_, bytes);
+  // Cut inside the payload: the declared payload size overruns the stream.
+  for (const std::size_t cut : {std::size_t{1}, blob.size() / 3})
+    EXPECT_THROW(
+        decompress_bytes(dev_, std::span(blob).first(blob.size() - cut)),
+        Error);
+  // A consistent but shorter payload: the chunk bits overrun it.
+  StreamParts p = split(blob);
+  p.payload.resize(p.payload.size() - 2);
+  EXPECT_THROW(decompress_bytes(dev_, join(p)), Error);
+  // A chunk whose codes end before its recorded bit count.
+  p = split(blob);
+  p.bits[1] += 8;
+  p.payload.push_back(0);
+  EXPECT_THROW(decompress_bytes(dev_, join(p)), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(Adapters, HuffmanMatrix,
+                         ::testing::Values("serial", "openmp", "V100",
+                                           "stdthread"));
 
 }  // namespace
 }  // namespace hpdr::huffman
