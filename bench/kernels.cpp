@@ -1,6 +1,7 @@
 // Single-thread throughput of the hot serial kernels every codec rides on
 // (DESIGN.md §11/§16): bitstream put/read/append, Huffman encode/decode
-// (the LUT kernel and the Huffman-X byte path on XGC bytes), LZ4 block
+// (MGARD's u32 quantization codes and the Huffman-X byte path on XGC
+// bytes), LZ4 block
 // compress/decompress, the ZFP block
 // transform and bitplane coder, the MGARD level step (decompose and
 // recompose), and SZ dual-quantization. Each optimized
@@ -22,6 +23,7 @@
 #include <thread>
 
 #include "algorithms/huffman/codebook.hpp"
+#include "algorithms/mgard/quantize.hpp"
 #include "check.hpp"
 #include "common.hpp"
 #include "core/isa.hpp"
@@ -801,36 +803,44 @@ int main(int argc, char** argv) {
     record("bitstream_append", k, 1.2);
   }
 
-  // ---- Huffman encode/decode over a skewed quantization-like alphabet.
+  // ---- Huffman encode/decode of quantization codes, the u32 path MGARD-X
+  // and SZ take: their alphabet of 65,538 symbols, a two-sided geometric
+  // around the zero bin's symbol (sharply peaked, short center codes, long
+  // tail). Short codes are what the two-symbol LUT entries pack.
   {
     const std::size_t n = tiny ? (1u << 20) : (1u << 22);
-    const std::size_t alphabet = 4096;
+    const std::size_t alphabet = mgard::kQuantAlphabet;
+    const int center = static_cast<int>(mgard::kQuantRadius) + 1;
     std::vector<std::uint32_t> symbols(n);
     {
-      // Two-sided geometric around the center symbol — the shape SZ/ZFP
-      // quantization codes have (sharply peaked, short center codes, long
-      // tail). Short codes are what the multi-symbol LUT packs.
       std::geometric_distribution<int> mag(0.18);
-      const int center = static_cast<int>(alphabet) / 2;
       for (auto& s : symbols) {
         const int m = mag(rng);
-        const int v = (rng() & 1) ? center + m : center - m;
-        s = static_cast<std::uint32_t>(
-            std::clamp(v, 0, static_cast<int>(alphabet) - 1));
+        s = static_cast<std::uint32_t>((rng() & 1) ? center + m : center - m);
       }
     }
     const double in_bytes = static_cast<double>(n) * sizeof(std::uint32_t);
-    std::vector<std::uint8_t> blob;
-    const double se = best_of(reps, [&] {
-      blob = huffman::encode_u32(dev, symbols, alphabet);
-    });
+    // Encode against the reference encoder (tests/huffman_reference.hpp):
+    // one BitWriter per chunk, append, to_bytes. Informational, no gate.
+    std::vector<std::uint8_t> blob, blob_ref;
+    const auto [se, se_ref] = best_of_pair(
+        reps, [&] { blob = huffman::encode_u32(dev, symbols, alphabet); },
+        [&] {
+          blob_ref = huffman::reference::encode<std::uint32_t>(symbols,
+                                                               alphabet);
+        });
+    HPDR_EXPECT_TRUE(blob == blob_ref);
     KernelResult ke;
     ke.fast_gbps = in_bytes / 1e9 / se;
+    ke.ref_gbps = in_bytes / 1e9 / se_ref;
+    ke.speedup = se_ref / se;
     record("huffman_encode", ke, 0);
 
-    // Kernel-level decode comparison: same codebook and payload, the batch
-    // multi-symbol LUT path vs the pre-optimization per-symbol LUT path
-    // with its byte-at-a-time reader and per-decode table rebuild.
+    // Decode: the production decoder (decode_u32, four chunks per group)
+    // on that stream vs the pre-optimization per-symbol LUT path with its
+    // byte-at-a-time reader and per-decode table rebuild, over the same
+    // codes concatenated into one payload — the stream's own payload, as
+    // its chunks are laid end to end.
     std::vector<std::uint64_t> freq(alphabet, 0);
     for (auto s : symbols) ++freq[s];
     const huffman::Codebook cb = huffman::build_codebook(freq);
@@ -838,17 +848,18 @@ int main(int argc, char** argv) {
     for (auto s : symbols) w.put(cb.codes_reversed[s], cb.lengths[s]);
     const auto payload = w.to_bytes();
     const std::size_t payload_bits = w.bit_size();
-    std::vector<std::uint32_t> out_fast(n), out_ref(n);
-    const double sf = best_of(reps, [&] {
-      const auto table = huffman::DecodeTable::cached(cb);
-      BitReader r(payload, payload_bits);
-      table->decode_run(r, out_fast.data(), n);
-    });
-    const double sr = best_of(reps, [&] {
-      const huffman::DecodeTable table = huffman::DecodeTable::build(cb);
-      RefBitReader r(payload, payload_bits);
-      for (std::size_t i = 0; i < n; ++i) out_ref[i] = ref_decode_lut(table, r);
-    });
+    HPDR_EXPECT_TRUE(blob.size() >= payload.size() &&
+                     std::equal(payload.begin(), payload.end(),
+                                blob.end() - payload.size()));
+    std::vector<std::uint32_t> out_fast, out_ref(n);
+    const auto [sf, sr] = best_of_pair(
+        reps, [&] { out_fast = huffman::decode_u32(dev, blob); },
+        [&] {
+          const huffman::DecodeTable table = huffman::DecodeTable::build(cb);
+          RefBitReader r(payload, payload_bits);
+          for (std::size_t i = 0; i < n; ++i)
+            out_ref[i] = ref_decode_lut(table, r);
+        });
     HPDR_EXPECT_TRUE(out_fast == out_ref);
     HPDR_EXPECT_TRUE(out_fast == symbols);
     KernelResult kd;

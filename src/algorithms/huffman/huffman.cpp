@@ -23,8 +23,13 @@ constexpr unsigned kInterleave = 4;
 /// a table is small next to its chunk's symbols, and a chunk's bit count is
 /// then its table dotted with the code lengths, with no second pass over
 /// the input. Larger alphabets (the MGARD and SZ quantization codes) count
-/// one table per worker and sum code lengths chunk by chunk.
-constexpr std::size_t kChunkTableAlphabet = 4096;
+/// one table per worker and sum code lengths chunk by chunk, since zeroing,
+/// merging and dotting an alphabet-sized table per chunk would cost about
+/// as much as the chunk itself. Each way is the faster one on its side
+/// (measured in DESIGN.md §16.3): the length-sum pass makes a byte chunk's
+/// encode 1.2-1.4x slower, and tables per chunk make an MGARD chunk's
+/// 1.1-1.6x slower.
+constexpr std::size_t kChunkTableAlphabet = kEncodeChunk / 16;
 
 constexpr std::uint64_t kAllValid = ~std::uint64_t{0};
 
@@ -446,14 +451,6 @@ std::vector<std::uint32_t> decode_u32(const Device& dev,
 std::vector<std::uint8_t> compress_bytes(const Device& dev,
                                          std::span<const std::uint8_t> data) {
   return encode(dev, data, kByteAlphabet);
-}
-
-std::vector<std::uint8_t> decompress_bytes(
-    const Device& dev, std::span<const std::uint8_t> stream) {
-  const Parsed p = parse(stream, kByteAlphabet);
-  std::vector<std::uint8_t> out(p.n);
-  decode_into(dev, p, out.data());
-  return out;
 }
 
 void decompress_bytes(const Device& dev, std::span<const std::uint8_t> stream,

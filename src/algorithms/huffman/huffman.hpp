@@ -51,11 +51,10 @@ std::vector<std::uint32_t> decode_u32(const Device& dev,
 /// this is the configuration benchmarked in Fig. 12.
 std::vector<std::uint8_t> compress_bytes(const Device& dev,
                                          std::span<const std::uint8_t> data);
-std::vector<std::uint8_t> decompress_bytes(
-    const Device& dev, std::span<const std::uint8_t> stream);
 
-/// Decode straight into `out`, which must be exactly as long as the stream
-/// says; a stream of any other length throws before a byte is written.
+/// Inverse of compress_bytes, straight into `out`, which must be exactly as
+/// long as the stream says; a stream of any other length throws before a
+/// byte is written.
 void decompress_bytes(const Device& dev, std::span<const std::uint8_t> stream,
                       std::span<std::uint8_t> out);
 
