@@ -28,6 +28,8 @@
 #include "common.hpp"
 #include "core/isa.hpp"
 #include "huffman_reference.hpp"
+#include "mgard_reference.hpp"
+#include "zfp_reference.hpp"
 
 using namespace hpdr;
 
@@ -67,6 +69,9 @@ std::pair<double, double> best_of_pair(int reps,
 // ---------------------------------------------------------------------------
 // Reference implementations: verbatim ports of the pre-optimization kernels,
 // kept here so the speedup baseline cannot drift as the library evolves.
+// The Huffman coder, MGARD level step and ZFP plane coder references live
+// in tests/*_reference.hpp, shared with the unit tests that check the
+// library against them.
 // ---------------------------------------------------------------------------
 
 /// Pre-optimization BitReader: assembles every read one byte at a time.
@@ -342,80 +347,6 @@ void ref_inv_transform(std::int64_t* q, std::size_t rank) {
   for (std::size_t i = 0; i < 16; ++i) zfp::detail::inv_lift4(q + 4 * i, 1);
 }
 
-/// Pre-optimization ZFP bitplane coder: per-plane gather/deposit loops and
-/// one put_bit/get_bit per group-test and zero-run bit.
-std::size_t ref_encode_planes(BitWriter& w, const std::uint64_t* u,
-                              std::size_t n, int intprec, std::size_t budget,
-                              int kmin = 0) {
-  std::size_t bits = budget;
-  std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
-    // Gather plane k into a word (bit i = coefficient i's bit; n ≤ 64).
-    std::uint64_t x = 0;
-#pragma omp simd reduction(| : x)
-    for (std::size_t i = 0; i < n; ++i) x |= ((u[i] >> k) & 1u) << i;
-    // Value pass.
-    const std::size_t m = std::min(sig, bits);
-    w.put(x, static_cast<unsigned>(m));
-    bits -= m;
-    x = m < 64 ? x >> m : 0;
-    // Group-test pass.
-    std::size_t i = sig;
-    while (i < n && bits) {
-      --bits;
-      const bool any = x != 0;
-      w.put_bit(any);
-      if (!any) break;
-      // Emit value bits until a 1 is emitted; the last position's test bit
-      // doubles as its value bit (group of one).
-      while (i < n - 1 && bits) {
-        --bits;
-        const bool bit = x & 1u;
-        w.put_bit(bit);
-        if (bit) break;
-        x >>= 1;
-        ++i;
-      }
-      // Consume the significant (or implied/unfinished) position.
-      x >>= 1;
-      ++i;
-    }
-    sig = i;
-  }
-  return budget - bits;
-}
-
-void ref_decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
-                       int intprec, std::size_t budget, int kmin = 0) {
-  std::fill(u, u + n, 0);
-  std::size_t bits = budget;
-  std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
-    const std::size_t m = std::min(sig, bits);
-    std::uint64_t x = r.get(static_cast<unsigned>(m));
-    bits -= m;
-    std::size_t i = sig;
-    while (i < n && bits) {
-      --bits;
-      const bool any = r.get_bit();
-      if (!any) break;
-      while (i < n - 1 && bits) {
-        --bits;
-        const bool bit = r.get_bit();
-        if (bit) break;
-        ++i;
-      }
-      x |= std::uint64_t{1} << i;
-      ++i;
-    }
-    sig = i;
-    // Branch-free plane deposit (vectorizes; `-(bit)` is an all-ones mask).
-#pragma omp simd
-    for (std::size_t j = 0; j < n; ++j)
-      u[j] |= (std::uint64_t{0} - ((x >> j) & 1u)) & (std::uint64_t{1} << k);
-  }
-}
-
 /// Negabinary coefficients of the interior 4³ blocks of an f32 field, as
 /// zfp-x computes them: block floating point at 28 bits, the decorrelating
 /// transform, total-sequency order. Zero blocks (no planes) are skipped.
@@ -447,147 +378,6 @@ std::vector<std::uint64_t> zfp_block_coefficients(const NDArray<float>& f,
       }
   return out;
 }
-
-// Pre-optimization MGARD level step: one pencil at a time, each a strided
-// scalar recurrence (lerp, load vector, Thomas solve, correction), 16
-// pencils per GEM group sharing one scratch arena. Verbatim copy of the
-// code the lockstep group kernel replaced; only the dispatch adapts to
-// iterative_staged handing each group its vector range.
-namespace ref_mgard {
-
-using mgard::Hierarchy;
-using mgard::LevelDimOps;
-
-struct PencilSet {
-  std::size_t count = 1;   ///< number of pencils
-  std::size_t length = 1;  ///< active nodes per pencil
-  std::size_t step = 1;    ///< flat stride along the pencil
-
-  std::array<std::size_t, kMaxRank> other_sizes{};
-  std::array<std::size_t, kMaxRank> other_steps{};
-  std::size_t other_rank = 0;
-
-  std::size_t base_of(std::size_t pencil) const {
-    std::size_t off = 0;
-    for (std::size_t d = other_rank; d-- > 0;) {
-      off += (pencil % other_sizes[d]) * other_steps[d];
-      pencil /= other_sizes[d];
-    }
-    return off;
-  }
-};
-
-PencilSet make_pencils(const Hierarchy& h, std::size_t level,
-                       std::size_t dim) {
-  const Shape& shape = h.shape();
-  const auto strides = shape.strides();
-  const std::size_t lvl_stride = std::size_t{1}
-                                 << (h.num_levels() - level);
-  PencilSet p;
-  p.length = h.level_dim(level, dim);
-  p.step = strides[dim] * lvl_stride;
-  for (std::size_t d = 0; d < shape.rank(); ++d) {
-    if (d == dim) continue;
-    p.other_sizes[p.other_rank] = h.level_dim(level, d);
-    p.other_steps[p.other_rank] = strides[d] * lvl_stride;
-    ++p.other_rank;
-    p.count *= h.level_dim(level, d);
-  }
-  return p;
-}
-
-template <class T>
-void load_vector(const T* v, std::size_t n, std::size_t s,
-                 const LevelDimOps& ops, double* rhs) {
-  const std::size_t nc = (n + 1) / 2;
-  for (std::size_t j = 0; j < nc; ++j) {
-    double b = 0;
-    if (j > 0)
-      b += ops.tr[j - 1] * static_cast<double>(v[(2 * j - 1) * s]);
-    if (2 * j + 1 < n)
-      b += ops.tl[j] * static_cast<double>(v[(2 * j + 1) * s]);
-    rhs[j] = b;
-  }
-}
-
-template <class T>
-void fwd_pencil(T* v, std::size_t n, std::size_t s, const LevelDimOps& ops,
-                double* rhs) {
-  const std::size_t nc = (n + 1) / 2;
-  for (std::size_t i = 1; i < n; i += 2) {
-    const std::size_t o = i / 2;
-    double approx =
-        ops.wl[o] * static_cast<double>(v[(i - 1) * s]);
-    if (i + 1 < n)
-      approx += ops.wr[o] * static_cast<double>(v[(i + 1) * s]);
-    v[i * s] = static_cast<T>(static_cast<double>(v[i * s]) - approx);
-  }
-  load_vector(v, n, s, ops, rhs);
-  ops.solver.solve(rhs, nc, 1);
-  for (std::size_t j = 0; j < nc; ++j)
-    v[(2 * j) * s] =
-        static_cast<T>(static_cast<double>(v[(2 * j) * s]) + rhs[j]);
-}
-
-template <class T>
-void inv_pencil(T* v, std::size_t n, std::size_t s, const LevelDimOps& ops,
-                double* rhs) {
-  const std::size_t nc = (n + 1) / 2;
-  load_vector(v, n, s, ops, rhs);
-  ops.solver.solve(rhs, nc, 1);
-  for (std::size_t j = 0; j < nc; ++j)
-    v[(2 * j) * s] =
-        static_cast<T>(static_cast<double>(v[(2 * j) * s]) - rhs[j]);
-  for (std::size_t i = 1; i < n; i += 2) {
-    const std::size_t o = i / 2;
-    double approx =
-        ops.wl[o] * static_cast<double>(v[(i - 1) * s]);
-    if (i + 1 < n)
-      approx += ops.wr[o] * static_cast<double>(v[(i + 1) * s]);
-    v[i * s] = static_cast<T>(static_cast<double>(v[i * s]) + approx);
-  }
-}
-
-template <class T, bool Forward>
-void level_step(const Device& dev, const Hierarchy& h, T* data,
-                std::size_t level) {
-  const std::size_t rank = h.rank();
-  for (std::size_t k = 0; k < rank; ++k) {
-    const std::size_t dim = Forward ? k : rank - 1 - k;
-    const PencilSet p = make_pencils(h, level, dim);
-    if (p.length < 3) continue;
-    const LevelDimOps& ops = h.ops(level, dim);
-    const std::size_t nc = (p.length + 1) / 2;
-    iterative_staged(dev, p.count, 16, nc * sizeof(double),
-                     [&](std::size_t begin, std::size_t end, GroupCtx& ctx) {
-                       auto rhs = ctx.scratch<double>(nc);
-                       for (std::size_t pencil = begin; pencil < end;
-                            ++pencil) {
-                         T* base = data + p.base_of(pencil);
-                         if constexpr (Forward)
-                           fwd_pencil(base, p.length, p.step, ops,
-                                      rhs.data());
-                         else
-                           inv_pencil(base, p.length, p.step, ops,
-                                      rhs.data());
-                       }
-                     });
-  }
-}
-
-template <class T>
-void decompose(const Device& dev, const Hierarchy& h, T* data) {
-  for (std::size_t l = h.num_levels(); l >= 1; --l)
-    level_step<T, true>(dev, h, data, l);
-}
-
-template <class T>
-void recompose(const Device& dev, const Hierarchy& h, T* data) {
-  for (std::size_t l = 1; l <= h.num_levels(); ++l)
-    level_step<T, false>(dev, h, data, l);
-}
-
-}  // namespace ref_mgard
 
 /// Pre-optimization SZ Lorenzo prediction: per-element coordinate recovery
 /// (div/mod against the strides) and a stencil that re-derives the strides
@@ -1074,8 +864,8 @@ int main(int argc, char** argv) {
           for (int p = 0; p < 2; ++p)
             for (std::size_t b = 0; b < nblocks; ++b) {
               ref_out[p][b].clear();
-              ref_encode_planes(ref_out[p][b], u.data() + 64 * b, 64,
-                                kIntprec, budgets[p]);
+              zfp::reference::encode_planes(ref_out[p][b], u.data() + 64 * b,
+                                            64, kIntprec, budgets[p]);
             }
         });
     bool same = true;
@@ -1114,7 +904,7 @@ int main(int argc, char** argv) {
           if (fast)
             zfp::detail::decode_planes(r, o, 64, kIntprec, budgets[p]);
           else
-            ref_decode_planes(r, o, 64, kIntprec, budgets[p]);
+            zfp::reference::decode_planes(r, o, 64, kIntprec, budgets[p]);
         }
     };
     const auto [sd, sdr] =
@@ -1151,7 +941,7 @@ int main(int argc, char** argv) {
         },
         [&] {
           std::copy(chunk.begin(), chunk.end(), ref.begin());
-          ref_mgard::decompose(dev, h, ref.data());
+          mgard::reference::decompose(dev, h, ref.data());
         });
     // Bit for bit: float == would let −0 match +0.
     auto same_bits = [&] {
@@ -1174,7 +964,7 @@ int main(int argc, char** argv) {
         },
         [&] {
           std::copy(coeffs.begin(), coeffs.end(), ref.begin());
-          ref_mgard::recompose(dev, h, ref.data());
+          mgard::reference::recompose(dev, h, ref.data());
         });
     HPDR_EXPECT_TRUE(same_bits());
     KernelResult kr;

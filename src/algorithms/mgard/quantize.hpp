@@ -3,10 +3,9 @@
 
 /// \file quantize.hpp
 /// The level-wise linear quantization rule (paper Alg. 1 line 14) shared by
-/// every MGARD encoder: the v2 codec (mgard.cpp), the level refactorer
-/// (refactor.cpp) and the progressive plane encoder (progressive.cpp).
-/// A fully received progressive chunk reproduces the v2 bytes only because
-/// all three apply this one rule.
+/// both MGARD encoders: the v2 codec (mgard.cpp) and the progressive plane
+/// encoder (progressive.cpp). A fully received progressive chunk
+/// reproduces the v2 bytes only because both apply this one rule.
 
 #include <algorithm>
 #include <cmath>

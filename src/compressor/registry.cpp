@@ -7,7 +7,6 @@
 #include "algorithms/huffman/huffman.hpp"
 #include "algorithms/lz4/lz4.hpp"
 #include "algorithms/mgard/mgard.hpp"
-#include "algorithms/sz/interp.hpp"
 #include "algorithms/sz/sz.hpp"
 #include "algorithms/zfp/zfp.hpp"
 #include "core/error.hpp"
@@ -249,42 +248,6 @@ class SzCompressor final : public CompressorBase {
   }
 };
 
-/// Extension pipeline: interpolation-predictor SZ (SZ3-style, ref [16]).
-class SzInterpCompressor final : public CompressorBase {
- public:
-  SzInterpCompressor()
-      : CompressorBase("sz3-interp", false, KernelClass::SzCompress,
-                       KernelClass::SzDecompress, /*cached=*/true,
-                       /*allocs=*/0, /*exposure_c=*/0.02,
-                       /*exposure_d=*/0.05) {}
-
-  std::vector<std::uint8_t> do_compress(const Device& dev, const void* data,
-                                        const Shape& shape, DType dtype,
-                                        double eb) const override {
-    if (dtype == DType::F32)
-      return sz::compress_interp(
-          dev, NDView<const float>(static_cast<const float*>(data), shape),
-          eb);
-    return sz::compress_interp(
-        dev, NDView<const double>(static_cast<const double*>(data), shape),
-        eb);
-  }
-
-  void do_decompress(const Device& dev, std::span<const std::uint8_t> stream,
-                     void* out, const Shape& shape,
-                     DType dtype) const override {
-    if (dtype == DType::F32) {
-      auto a = sz::decompress_interp_f32(dev, stream);
-      HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
-      std::memcpy(out, a.data(), a.size_bytes());
-    } else {
-      auto a = sz::decompress_interp_f64(dev, stream);
-      HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
-      std::memcpy(out, a.data(), a.size_bytes());
-    }
-  }
-};
-
 class Lz4Compressor final : public CompressorBase {
  public:
   Lz4Compressor()
@@ -346,7 +309,6 @@ std::shared_ptr<const Compressor> make_compressor(const std::string& name) {
     return std::make_shared<ZfpCompressor>("zfp-x", true, 0, 0.02, 0.05,
                                            1.0);
   if (name == "huffman-x") return std::make_shared<HuffmanCompressor>();
-  if (name == "sz3-interp") return std::make_shared<SzInterpCompressor>();
   // Baselines: per-call allocation counts reflect the reference
   // implementations' buffer management (MGARD-GPU builds a hierarchy per
   // call; cuSZ allocates codebooks, workspaces, and outlier buffers; ZFP
@@ -364,8 +326,8 @@ std::shared_ptr<const Compressor> make_compressor(const std::string& name) {
 }
 
 std::vector<std::string> compressor_names() {
-  return {"mgard-x",  "zfp-x", "huffman-x", "sz3-interp",
-          "mgard-gpu", "zfp-cuda", "cusz",    "nvcomp-lz4"};
+  return {"mgard-x",  "zfp-x", "huffman-x",  "mgard-gpu",
+          "zfp-cuda", "cusz",  "nvcomp-lz4"};
 }
 
 }  // namespace hpdr

@@ -24,7 +24,8 @@
 ///   svc/        job-level serving: fair-share scheduler, session arenas,
 ///               concurrent compress/decompress jobs (§10)
 ///   pipeline/   optimized reduction pipelines (chunking, overlap, Alg. 4)
-///   compressor/ reduction algorithms behind one interface
+///               and progressive retrieval (stream-format v3)
+///   compressor/ the paper's seven pipelines behind one interface
 ///   algorithms/ MGARD-X, ZFP-X, Huffman-X + cuSZ/LZ4 baselines
 ///   adapter/    parallel abstractions + execution models + device adapters
 ///   machine/    context memory model (CMM), device registry
@@ -42,9 +43,7 @@
 #include "algorithms/mgard/hierarchy.hpp"
 #include "algorithms/mgard/mgard.hpp"
 #include "algorithms/mgard/progressive.hpp"
-#include "algorithms/mgard/refactor.hpp"
 #include "algorithms/mgard/transform.hpp"
-#include "algorithms/sz/interp.hpp"
 #include "algorithms/sz/sz.hpp"
 #include "algorithms/zfp/zfp.hpp"
 #include "compressor/compressor.hpp"
@@ -59,7 +58,6 @@
 #include "fault/retry.hpp"
 #include "io/bplite.hpp"
 #include "io/fs_model.hpp"
-#include "io/global_array.hpp"
 #include "io/reduction_io.hpp"
 #include "machine/context_memory.hpp"
 #include "machine/device_registry.hpp"

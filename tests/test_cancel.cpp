@@ -503,8 +503,9 @@ TEST(ChaosSchedule, DeterministicInSeedAndHorizon) {
     EXPECT_GE(ev.t_s, prev);
     prev = ev.t_s;
     // Every generated plan must parse under the injector grammar.
-    if (ev.kind == fault::ChaosEvent::Kind::ArmFaults)
+    if (ev.kind == fault::ChaosEvent::Kind::ArmFaults) {
       EXPECT_NO_THROW(fault::FaultPlan::parse(ev.plan)) << ev.plan;
+    }
   }
   // The schedule always ends disarmed, at the horizon.
   EXPECT_EQ(a.events().back().kind, fault::ChaosEvent::Kind::Disarm);

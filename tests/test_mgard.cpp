@@ -2,17 +2,16 @@
 // error-bound guarantees, compression ratios, and adapter portability.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <random>
 
-#include "adapter/abstractions.hpp"
 #include "algorithms/mgard/hierarchy.hpp"
 #include "algorithms/mgard/mgard.hpp"
 #include "algorithms/mgard/transform.hpp"
 #include "core/stats.hpp"
 #include "machine/device_registry.hpp"
+#include "mgard_reference.hpp"
 
 namespace hpdr::mgard {
 namespace {
@@ -149,8 +148,9 @@ TEST(LevelBin, ErrorBudgetSumsWithinBound) {
       double total = 0;
       for (std::size_t l = 0; l <= L; ++l) {
         total += 2.5 * double(rank) * level_bin(eb, l, L, rank) / 2.0;
-        if (l > 0)
+        if (l > 0) {
           EXPECT_LT(level_bin(eb, l - 1, L, rank), level_bin(eb, l, L, rank));
+        }
       }
       EXPECT_LE(total, eb * 1.000001);
       EXPECT_GE(total, eb * 0.8);  // budget mostly used (ratio matters)
@@ -160,143 +160,10 @@ TEST(LevelBin, ErrorBudgetSumsWithinBound) {
 
 // ---------------------------------------------------------------------------
 // Level-step differential: the lockstep group kernel against the per-pencil
-// level step it replaced, which is kept below verbatim (only its dispatch
-// adapts to iterative_staged's vector ranges). Each lane must run the same
-// IEEE operations in the same order, so the outputs must be bit-equal.
+// level step it replaced, frozen in tests/mgard_reference.hpp. Each lane
+// must run the same IEEE operations in the same order, so the outputs must
+// be bit-equal.
 // ---------------------------------------------------------------------------
-
-namespace ref {
-
-struct PencilSet {
-  std::size_t count = 1;   ///< number of pencils
-  std::size_t length = 1;  ///< active nodes per pencil
-  std::size_t step = 1;    ///< flat stride along the pencil
-
-  std::array<std::size_t, kMaxRank> other_sizes{};
-  std::array<std::size_t, kMaxRank> other_steps{};
-  std::size_t other_rank = 0;
-
-  std::size_t base_of(std::size_t pencil) const {
-    std::size_t off = 0;
-    for (std::size_t d = other_rank; d-- > 0;) {
-      off += (pencil % other_sizes[d]) * other_steps[d];
-      pencil /= other_sizes[d];
-    }
-    return off;
-  }
-};
-
-PencilSet make_pencils(const Hierarchy& h, std::size_t level,
-                       std::size_t dim) {
-  const Shape& shape = h.shape();
-  const auto strides = shape.strides();
-  const std::size_t lvl_stride = std::size_t{1}
-                                 << (h.num_levels() - level);
-  PencilSet p;
-  p.length = h.level_dim(level, dim);
-  p.step = strides[dim] * lvl_stride;
-  for (std::size_t d = 0; d < shape.rank(); ++d) {
-    if (d == dim) continue;
-    p.other_sizes[p.other_rank] = h.level_dim(level, d);
-    p.other_steps[p.other_rank] = strides[d] * lvl_stride;
-    ++p.other_rank;
-    p.count *= h.level_dim(level, d);
-  }
-  return p;
-}
-
-template <class T>
-void load_vector(const T* v, std::size_t n, std::size_t s,
-                 const LevelDimOps& ops, double* rhs) {
-  const std::size_t nc = (n + 1) / 2;
-  for (std::size_t j = 0; j < nc; ++j) {
-    double b = 0;
-    if (j > 0)
-      b += ops.tr[j - 1] * static_cast<double>(v[(2 * j - 1) * s]);
-    if (2 * j + 1 < n)
-      b += ops.tl[j] * static_cast<double>(v[(2 * j + 1) * s]);
-    rhs[j] = b;
-  }
-}
-
-template <class T>
-void fwd_pencil(T* v, std::size_t n, std::size_t s, const LevelDimOps& ops,
-                double* rhs) {
-  const std::size_t nc = (n + 1) / 2;
-  for (std::size_t i = 1; i < n; i += 2) {
-    const std::size_t o = i / 2;
-    double approx =
-        ops.wl[o] * static_cast<double>(v[(i - 1) * s]);
-    if (i + 1 < n)
-      approx += ops.wr[o] * static_cast<double>(v[(i + 1) * s]);
-    v[i * s] = static_cast<T>(static_cast<double>(v[i * s]) - approx);
-  }
-  load_vector(v, n, s, ops, rhs);
-  ops.solver.solve(rhs, nc, 1);
-  for (std::size_t j = 0; j < nc; ++j)
-    v[(2 * j) * s] =
-        static_cast<T>(static_cast<double>(v[(2 * j) * s]) + rhs[j]);
-}
-
-template <class T>
-void inv_pencil(T* v, std::size_t n, std::size_t s, const LevelDimOps& ops,
-                double* rhs) {
-  const std::size_t nc = (n + 1) / 2;
-  load_vector(v, n, s, ops, rhs);
-  ops.solver.solve(rhs, nc, 1);
-  for (std::size_t j = 0; j < nc; ++j)
-    v[(2 * j) * s] =
-        static_cast<T>(static_cast<double>(v[(2 * j) * s]) - rhs[j]);
-  for (std::size_t i = 1; i < n; i += 2) {
-    const std::size_t o = i / 2;
-    double approx =
-        ops.wl[o] * static_cast<double>(v[(i - 1) * s]);
-    if (i + 1 < n)
-      approx += ops.wr[o] * static_cast<double>(v[(i + 1) * s]);
-    v[i * s] = static_cast<T>(static_cast<double>(v[i * s]) + approx);
-  }
-}
-
-template <class T, bool Forward>
-void level_step(const Device& dev, const Hierarchy& h, T* data,
-                std::size_t level) {
-  const std::size_t rank = h.rank();
-  for (std::size_t k = 0; k < rank; ++k) {
-    const std::size_t dim = Forward ? k : rank - 1 - k;
-    const PencilSet p = make_pencils(h, level, dim);
-    if (p.length < 3) continue;
-    const LevelDimOps& ops = h.ops(level, dim);
-    const std::size_t nc = (p.length + 1) / 2;
-    iterative_staged(dev, p.count, 16, nc * sizeof(double),
-                     [&](std::size_t begin, std::size_t end, GroupCtx& ctx) {
-                       auto rhs = ctx.scratch<double>(nc);
-                       for (std::size_t pencil = begin; pencil < end;
-                            ++pencil) {
-                         T* base = data + p.base_of(pencil);
-                         if constexpr (Forward)
-                           fwd_pencil(base, p.length, p.step, ops,
-                                      rhs.data());
-                         else
-                           inv_pencil(base, p.length, p.step, ops,
-                                      rhs.data());
-                       }
-                     });
-  }
-}
-
-template <class T>
-void decompose(const Device& dev, const Hierarchy& h, T* data) {
-  for (std::size_t l = h.num_levels(); l >= 1; --l)
-    level_step<T, true>(dev, h, data, l);
-}
-
-template <class T>
-void recompose(const Device& dev, const Hierarchy& h, T* data) {
-  for (std::size_t l = 1; l <= h.num_levels(); ++l)
-    level_step<T, false>(dev, h, data, l);
-}
-
-}  // namespace ref
 
 enum class Grid { Uniform, NonUniform, Mixed };
 
@@ -329,13 +196,13 @@ void expect_level_steps_match_reference(const Device& dev, const Shape& shape,
   const Device serial = Device::serial();
   std::vector<T> fast = input, slow = input;
   decompose(dev, h, fast.data());
-  ref::decompose(serial, h, slow.data());
+  reference::decompose(serial, h, slow.data());
   EXPECT_EQ(std::memcmp(fast.data(), slow.data(), fast.size() * sizeof(T)), 0)
       << "decompose differs";
   // Recompose the same coefficients through both paths.
   slow = fast;
   recompose(dev, h, fast.data());
-  ref::recompose(serial, h, slow.data());
+  reference::recompose(serial, h, slow.data());
   EXPECT_EQ(std::memcmp(fast.data(), slow.data(), fast.size() * sizeof(T)), 0)
       << "recompose differs";
 }

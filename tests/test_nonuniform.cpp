@@ -128,8 +128,9 @@ TEST(NonUniform, LinearFunctionsHaveZeroCoefficients) {
   const Device dev = Device::serial();
   decompose(dev, h, a.data());
   for (std::size_t i = 0; i < n; ++i)
-    if (h.level_of(i) == h.num_levels())
+    if (h.level_of(i) == h.num_levels()) {
       EXPECT_NEAR(a[i], 0.0, 1e-9) << i;
+    }
 }
 
 class NonUniformErrorBound

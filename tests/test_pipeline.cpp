@@ -386,6 +386,17 @@ TEST(Compressors, AllRegisteredNamesRoundTrip) {
   }
 }
 
+TEST(Compressors, RegistryHoldsExactlyThePaperPipelines) {
+  // The paper's seven pipelines: three on HPDR, four baselines. A stream
+  // naming any other codec, such as `sz3-interp`, is rejected wherever a
+  // decoder resolves its codec by name.
+  EXPECT_EQ(compressor_names(),
+            (std::vector<std::string>{"mgard-x", "zfp-x", "huffman-x",
+                                      "mgard-gpu", "zfp-cuda", "cusz",
+                                      "nvcomp-lz4"}));
+  EXPECT_THROW(make_compressor("sz3-interp"), Error);
+}
+
 TEST(Compressors, RateFromEbMonotone) {
   EXPECT_LT(rate_from_eb(1e-2, DType::F32), rate_from_eb(1e-4, DType::F32));
   EXPECT_LE(rate_from_eb(1e-12, DType::F32), 32.0);

@@ -10,7 +10,6 @@
 #include <random>
 
 #include "algorithms/mgard/mgard.hpp"
-#include "algorithms/mgard/refactor.hpp"
 #include "core/bitstream.hpp"
 #include "compressor/compressor.hpp"
 #include "core/stats.hpp"
@@ -96,24 +95,6 @@ INSTANTIATE_TEST_SUITE_P(AllPipelines, CorruptStreams,
                              if (c == '-') c = '_';
                            return n;
                          });
-
-TEST(CorruptStreamsExtra, RefactoredStreamsNeverCrash) {
-  const Device dev = Device::serial();
-  NDArray<float> a(Shape{17, 17});
-  for (std::size_t i = 0; i < a.size(); ++i)
-    a[i] = std::sin(0.1f * float(i));
-  auto bytes = mgard::refactor(dev, a.view(), 1e-3).serialize();
-  std::mt19937_64 rng(99);
-  for (int trial = 0; trial < 40; ++trial) {
-    auto bad = bytes;
-    bad[rng() % bad.size()] ^= static_cast<std::uint8_t>(1 + rng() % 255);
-    expect_no_crash([&] {
-      auto rd = mgard::RefactoredData::deserialize(bad);
-      auto r = mgard::reconstruct_f32(dev, rd);
-      (void)r;
-    });
-  }
-}
 
 TEST(CorruptStreamsExtra, EmptyAndGarbageInputsThrow) {
   const Device dev = Device::serial();

@@ -13,6 +13,7 @@
 #include "core/bitstream.hpp"
 #include "core/stats.hpp"
 #include "machine/device_registry.hpp"
+#include "zfp_reference.hpp"
 
 namespace hpdr::zfp {
 namespace {
@@ -81,71 +82,8 @@ TEST(ZfpSequency, OrderIsAPermutationSortedByFrequency) {
 
 // ---------------------------------------------------------------------------
 // Bitplane coder: the word-parallel encode_planes/decode_planes against the
-// per-bit coder they replaced, kept here verbatim as the reference.
+// per-bit coder they replaced, frozen in tests/zfp_reference.hpp.
 // ---------------------------------------------------------------------------
-
-std::size_t ref_encode_planes(BitWriter& w, const std::uint64_t* u,
-                              std::size_t n, int intprec, std::size_t budget,
-                              int kmin) {
-  std::size_t bits = budget;
-  std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
-    std::uint64_t x = 0;
-    for (std::size_t i = 0; i < n; ++i) x |= ((u[i] >> k) & 1u) << i;
-    const std::size_t m = std::min(sig, bits);
-    w.put(x, static_cast<unsigned>(m));
-    bits -= m;
-    x = m < 64 ? x >> m : 0;
-    std::size_t i = sig;
-    while (i < n && bits) {
-      --bits;
-      const bool any = x != 0;
-      w.put_bit(any);
-      if (!any) break;
-      while (i < n - 1 && bits) {
-        --bits;
-        const bool bit = x & 1u;
-        w.put_bit(bit);
-        if (bit) break;
-        x >>= 1;
-        ++i;
-      }
-      x >>= 1;
-      ++i;
-    }
-    sig = i;
-  }
-  return budget - bits;
-}
-
-void ref_decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
-                       int intprec, std::size_t budget, int kmin) {
-  std::fill(u, u + n, 0);
-  std::size_t bits = budget;
-  std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
-    const std::size_t m = std::min(sig, bits);
-    std::uint64_t x = r.get(static_cast<unsigned>(m));
-    bits -= m;
-    std::size_t i = sig;
-    while (i < n && bits) {
-      --bits;
-      const bool any = r.get_bit();
-      if (!any) break;
-      while (i < n - 1 && bits) {
-        --bits;
-        const bool bit = r.get_bit();
-        if (bit) break;
-        ++i;
-      }
-      x |= std::uint64_t{1} << i;
-      ++i;
-    }
-    sig = i;
-    for (std::size_t j = 0; j < n; ++j)
-      u[j] |= (std::uint64_t{0} - ((x >> j) & 1u)) & (std::uint64_t{1} << k);
-  }
-}
 
 /// (rank, f64): n = 4^rank coefficients, intprec of the codec's dtype.
 class ZfpPlaneCoder
@@ -200,13 +138,13 @@ TEST_P(ZfpPlaneCoder, MatchesPerBitReferenceAtEveryBudget) {
     for (const auto& u : blocks()) {
       BitWriter full;
       const std::size_t len =
-          ref_encode_planes(full, u.data(), nn, P, SIZE_MAX / 2, kmin);
+          reference::encode_planes(full, u.data(), nn, P, SIZE_MAX / 2, kmin);
       for (std::size_t budget = 0; budget <= len; ++budget) {
         const std::size_t pos = budget % 64;
         BitWriter ref;
         ref.put(0, static_cast<unsigned>(pos));
         const std::size_t ref_bits =
-            ref_encode_planes(ref, u.data(), nn, P, budget, kmin);
+            reference::encode_planes(ref, u.data(), nn, P, budget, kmin);
         std::vector<std::uint64_t> words(64, 0);
         const std::size_t bits = detail::encode_planes(
             words.data(), pos, u.data(), nn, P, budget, kmin);
@@ -221,7 +159,7 @@ TEST_P(ZfpPlaneCoder, MatchesPerBitReferenceAtEveryBudget) {
         rr.seek(pos);
         rn.seek(pos);
         std::vector<std::uint64_t> ur(nn), un(nn, ~std::uint64_t{0});
-        ref_decode_planes(rr, ur.data(), nn, P, budget, kmin);
+        reference::decode_planes(rr, ur.data(), nn, P, budget, kmin);
         detail::decode_planes(rn, un.data(), nn, P, budget, kmin);
         ASSERT_EQ(un, ur) << "kmin " << kmin << " budget " << budget;
         ASSERT_EQ(rn.position(), rr.position());

@@ -6,8 +6,6 @@
 //   hpdr info <in.hpdr>
 //   hpdr verify <a.raw> <b.raw> --dtype f32|f64       error statistics
 //   hpdr trace <in.raw> <out.json> --shape ... --device V100 [options]
-//   hpdr refactor <in.raw> <out.hpr> --shape AxBxC --eb X   progressive form
-//   hpdr reconstruct <in.hpr> <out.raw> [--components K]    partial retrieval
 //   hpdr retrieve <in.hpdr> <out.raw> --bound X [--refine Y,Z] [--device D]
 //              progressive retrieval from a v3 container (DESIGN.md §15):
 //              fetch only the component prefix that meets --bound (relative
@@ -98,8 +96,6 @@ namespace {
                "  hpdr verify <a.raw> <b.raw> --dtype f32|f64\n"
                "  hpdr trace <in.raw> <out.json> --shape AxBxC [--algo NAME] "
                "[--eb X] [--device D]\n"
-               "  hpdr refactor <in.raw> <out.hpr> --shape AxBxC [--eb X]\n"
-               "  hpdr reconstruct <in.hpr> <out.raw> [--components K]\n"
                "  hpdr retrieve <in.hpdr> <out.raw> [--bound X] "
                "[--refine Y,Z] [--device D] [--recover strict|skip]\n"
                "  hpdr serve [--jobs N] [--sessions S] [--requests R] "
@@ -574,68 +570,6 @@ int cmd_trace(int argc, char** argv) {
                                              result.raw_bytes),
                      std::move(res), std::move(result.decisions),
                      &result.timeline);
-  return 0;
-}
-
-int cmd_refactor(int argc, char** argv) {
-  if (argc < 4) usage("refactor needs <in.raw> <out.hpr>");
-  auto flags = parse_flags(argc, argv, 4);
-  if (!flags.count("shape")) usage("--shape is required");
-  const Shape shape = parse_shape(flags.at("shape"));
-  const double eb = flags.count("eb") ? std::stod(flags.at("eb")) : 1e-3;
-  const Device dev = machine::make_device(
-      flags.count("device") ? flags.at("device") : "openmp");
-  auto raw = read_file(argv[2]);
-  HPDR_REQUIRE(raw.size() == shape.size() * 4,
-               "refactor currently handles f32 rasters; size mismatch");
-  NDView<const float> view(reinterpret_cast<const float*>(raw.data()),
-                           shape);
-  auto rd = mgard::refactor(dev, view, eb);
-  auto bytes = rd.serialize();
-  write_file(argv[3], bytes);
-  std::printf("refactored %s into %zu components (%.2f MB -> %.2f MB)\n",
-              shape.to_string().c_str(), rd.components.size(),
-              raw.size() / 1048576.0, bytes.size() / 1048576.0);
-  for (std::size_t k = 1; k <= rd.components.size(); ++k)
-    std::printf("  first %zu component(s): %zu B (%.1f%%)\n", k,
-                rd.prefix_bytes(k),
-                100.0 * rd.prefix_bytes(k) / rd.total_bytes());
-  telemetry::Value res = telemetry::Value::object();
-  res.set("components", telemetry::Value(rd.components.size()));
-  res.set("raw_bytes", telemetry::Value(raw.size()));
-  res.set("stored_bytes", telemetry::Value(bytes.size()));
-  emit_observability(flags, "refactor", telemetry::Value::object(),
-                     telemetry::dataset_json(shape, "f32", raw.size()),
-                     std::move(res));
-  return 0;
-}
-
-int cmd_reconstruct(int argc, char** argv) {
-  if (argc < 4) usage("reconstruct needs <in.hpr> <out.raw>");
-  auto flags = parse_flags(argc, argv, 4);
-  const std::size_t k =
-      flags.count("components") ? std::stoull(flags.at("components")) : 0;
-  const Device dev = machine::make_device(
-      flags.count("device") ? flags.at("device") : "openmp");
-  auto bytes = read_file(argv[2]);
-  auto rd = mgard::RefactoredData::deserialize(bytes);
-  auto out = mgard::reconstruct_f32(dev, rd, k);
-  write_file(argv[3],
-             {reinterpret_cast<const std::uint8_t*>(out.data()),
-              out.size_bytes()});
-  std::printf("reconstructed %s from %zu of %zu components -> %s\n",
-              out.shape().to_string().c_str(),
-              k == 0 ? rd.components.size() : k, rd.components.size(),
-              argv[3]);
-  telemetry::Value res = telemetry::Value::object();
-  res.set("components_used",
-          telemetry::Value(k == 0 ? rd.components.size() : k));
-  res.set("components_total", telemetry::Value(rd.components.size()));
-  res.set("raw_bytes", telemetry::Value(out.size_bytes()));
-  emit_observability(flags, "reconstruct", telemetry::Value::object(),
-                     telemetry::dataset_json(out.shape(), "f32",
-                                             out.size_bytes()),
-                     std::move(res));
   return 0;
 }
 
@@ -1119,8 +1053,6 @@ int main(int argc, char** argv) {
     else if (cmd == "info") rc = cmd_info(argc, argv);
     else if (cmd == "verify") rc = cmd_verify(argc, argv);
     else if (cmd == "trace") rc = cmd_trace(argc, argv);
-    else if (cmd == "refactor") rc = cmd_refactor(argc, argv);
-    else if (cmd == "reconstruct") rc = cmd_reconstruct(argc, argv);
     else if (cmd == "retrieve") rc = cmd_retrieve(argc, argv);
     else if (cmd == "serve") rc = cmd_serve(argc, argv);
     else if (cmd == "stats") rc = cmd_stats(argc, argv);
