@@ -190,27 +190,4 @@ const LevelDimOps& Hierarchy::ops(std::size_t l, std::size_t d) const {
   return ops_[l - 1][d];
 }
 
-Shape Hierarchy::level_shape(std::size_t l) const {
-  HPDR_ASSERT(l <= levels_);
-  return level_dims_[l];
-}
-
-std::size_t Hierarchy::level_size(std::size_t l) const {
-  return level_dims_[l].size();
-}
-
-std::size_t Hierarchy::context_bytes() const {
-  std::size_t ops_bytes = 0;
-  for (const auto& per_dim : ops_)
-    for (const auto& o : per_dim)
-      ops_bytes += (o.wl.size() + o.wr.size() + o.tl.size() + o.tr.size() +
-                    o.solver.cp.size() + o.solver.inv_denom.size() +
-                    o.solver.sub.size()) *
-                   sizeof(double);
-  return level_of_.size() * sizeof(std::uint8_t) +
-         level_order_.size() * sizeof(std::uint64_t) +
-         subsets_.size() * sizeof(Subset) +
-         level_dims_.size() * sizeof(Shape) + ops_bytes;
-}
-
 }  // namespace hpdr::mgard

@@ -120,10 +120,6 @@ class Hierarchy {
   std::size_t level_dim(std::size_t l, std::size_t d) const {
     return level_dims_[l][d];
   }
-  Shape level_shape(std::size_t l) const;
-
-  /// Total number of nodes present at level `l` (cumulative grid).
-  std::size_t level_size(std::size_t l) const;
 
   /// The level at which a flat node index first appears (0 = coarsest).
   std::uint8_t level_of(std::size_t flat_index) const {
@@ -145,9 +141,6 @@ class Hierarchy {
   /// Operator tables for the step decomposing level `l` (l in [1, L])
   /// along dimension `d`.
   const LevelDimOps& ops(std::size_t l, std::size_t d) const;
-
-  /// Bytes of table storage held by this context (CMM accounting).
-  std::size_t context_bytes() const;
 
  private:
   void build_tables();

@@ -78,14 +78,19 @@ Shape normalize_shape(const Shape& s) {
   return out;
 }
 
-namespace {
+bool too_small_to_decompose(const Shape& shape) {
+  if (shape.size() < 27 || shape.rank() < 1) return true;
+  for (std::size_t d = 0; d < shape.rank(); ++d)
+    if (shape[d] < 3) return true;
+  return false;
+}
 
 /// Hierarchies are the expensive reduction context — cached in the CMM so
 /// repeated calls on same-shaped (and same-grid) data allocate nothing
 /// (§III-B).
 std::shared_ptr<Hierarchy> cached_hierarchy(const Device& dev,
                                             const Shape& shape,
-                                            const Coords& coords = {}) {
+                                            const Coords& coords) {
   ContextKey key{"mgard-hierarchy", shape.hash() ^ coords_hash(coords), 0,
                  0.0, dev.name()};
   return ContextCache::instance().get_or_create<Hierarchy>(key, [&] {
@@ -96,6 +101,8 @@ std::shared_ptr<Hierarchy> cached_hierarchy(const Device& dev,
                      shape, Coords(coords));
   });
 }
+
+namespace {
 
 template <class T>
 std::vector<std::uint8_t> compress_impl(const Device& dev,
@@ -131,12 +138,7 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   for (std::size_t d = 0; d < orig.rank(); ++d) out.put_varint(orig[d]);
 
   const Shape shape = nonuniform ? orig : normalize_shape(orig);
-  if (shape.size() < 27 || shape.rank() < 1 ||
-      [&] {
-        for (std::size_t d = 0; d < shape.rank(); ++d)
-          if (shape[d] < 3) return true;
-        return false;
-      }()) {
+  if (too_small_to_decompose(shape)) {
     // Too small to decompose — store raw.
     out.put_u8(kModeRaw);
     out.put_varint(data.size_bytes());

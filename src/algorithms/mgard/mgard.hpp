@@ -15,15 +15,16 @@
 /// bound" in Figs. 1, 10, 13, 14).
 
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
-
 #include <vector>
 
 #include "adapter/device.hpp"
 #include "core/ndarray.hpp"
 
 namespace hpdr::mgard {
+
+class Hierarchy;
 
 /// Compress with a relative L∞ error bound. Shapes are normalized
 /// internally (size-1 dimensions dropped, dimensions of size < 3 merged);
@@ -71,6 +72,20 @@ NDArray<double> decompress_f64(const Device& dev,
 /// progressive v3 refactorer) can quantize on exactly the grid the v2
 /// codec would use — byte-identical reconstructions depend on it.
 Shape normalize_shape(const Shape& s);
+
+/// True when a (normalized) shape has too few nodes to decompose: under 27
+/// in all or under 3 along some dimension. The v2 codec stores such input
+/// raw and the v3 encoder as one raw component.
+bool too_small_to_decompose(const Shape& shape);
+
+/// The hierarchy for `shape` on `dev`, built once and then shared through
+/// the context cache (§III-B). `coords` are a non-uniform grid's node
+/// coordinates (empty: uniform). The v2 codec and the v3 progressive
+/// encoder and decoder all call this, so they share one cache entry per
+/// grid.
+std::shared_ptr<Hierarchy> cached_hierarchy(
+    const Device& dev, const Shape& shape,
+    const std::vector<std::vector<double>>& coords = {});
 
 /// Quantization bin size used for level `l` of `L` on a rank-`rank` grid,
 /// given the absolute error bound. Exposed so tests can verify the error

@@ -14,7 +14,6 @@
 #include "core/bitstream.hpp"
 #include "core/error.hpp"
 #include "core/stats.hpp"
-#include "machine/context_memory.hpp"
 
 namespace hpdr::mgard {
 namespace {
@@ -24,26 +23,6 @@ namespace {
 // (level, plane-group) components.
 constexpr std::uint8_t kKindRaw = 0;
 constexpr std::uint8_t kKindPlanes = 1;
-
-/// Same hierarchy cache key the v2 codec uses (uniform grid: the empty
-/// coords hash is the FNV offset basis), so progressive encode/decode
-/// shares the cached reduction context with plain compress/decompress.
-std::shared_ptr<Hierarchy> cached_hierarchy(const Device& dev,
-                                            const Shape& shape) {
-  ContextKey key{"mgard-hierarchy", shape.hash() ^ 1469598103934665603ull, 0,
-                 0.0, dev.name()};
-  return ContextCache::instance().get_or_create<Hierarchy>(key, [&] {
-    AllocationStats::instance().record_alloc(shape.size() * 9);
-    return std::make_shared<Hierarchy>(shape);
-  });
-}
-
-bool too_small_to_decompose(const Shape& shape) {
-  if (shape.size() < 27 || shape.rank() < 1) return true;
-  for (std::size_t d = 0; d < shape.rank(); ++d)
-    if (shape[d] < 3) return true;
-  return false;
-}
 
 /// Per-level quantization state gathered by the encoder.
 struct LevelPlan {
@@ -302,7 +281,6 @@ void ProgressiveChunkDecoder::consume(std::span<const std::uint8_t> payload) {
                  "raw component size mismatch");
     const auto bytes = in.get_bytes(nbytes);
     impl_->raw.assign(bytes.begin(), bytes.end());
-    ++consumed_;
     return;
   }
   HPDR_REQUIRE(kind == kKindPlanes, "unknown progressive component kind");
@@ -345,7 +323,6 @@ void ProgressiveChunkDecoder::consume(std::span<const std::uint8_t> payload) {
     }
   }
   lv.next_hi = lo;
-  ++consumed_;
 }
 
 void ProgressiveChunkDecoder::materialize(const Device& dev,

@@ -89,12 +89,9 @@ class ProgressiveChunkDecoder {
   /// (chunk_shape.size() elements of the constructed dtype).
   void materialize(const Device& dev, void* out) const;
 
-  std::size_t consumed_components() const { return consumed_; }
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  std::size_t consumed_ = 0;
 };
 
 }  // namespace hpdr::mgard

@@ -3,14 +3,16 @@
 
 /// \file sz.hpp
 /// cuSZ-style error-bounded lossy compressor (the paper's cuSZ v0.6
-/// comparison baseline, Figs. 1, 16, 17): block-local Lorenzo prediction,
-/// in-loop linear quantization against the absolute error bound (prediction
-/// from *reconstructed* neighbours, so the bound holds unconditionally),
-/// and Huffman coding of the quantization codes. Unpredictable values are
-/// stored exactly in an outlier list.
-///
-/// Blocks predict independently (as cuSZ's GPU kernels do), which is what
-/// makes both compression and decompression embarrassingly parallel.
+/// comparison baseline, Figs. 1, 16, 17), built on cuSZ's dual-quantization
+/// scheme — the design that makes its compression kernel embarrassingly
+/// parallel (Tian et al., PACT'20): values are *pre*-quantized to integers
+/// P = round(x / 2eb) up front, then the Lorenzo predictor runs on the exact
+/// integers, so prediction residuals need no sequential error feedback and
+/// every element encodes independently. Residuals are Huffman-coded; an
+/// element whose residual leaves the quantization alphabet, or whose
+/// prequantized value misses the bound, is stored exactly as an outlier.
+/// The error bound (≤ eb) comes entirely from the prequantization.
+/// Decoding rebuilds P with a raster scan.
 
 #include <cstdint>
 #include <span>
@@ -22,23 +24,6 @@
 namespace hpdr::sz {
 
 /// Compress with a relative L∞ error bound (relative to the value range).
-std::vector<std::uint8_t> compress(const Device& dev,
-                                   NDView<const float> data, double rel_eb);
-std::vector<std::uint8_t> compress(const Device& dev,
-                                   NDView<const double> data, double rel_eb);
-
-NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream);
-NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream);
-
-/// cuSZ's dual-quantization scheme — the design that makes its compression
-/// kernel embarrassingly parallel (Tian et al., PACT'20): values are
-/// *pre*-quantized to integers P = round(x / 2eb) up front, then the
-/// Lorenzo predictor runs on the exact integers, so prediction residuals
-/// need no sequential error feedback and every element encodes
-/// independently. The error bound (≤ eb) comes entirely from the
-/// prequantization. Decoding rebuilds P with a raster scan.
 std::vector<std::uint8_t> compress_dualquant(const Device& dev,
                                              NDView<const float> data,
                                              double rel_eb);

@@ -578,8 +578,8 @@ class SlotWriter {
 
 std::size_t encode_planes(std::uint64_t* words, std::size_t pos,
                           const std::uint64_t* u, std::size_t n, int intprec,
-                          std::size_t budget, int kmin) {
-  HPDR_ASSERT(n <= 64 && kmin >= 0 && intprec <= 64);
+                          std::size_t budget) {
+  HPDR_ASSERT(n <= 64 && intprec <= 64);
   // One transpose turns the coefficients into plane words: bit i of
   // planes[k] is bit k of u[i], zero past n.
   std::uint64_t planes[64] = {};
@@ -588,7 +588,7 @@ std::size_t encode_planes(std::uint64_t* words, std::size_t pos,
   SlotWriter w(words, pos);
   std::size_t bits = budget;
   std::size_t sig = 0;  // significance watermark: ZFP encode_ints' `n`
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
+  for (int k = intprec - 1; k >= 0 && bits; --k) {
     std::uint64_t x = planes[k];
     // Value pass: the already-significant prefix, verbatim.
     const std::size_t m = std::min(sig, bits);
@@ -621,12 +621,12 @@ std::size_t encode_planes(std::uint64_t* words, std::size_t pos,
 }
 
 void decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
-                   int intprec, std::size_t budget, int kmin) {
-  HPDR_ASSERT(n <= 64 && kmin >= 0 && intprec <= 64);
+                   int intprec, std::size_t budget) {
+  HPDR_ASSERT(n <= 64 && intprec <= 64);
   std::uint64_t planes[64] = {};
   std::size_t bits = budget;
   std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
+  for (int k = intprec - 1; k >= 0 && bits; --k) {
     const std::size_t m = std::min(sig, bits);
     std::uint64_t x = r.get(static_cast<unsigned>(m));
     bits -= m;
@@ -672,6 +672,7 @@ namespace {
 
 constexpr std::uint8_t kMagic = 0x5A;  // 'Z'
 constexpr std::uint8_t kVersion = 2;
+constexpr std::uint8_t kModeFixedRate = 0;  // the only mode written
 
 template <class T>
 struct Traits;
@@ -679,6 +680,7 @@ struct Traits;
 template <>
 struct Traits<float> {
   static constexpr int precision = 28;  ///< fixed-point magnitude bits
+  static constexpr double max_rate = 32;  ///< bits per value
   static constexpr unsigned ebits = 9;
   static constexpr int ebias = 256;
   static constexpr std::uint8_t dtype = 0;
@@ -687,6 +689,7 @@ struct Traits<float> {
 template <>
 struct Traits<double> {
   static constexpr int precision = 52;
+  static constexpr double max_rate = 64;
   static constexpr unsigned ebits = 12;
   static constexpr int ebias = 2048;
   static constexpr std::uint8_t dtype = 1;
@@ -839,129 +842,77 @@ std::size_t block_bits(double rate, std::size_t rank) {
 
 namespace {
 
-template <class T>
-struct ModeParams {
-  ZfpMode mode = ZfpMode::FixedRate;
-  double rate = 8.0;        // FixedRate
-  unsigned precision = 0;   // FixedPrecision
-  double tolerance = 0.0;   // FixedAccuracy
-};
-
-/// Per-block plane budget and minimum plane for a mode. `e` is the block's
-/// frexp exponent; P the fixed-point precision of the dtype.
-template <class T>
-void block_limits(const ModeParams<T>& mp, int intprec, int e,
-                  std::size_t rank, std::size_t fixed_payload_bits,
-                  std::size_t* budget, int* kmin) {
-  using Tr = Traits<T>;
-  switch (mp.mode) {
-    case ZfpMode::FixedRate:
-      *budget = fixed_payload_bits;
-      *kmin = 0;
-      break;
-    case ZfpMode::FixedPrecision:
-      *budget = SIZE_MAX / 2;
-      *kmin = std::max(0, intprec - static_cast<int>(mp.precision));
-      break;
-    case ZfpMode::FixedAccuracy: {
-      *budget = SIZE_MAX / 2;
-      // Dropping planes below kmin leaves per-coefficient fixed-point
-      // error < 2^kmin, i.e. real error < 2^(kmin + e - P); the inverse
-      // transform amplifies by at most 2^rank. Solve for the largest safe
-      // kmin: kmin + e - P + rank ≤ log2(tol).
-      const int log_tol = static_cast<int>(
-          std::floor(std::log2(std::max(mp.tolerance, 1e-300))));
-      int k = log_tol - e + Tr::precision - static_cast<int>(rank);
-      *kmin = std::clamp(k, 0, intprec);
-      break;
-    }
+/// Block index b → block coordinates (bx, by, bz) in row-major block order.
+void block_coords(const BlockGrid& g, std::size_t b, std::size_t* bx,
+                  std::size_t* by, std::size_t* bz) {
+  *bx = *by = *bz = 0;
+  if (g.rank == 1) {
+    *bx = b;
+  } else if (g.rank == 2) {
+    *bx = b / g.nblocks[1];
+    *by = b % g.nblocks[1];
+  } else {
+    *bx = b / (g.nblocks[1] * g.nblocks[2]);
+    *by = (b / g.nblocks[2]) % g.nblocks[1];
+    *bz = b % g.nblocks[2];
   }
 }
 
 template <class T>
-std::vector<std::uint8_t> compress_generic(const Device& dev,
-                                           NDView<const T> data,
-                                           const ModeParams<T>& mp) {
+std::vector<std::uint8_t> compress_impl(const Device& dev,
+                                        NDView<const T> data, double rate) {
   using Tr = Traits<T>;
   const Shape orig = data.shape();
   HPDR_REQUIRE(orig.rank() >= 1 && orig.rank() <= 4,
                "zfp supports rank 1..4");
   HPDR_REQUIRE(orig.size() > 0, "empty input");
+  rate = std::clamp(rate, 1.0, Tr::max_rate);
   const Shape cs = codec_shape(orig);
   const BlockGrid grid(cs);
   const std::size_t bn = grid.block_values();
-  const bool fixed_rate = mp.mode == ZfpMode::FixedRate;
-  const std::size_t maxbits =
-      fixed_rate ? block_bits(mp.rate, grid.rank) : 0;
-  if (fixed_rate)
-    HPDR_REQUIRE(maxbits > Tr::ebits,
-                 "rate too small to store block exponents");
+  const std::size_t maxbits = block_bits(rate, grid.rank);
+  HPDR_REQUIRE(maxbits > Tr::ebits, "rate too small to store block exponents");
   const int intprec = Tr::precision + static_cast<int>(grid.rank) + 1;
   const auto order = detail::sequency_order(grid.rank);
 
-  // Blocks encode into one zeroed buffer, a word-aligned slot each, sized
-  // for the worst case: maxbits at fixed rate; otherwise the exponent plus,
-  // per plane, n value/run bits and a closing test bit, plus one bit per
-  // coefficient for the one that ends its group.
-  const std::size_t slot_bits =
-      fixed_rate ? maxbits
-                 : Tr::ebits + static_cast<std::size_t>(intprec) * (bn + 1) +
-                       bn;
-  const std::size_t slot_words = (slot_bits + 63) / 64;
+  // Blocks encode into one zeroed buffer, a word-aligned maxbits slot each;
+  // every block occupies exactly maxbits bits (the rest is zero padding).
+  const std::size_t slot_words = (maxbits + 63) / 64;
   std::vector<std::uint64_t> slots(grid.total_blocks * slot_words);
-  std::vector<std::size_t> used(grid.total_blocks);
   // Locality abstraction: each 4^d block is one group (Alg. 3 lines 2-4).
   locality(
       dev, Shape{grid.total_blocks}, Shape{1}, [&](const Block& blk) {
         const std::size_t b = blk.origin[0];
-        std::size_t bx = 0, by = 0, bz = 0;
-        if (grid.rank == 1) {
-          bx = b;
-        } else if (grid.rank == 2) {
-          bx = b / grid.nblocks[1];
-          by = b % grid.nblocks[1];
-        } else {
-          bx = b / (grid.nblocks[1] * grid.nblocks[2]);
-          by = (b / grid.nblocks[2]) % grid.nblocks[1];
-          bz = b % grid.nblocks[2];
-        }
+        std::size_t bx, by, bz;
+        block_coords(grid, b, &bx, &by, &bz);
         T vals[64];
         gather(grid, data.data(), bx, by, bz, vals);
-        // Exponent alignment (block floating point).
-        T vmax = 0;
-        for (std::size_t i = 0; i < bn; ++i)
+        // Exponent alignment (block floating point). std::max drops NaNs,
+        // so v − v, which is NaN for a NaN or ±Inf, flags those.
+        T vmax = 0, nonfinite = 0;
+        for (std::size_t i = 0; i < bn; ++i) {
           vmax = std::max(vmax, std::abs(vals[i]));
-        std::uint64_t* slot = slots.data() + b * slot_words;
-        // A zero (or unencodable) block is the all-zero exponent marker.
-        std::size_t nbits = Tr::ebits;
-        if (vmax != 0 && std::isfinite(static_cast<double>(vmax))) {
-          int e;
-          std::frexp(static_cast<double>(vmax), &e);
-          slot[0] = static_cast<std::uint64_t>(e + Tr::ebias) &
-                    ((std::uint64_t{1} << Tr::ebits) - 1);
-          std::size_t budget;
-          int kmin;
-          block_limits(mp, intprec, e, grid.rank,
-                       fixed_rate ? maxbits - Tr::ebits : 0, &budget,
-                       &kmin);
-          if (kmin < intprec) {
-            const double scale = std::ldexp(1.0, Tr::precision - e);
-            std::int64_t q[64];
-            for (std::size_t i = 0; i < bn; ++i)
-              q[i] = static_cast<std::int64_t>(
-                  static_cast<double>(vals[i]) * scale);
-            detail::fwd_transform(q, grid.rank);
-            std::uint64_t u[64];
-            for (std::size_t i = 0; i < bn; ++i)
-              u[i] = detail::to_negabinary(q[order[i]]);
-            nbits += detail::encode_planes(slot, Tr::ebits, u, bn, intprec,
-                                           budget, kmin);
-            HPDR_ASSERT(nbits <= slot_bits);
-          }
+          nonfinite += vals[i] - vals[i];
         }
-        // Fixed rate: every block occupies exactly maxbits bits (the rest
-        // of its slot is zero padding).
-        used[b] = fixed_rate ? maxbits : nbits;
+        // A zero block, or one holding a NaN or ±Inf, is the all-zero
+        // exponent marker and decodes to zeros.
+        if (vmax == 0 || nonfinite != 0) return;
+        std::uint64_t* slot = slots.data() + b * slot_words;
+        int e;
+        std::frexp(static_cast<double>(vmax), &e);
+        slot[0] = static_cast<std::uint64_t>(e + Tr::ebias) &
+                  ((std::uint64_t{1} << Tr::ebits) - 1);
+        const double scale = std::ldexp(1.0, Tr::precision - e);
+        std::int64_t q[64];
+        for (std::size_t i = 0; i < bn; ++i)
+          q[i] = static_cast<std::int64_t>(static_cast<double>(vals[i]) *
+                                           scale);
+        detail::fwd_transform(q, grid.rank);
+        std::uint64_t u[64];
+        for (std::size_t i = 0; i < bn; ++i)
+          u[i] = detail::to_negabinary(q[order[i]]);
+        detail::encode_planes(slot, Tr::ebits, u, bn, intprec,
+                              maxbits - Tr::ebits);
       });
 
   ByteWriter out;
@@ -970,28 +921,13 @@ std::vector<std::uint8_t> compress_generic(const Device& dev,
   out.put_u8(Tr::dtype);
   out.put_u8(static_cast<std::uint8_t>(orig.rank()));
   for (std::size_t d = 0; d < orig.rank(); ++d) out.put_varint(orig[d]);
-  out.put_u8(static_cast<std::uint8_t>(mp.mode));
-  switch (mp.mode) {
-    case ZfpMode::FixedRate:
-      out.put_f64(mp.rate);
-      break;
-    case ZfpMode::FixedPrecision:
-      out.put_varint(mp.precision);
-      break;
-    case ZfpMode::FixedAccuracy:
-      out.put_f64(mp.tolerance);
-      break;
-  }
-  if (!fixed_rate) {
-    // Variable-length blocks: per-block bit counts make decode parallel.
-    for (const std::size_t nbits : used) out.put_varint(nbits);
-  }
+  out.put_u8(kModeFixedRate);
+  out.put_f64(rate);
   BitWriter payload;
-  payload.reserve_bits(std::accumulate(used.begin(), used.end(),
-                                       std::size_t{0}));
+  payload.reserve_bits(grid.total_blocks * maxbits);
   for (std::size_t b = 0; b < grid.total_blocks; ++b)
     payload.append_words({slots.data() + b * slot_words, slot_words},
-                         used[b]);
+                         maxbits);
   const auto bytes = payload.to_bytes();
   out.put_varint(bytes.size());
   out.put_bytes(bytes);
@@ -1013,218 +949,29 @@ NDArray<T> decompress_impl(const Device& dev,
   HPDR_REQUIRE(orig.size() <= (std::size_t{1} << 40),
                "implausible zfp tensor size");
   HPDR_REQUIRE(orig.size() > 0, "zfp stream has empty shape");
-  ModeParams<T> mp;
-  mp.mode = static_cast<ZfpMode>(in.get_u8());
-  switch (mp.mode) {
-    case ZfpMode::FixedRate:
-      mp.rate = in.get_f64();
-      break;
-    case ZfpMode::FixedPrecision:
-      mp.precision = static_cast<unsigned>(in.get_varint());
-      break;
-    case ZfpMode::FixedAccuracy:
-      mp.tolerance = in.get_f64();
-      break;
-    default:
-      HPDR_REQUIRE(false, "corrupt zfp mode byte");
-  }
-
-  const Shape cs = codec_shape(orig);
-  const BlockGrid grid(cs);
-  const std::size_t bn = grid.block_values();
-  const bool fixed_rate = mp.mode == ZfpMode::FixedRate;
-  const std::size_t maxbits =
-      fixed_rate ? block_bits(mp.rate, grid.rank) : 0;
-  const int intprec = Tr::precision + static_cast<int>(grid.rank) + 1;
-  const auto order = detail::sequency_order(grid.rank);
-
-  // Per-block bit offsets.
-  std::vector<std::size_t> bit_offset(grid.total_blocks + 1, 0);
-  if (fixed_rate) {
-    for (std::size_t b = 0; b < grid.total_blocks; ++b)
-      bit_offset[b + 1] = (b + 1) * maxbits;
-  } else {
-    for (std::size_t b = 0; b < grid.total_blocks; ++b)
-      bit_offset[b + 1] = bit_offset[b] + in.get_varint();
-  }
-  const std::size_t payload_bytes = in.get_varint();
-  auto payload = in.get_bytes(payload_bytes);
-  HPDR_REQUIRE(payload.size() * 8 >= bit_offset[grid.total_blocks],
-               "zfp payload truncated");
-
-  NDArray<T> out(orig);
-  locality(dev, Shape{grid.total_blocks}, Shape{1}, [&](const Block& blk) {
-    const std::size_t b = blk.origin[0];
-    std::size_t bx = 0, by = 0, bz = 0;
-    if (grid.rank == 1) {
-      bx = b;
-    } else if (grid.rank == 2) {
-      bx = b / grid.nblocks[1];
-      by = b % grid.nblocks[1];
-    } else {
-      bx = b / (grid.nblocks[1] * grid.nblocks[2]);
-      by = (b / grid.nblocks[2]) % grid.nblocks[1];
-      bz = b % grid.nblocks[2];
-    }
-    BitReader r(payload, bit_offset[b + 1]);
-    r.seek(bit_offset[b]);
-    const std::uint64_t estore = r.get(Tr::ebits);
-    T vals[64];
-    if (estore == 0) {
-      std::fill(vals, vals + bn, T{0});
-    } else {
-      const int e = static_cast<int>(estore) - Tr::ebias;
-      std::size_t budget;
-      int kmin;
-      block_limits(mp, intprec, e, grid.rank,
-                   fixed_rate ? maxbits - Tr::ebits : 0, &budget, &kmin);
-      std::uint64_t u[64];
-      if (kmin < intprec) {
-        detail::decode_planes(r, u, bn, intprec, budget, kmin);
-      } else {
-        std::fill(u, u + bn, 0);
-      }
-      std::int64_t q[64];
-      for (std::size_t i = 0; i < bn; ++i)
-        q[order[i]] = detail::from_negabinary(u[i]);
-      detail::inv_transform(q, grid.rank);
-      const double scale = std::ldexp(1.0, e - Tr::precision);
-      for (std::size_t i = 0; i < bn; ++i)
-        vals[i] = static_cast<T>(static_cast<double>(q[i]) * scale);
-    }
-    scatter(grid, out.data(), bx, by, bz, vals);
-  });
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> compress(const Device& dev,
-                                   NDView<const float> data, double rate) {
-  ModeParams<float> mp;
-  mp.mode = ZfpMode::FixedRate;
-  mp.rate = std::clamp(rate, 1.0, 32.0);
-  return compress_generic(dev, data, mp);
-}
-std::vector<std::uint8_t> compress(const Device& dev,
-                                   NDView<const double> data, double rate) {
-  ModeParams<double> mp;
-  mp.mode = ZfpMode::FixedRate;
-  mp.rate = std::clamp(rate, 1.0, 64.0);
-  return compress_generic(dev, data, mp);
-}
-
-std::vector<std::uint8_t> compress_precision(const Device& dev,
-                                             NDView<const float> data,
-                                             unsigned precision) {
-  HPDR_REQUIRE(precision >= 1, "precision must be positive");
-  ModeParams<float> mp;
-  mp.mode = ZfpMode::FixedPrecision;
-  mp.precision = precision;
-  return compress_generic(dev, data, mp);
-}
-std::vector<std::uint8_t> compress_precision(const Device& dev,
-                                             NDView<const double> data,
-                                             unsigned precision) {
-  HPDR_REQUIRE(precision >= 1, "precision must be positive");
-  ModeParams<double> mp;
-  mp.mode = ZfpMode::FixedPrecision;
-  mp.precision = precision;
-  return compress_generic(dev, data, mp);
-}
-
-std::vector<std::uint8_t> compress_accuracy(const Device& dev,
-                                            NDView<const float> data,
-                                            double tolerance) {
-  HPDR_REQUIRE(tolerance > 0, "tolerance must be positive");
-  ModeParams<float> mp;
-  mp.mode = ZfpMode::FixedAccuracy;
-  mp.tolerance = tolerance;
-  return compress_generic(dev, data, mp);
-}
-std::vector<std::uint8_t> compress_accuracy(const Device& dev,
-                                            NDView<const double> data,
-                                            double tolerance) {
-  HPDR_REQUIRE(tolerance > 0, "tolerance must be positive");
-  ModeParams<double> mp;
-  mp.mode = ZfpMode::FixedAccuracy;
-  mp.tolerance = tolerance;
-  return compress_generic(dev, data, mp);
-}
-
-NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream) {
-  return decompress_impl<float>(dev, stream);
-}
-NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(dev, stream);
-}
-
-namespace {
-
-template <class T>
-NDArray<T> decompress_region_impl(const Device& dev,
-                                  std::span<const std::uint8_t> stream,
-                                  const Shape& lo, const Shape& hi) {
-  using Tr = Traits<T>;
-  ByteReader in(stream);
-  HPDR_REQUIRE(in.get_u8() == kMagic, "not a zfp stream");
-  HPDR_REQUIRE(in.get_u8() == kVersion, "zfp stream version mismatch");
-  HPDR_REQUIRE(in.get_u8() == Tr::dtype, "zfp dtype mismatch");
-  const std::size_t rank = in.get_u8();
-  HPDR_REQUIRE(rank >= 1 && rank <= 4, "corrupt zfp rank");
-  Shape orig = Shape::of_rank(rank);
-  for (std::size_t d = 0; d < rank; ++d) orig[d] = in.get_varint();
-  HPDR_REQUIRE(static_cast<ZfpMode>(in.get_u8()) == ZfpMode::FixedRate,
-               "region decoding needs a fixed-rate stream");
+  HPDR_REQUIRE(in.get_u8() == kModeFixedRate, "corrupt zfp mode byte");
+  // Only a rate compress() can write: its clamp range (NaN fails it) and
+  // room for the block exponent.
   const double rate = in.get_f64();
+  HPDR_REQUIRE(rate >= 1.0 && rate <= Tr::max_rate, "corrupt zfp rate");
   const Shape cs = codec_shape(orig);
-  HPDR_REQUIRE(cs == orig,
-               "region decoding unsupported for folded geometries (rank 4 "
-               "or thin leading dimensions)");
-  HPDR_REQUIRE(lo.rank() == rank && hi.rank() == rank,
-               "region rank mismatch");
-  Shape out_shape = Shape::of_rank(rank);
-  for (std::size_t d = 0; d < rank; ++d) {
-    HPDR_REQUIRE(lo[d] < hi[d] && hi[d] <= orig[d],
-                 "region out of bounds in dimension " << d);
-    out_shape[d] = hi[d] - lo[d];
-  }
-
   const BlockGrid grid(cs);
   const std::size_t bn = grid.block_values();
   const std::size_t maxbits = block_bits(rate, grid.rank);
+  HPDR_REQUIRE(maxbits > Tr::ebits, "corrupt zfp rate");
   const int intprec = Tr::precision + static_cast<int>(grid.rank) + 1;
   const auto order = detail::sequency_order(grid.rank);
+
   const std::size_t payload_bytes = in.get_varint();
   auto payload = in.get_bytes(payload_bytes);
   HPDR_REQUIRE(payload.size() * 8 >= grid.total_blocks * maxbits,
                "zfp payload truncated");
 
-  // Covered block ranges per dimension.
-  std::array<std::size_t, 3> b_lo{0, 0, 0}, b_hi{1, 1, 1};
-  for (std::size_t d = 0; d < rank; ++d) {
-    b_lo[d] = lo[d] / 4;
-    b_hi[d] = (hi[d] + 3) / 4;
-  }
-  std::size_t covered = 1;
-  for (std::size_t d = 0; d < rank; ++d) covered *= b_hi[d] - b_lo[d];
-
-  NDArray<T> out(out_shape);
-  const auto out_strides = out_shape.strides();
-  locality(dev, Shape{covered}, Shape{1}, [&](const Block& blk) {
-    // Decode covered block index → (bx, by, bz).
-    std::size_t rem = blk.origin[0];
-    std::array<std::size_t, 3> bc{0, 0, 0};
-    for (std::size_t d = rank; d-- > 0;) {
-      const std::size_t extent = b_hi[d] - b_lo[d];
-      bc[d] = b_lo[d] + rem % extent;
-      rem /= extent;
-    }
-    // Linear block id in the full grid (random access by offset).
-    std::size_t b = 0;
-    for (std::size_t d = 0; d < rank; ++d) b = b * grid.nblocks[d] + bc[d];
+  NDArray<T> out(orig);
+  locality(dev, Shape{grid.total_blocks}, Shape{1}, [&](const Block& blk) {
+    const std::size_t b = blk.origin[0];
+    std::size_t bx, by, bz;
+    block_coords(grid, b, &bx, &by, &bz);
     BitReader r(payload, (b + 1) * maxbits);
     r.seek(b * maxbits);
     const std::uint64_t estore = r.get(Tr::ebits);
@@ -1243,62 +990,29 @@ NDArray<T> decompress_region_impl(const Device& dev,
       for (std::size_t i = 0; i < bn; ++i)
         vals[i] = static_cast<T>(static_cast<double>(q[i]) * scale);
     }
-    // Scatter the block's intersection with the region.
-    std::size_t idx = 0;
-    const std::size_t n0 = rank >= 3 ? 4 : 1, n1 = rank >= 2 ? 4 : 1;
-    for (std::size_t i = 0; i < n0; ++i)
-      for (std::size_t j = 0; j < n1; ++j)
-        for (std::size_t k = 0; k < 4; ++k, ++idx) {
-          std::array<std::size_t, 3> g{0, 0, 0};
-          if (rank == 1) {
-            g[0] = bc[0] * 4 + k;
-          } else if (rank == 2) {
-            g[0] = bc[0] * 4 + j;
-            g[1] = bc[1] * 4 + k;
-          } else {
-            g[0] = bc[0] * 4 + i;
-            g[1] = bc[1] * 4 + j;
-            g[2] = bc[2] * 4 + k;
-          }
-          bool inside = true;
-          std::size_t flat = 0;
-          for (std::size_t d = 0; d < rank; ++d) {
-            if (g[d] < lo[d] || g[d] >= hi[d]) {
-              inside = false;
-              break;
-            }
-            flat += (g[d] - lo[d]) * out_strides[d];
-          }
-          if (inside) out.data()[flat] = vals[idx];
-        }
+    scatter(grid, out.data(), bx, by, bz, vals);
   });
   return out;
 }
 
 }  // namespace
 
-NDArray<float> decompress_region_f32(const Device& dev,
-                                     std::span<const std::uint8_t> stream,
-                                     const Shape& lo, const Shape& hi) {
-  return decompress_region_impl<float>(dev, stream, lo, hi);
+std::vector<std::uint8_t> compress(const Device& dev,
+                                   NDView<const float> data, double rate) {
+  return compress_impl(dev, data, rate);
 }
-NDArray<double> decompress_region_f64(const Device& dev,
-                                      std::span<const std::uint8_t> stream,
-                                      const Shape& lo, const Shape& hi) {
-  return decompress_region_impl<double>(dev, stream, lo, hi);
+std::vector<std::uint8_t> compress(const Device& dev,
+                                   NDView<const double> data, double rate) {
+  return compress_impl(dev, data, rate);
 }
 
-ZfpMode stream_mode(std::span<const std::uint8_t> stream) {
-  ByteReader in(stream);
-  HPDR_REQUIRE(in.get_u8() == kMagic, "not a zfp stream");
-  HPDR_REQUIRE(in.get_u8() == kVersion, "zfp stream version mismatch");
-  in.get_u8();  // dtype
-  const std::size_t rank = in.get_u8();
-  HPDR_REQUIRE(rank >= 1 && rank <= 4, "corrupt zfp rank");
-  for (std::size_t d = 0; d < rank; ++d) in.get_varint();
-  const std::uint8_t m = in.get_u8();
-  HPDR_REQUIRE(m <= 2, "corrupt zfp mode byte");
-  return static_cast<ZfpMode>(m);
+NDArray<float> decompress_f32(const Device& dev,
+                              std::span<const std::uint8_t> stream) {
+  return decompress_impl<float>(dev, stream);
+}
+NDArray<double> decompress_f64(const Device& dev,
+                               std::span<const std::uint8_t> stream) {
+  return decompress_impl<double>(dev, stream);
 }
 
 }  // namespace hpdr::zfp

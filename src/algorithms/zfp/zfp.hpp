@@ -10,7 +10,8 @@
 ///
 /// Pipeline per block:
 ///   1. exponent alignment — values are scaled by the block's maximum
-///      exponent into fixed-point integers (block floating point);
+///      exponent into fixed-point integers (block floating point); a block
+///      holding a NaN or ±Inf is stored, and decodes, as all zeros;
 ///   2. near-orthogonal decorrelating transform — an exactly invertible
 ///      two-level integer S-transform applied along each dimension (a
 ///      substitution for ZFP's lifted transform: ours is exactly
@@ -38,15 +39,6 @@ class BitReader;
 
 namespace hpdr::zfp {
 
-/// ZFP's three compression modes. The paper evaluates fix-rate (the only
-/// GPU mode of the reference implementation at the time) and notes the
-/// other two "can be implemented similarly" — all three are provided here.
-enum class ZfpMode : std::uint8_t {
-  FixedRate = 0,       ///< exactly `rate` bits per value; random access
-  FixedPrecision = 1,  ///< top `precision` bitplanes per block; var-length
-  FixedAccuracy = 2,   ///< absolute error tolerance per value; var-length
-};
-
 /// Compress a tensor at `rate` bits per value (clamped to [1, 8·sizeof(T)]).
 /// Rank 1–3 is native; rank 4 folds the two leading dimensions.
 std::vector<std::uint8_t> compress(const Device& dev,
@@ -54,44 +46,12 @@ std::vector<std::uint8_t> compress(const Device& dev,
 std::vector<std::uint8_t> compress(const Device& dev,
                                    NDView<const double> data, double rate);
 
-/// Fixed-precision mode: keep the top `precision` bitplanes of every block
-/// (stream size varies with content).
-std::vector<std::uint8_t> compress_precision(const Device& dev,
-                                             NDView<const float> data,
-                                             unsigned precision);
-std::vector<std::uint8_t> compress_precision(const Device& dev,
-                                             NDView<const double> data,
-                                             unsigned precision);
-
-/// Fixed-accuracy mode: L∞(u−û) ≤ `tolerance` (absolute), per value.
-std::vector<std::uint8_t> compress_accuracy(const Device& dev,
-                                            NDView<const float> data,
-                                            double tolerance);
-std::vector<std::uint8_t> compress_accuracy(const Device& dev,
-                                            NDView<const double> data,
-                                            double tolerance);
-
-/// Decompress any mode (self-describing); the element type must match the
-/// stream's. Throws on corrupt or type-mismatched input.
+/// Decompress; the element type must match the stream's. Throws on corrupt
+/// or type-mismatched input, including a rate compress() cannot write.
 NDArray<float> decompress_f32(const Device& dev,
                               std::span<const std::uint8_t> stream);
 NDArray<double> decompress_f64(const Device& dev,
                                std::span<const std::uint8_t> stream);
-
-/// Mode recorded in a stream's header.
-ZfpMode stream_mode(std::span<const std::uint8_t> stream);
-
-/// Random access — the defining property of the fixed-rate mode: decode
-/// only the 4^d blocks covering the axis-aligned region [lo, hi) and
-/// return it as a (hi−lo)-shaped tensor. Requires a FixedRate stream whose
-/// codec geometry matches the original shape (rank ≤ 3 with a leading
-/// dimension ≥ 4); throws otherwise.
-NDArray<float> decompress_region_f32(const Device& dev,
-                                     std::span<const std::uint8_t> stream,
-                                     const Shape& lo, const Shape& hi);
-NDArray<double> decompress_region_f64(const Device& dev,
-                                      std::span<const std::uint8_t> stream,
-                                      const Shape& lo, const Shape& hi);
 
 /// The achieved rate is exact by construction: bits = rate_bits × 4^d per
 /// block (plus a fixed-size header); exposed for tests.
@@ -119,7 +79,7 @@ void fwd_transform(std::int64_t* q, std::size_t rank);
 void inv_transform(std::int64_t* q, std::size_t rank);
 
 /// Embedded bitplane coder for one block's n ≤ 64 negabinary coefficients:
-/// planes intprec−1 down to kmin, MSB first, each a value pass over the
+/// planes intprec−1 down to 0, MSB first, each a value pass over the
 /// already-significant prefix and a unary group-test pass, truncated at
 /// `budget` bits. encode_planes writes at bit `pos` of `words`, which must
 /// be zero from there on and hold the block's bits; it returns the bit
@@ -128,9 +88,9 @@ void inv_transform(std::int64_t* q, std::size_t rank);
 /// Exposed for unit tests and bench/kernels.
 std::size_t encode_planes(std::uint64_t* words, std::size_t pos,
                           const std::uint64_t* u, std::size_t n, int intprec,
-                          std::size_t budget, int kmin = 0);
+                          std::size_t budget);
 void decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
-                   int intprec, std::size_t budget, int kmin = 0);
+                   int intprec, std::size_t budget);
 
 }  // namespace detail
 

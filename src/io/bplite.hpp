@@ -68,7 +68,6 @@ class BPWriter {
   /// attempt never leaves partial bytes in the container.
   void set_retry(const fault::RetryPolicy& p) { retry_ = p; }
 
-  std::size_t steps_written() const { return steps_.size(); }
   std::uint64_t bytes_written() const { return data_end_; }
 
  private:

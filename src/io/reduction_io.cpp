@@ -80,8 +80,7 @@ template <class T>
 NDArray<T> get_rows_impl(BPReader& reader, const Device& device,
                          std::size_t step, const std::string& name,
                          DType expect, std::size_t row_begin,
-                         std::size_t row_end,
-                         pipeline::ChunkRecovery recovery) {
+                         std::size_t row_end) {
   telemetry::Span span("io.get", "io");
   const VarRecord& r = reader.record(step, name);
   HPDR_REQUIRE(r.dtype == expect, "variable '" << name << "' is "
@@ -108,10 +107,8 @@ NDArray<T> get_rows_impl(BPReader& reader, const Device& device,
     return out;
   }
   auto comp = make_compressor(r.reduction);
-  pipeline::Options opts;
-  opts.recovery = recovery;
   pipeline::decompress_rows(device, *comp, payload, out.data(), r.shape,
-                            expect, row_begin, row_end, opts);
+                            expect, row_begin, row_end, pipeline::Options{});
   return out;
 }
 
@@ -127,7 +124,7 @@ NDArray<float> ReducedReader::get_f32_rows(std::size_t step,
                                            std::size_t row_begin,
                                            std::size_t row_end) {
   return get_rows_impl<float>(reader_, device_, step, name, DType::F32,
-                              row_begin, row_end, recovery_);
+                              row_begin, row_end);
 }
 
 NDArray<double> ReducedReader::get_f64_rows(std::size_t step,
@@ -135,7 +132,7 @@ NDArray<double> ReducedReader::get_f64_rows(std::size_t step,
                                             std::size_t row_begin,
                                             std::size_t row_end) {
   return get_rows_impl<double>(reader_, device_, step, name, DType::F64,
-                               row_begin, row_end, recovery_);
+                               row_begin, row_end);
 }
 
 NDArray<double> ReducedReader::get_f64(std::size_t step,

@@ -47,7 +47,8 @@ class ReducedWriter {
   pipeline::Options opts_;
 };
 
-/// Reader that reconstructs reduced variables transparently.
+/// Reader that reconstructs reduced variables transparently. A corrupt
+/// chunk throws (pipeline::ChunkRecovery::Strict).
 class ReducedReader {
  public:
   ReducedReader(const std::string& path, Device device);
@@ -66,11 +67,6 @@ class ReducedReader {
   /// Transient-read retry policy, forwarded to the BPLite reader.
   void set_retry(const fault::RetryPolicy& p) { reader_.set_retry(p); }
 
-  /// Corrupt-chunk policy for reduced variables (pipeline containment):
-  /// Strict (default) throws; Skip zero-fills bad chunks and reconstructs
-  /// the rest.
-  void set_recovery(pipeline::ChunkRecovery r) { recovery_ = r; }
-
   /// Sub-selection read: only rows [row_begin, row_end) of the slowest
   /// dimension. For reduced variables only the container chunks overlapping
   /// the range are decoded.
@@ -82,7 +78,6 @@ class ReducedReader {
  private:
   BPReader reader_;
   Device device_;
-  pipeline::ChunkRecovery recovery_ = pipeline::ChunkRecovery::Strict;
 };
 
 }  // namespace hpdr::io

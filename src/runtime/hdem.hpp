@@ -97,8 +97,6 @@ class HdemSimulator {
   /// submissions after run() start a fresh DAG.
   Timeline run();
 
-  std::size_t pending_tasks() const { return tasks_.size(); }
-
  private:
   struct Pending {
     std::string label;

@@ -91,12 +91,14 @@ void dump_rec(std::ostream& os, const Value& v, int indent, int depth) {
   } else if (v.is_bool()) {
     os << (v.as_bool() ? "true" : "false");
   } else if (v.is_number()) {
-    // Integers dump without a decimal point.
-    if (v.as_double() == static_cast<double>(v.as_int()) &&
-        std::isfinite(v.as_double()))
+    // Integers dump without a decimal point, and so do whole doubles. A
+    // double reaches as_int()'s cast only when finite and in int64's range.
+    const double d = v.as_double();
+    if (v.is_int() || (std::isfinite(d) && d >= -0x1p63 && d < 0x1p63 &&
+                       d == static_cast<double>(v.as_int())))
       os << v.as_int();
     else
-      dump_number(os, v.as_double());
+      dump_number(os, d);
   } else if (v.is_string()) {
     os << '"' << json_escape(v.as_string()) << '"';
   } else if (v.is_array()) {

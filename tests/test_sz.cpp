@@ -1,5 +1,5 @@
-// Tests for the cuSZ-style baseline: Lorenzo prediction + in-loop
-// quantization gives an unconditional error bound.
+// Tests for the cuSZ-style baseline: dual quantization (prequantize, then
+// integer Lorenzo residuals) keeps the error bound on every element.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,107 +7,9 @@
 
 #include "algorithms/sz/sz.hpp"
 #include "core/stats.hpp"
-#include "machine/device_registry.hpp"
 
 namespace hpdr::sz {
 namespace {
-
-class SzErrorBound
-    : public ::testing::TestWithParam<std::tuple<double, int>> {};
-
-TEST_P(SzErrorBound, RandomFieldsRespectBound) {
-  const auto& [rel_eb, rank] = GetParam();
-  const Device dev = Device::serial();
-  Shape shape = rank == 1   ? Shape{5000}
-                : rank == 2 ? Shape{71, 63}
-                            : Shape{21, 19, 17};
-  NDArray<float> a(shape);
-  std::mt19937_64 rng(static_cast<unsigned>(rank * 100));
-  std::normal_distribution<float> d(0.f, 3.f);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = d(rng);
-  auto back = decompress_f32(dev, compress(dev, a.view(), rel_eb));
-  auto stats = compute_error_stats(a.span(), back.span());
-  EXPECT_LE(stats.max_rel_error, rel_eb * 1.0001);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SzErrorBound,
-    ::testing::Combine(::testing::Values(1e-1, 1e-2, 1e-3, 1e-5),
-                       ::testing::Values(1, 2, 3)));
-
-TEST(Sz, SmoothDataCompressesWell) {
-  const Device dev = Device::serial();
-  NDArray<float> a(Shape{64, 64, 64});
-  for (std::size_t i = 0; i < 64; ++i)
-    for (std::size_t j = 0; j < 64; ++j)
-      for (std::size_t k = 0; k < 64; ++k)
-        a.at(i, j, k) =
-            std::sin(0.1f * float(i)) + std::cos(0.05f * float(j + k));
-  auto stream = compress(dev, a.view(), 1e-3);
-  EXPECT_GT(compression_ratio(a.size_bytes(), stream.size()), 8.0);
-  auto stats =
-      compute_error_stats(a.span(), decompress_f32(dev, stream).span());
-  EXPECT_LE(stats.max_rel_error, 1e-3);
-}
-
-TEST(Sz, OutliersAreExact) {
-  const Device dev = Device::serial();
-  // Spiky data forces many unpredictable values into the outlier path.
-  NDArray<float> a(Shape{40, 40});
-  std::mt19937_64 rng(7);
-  for (std::size_t i = 0; i < a.size(); ++i)
-    a[i] = (rng() % 97 == 0) ? 1e6f : 0.01f * float(rng() % 100);
-  auto back = decompress_f32(dev, compress(dev, a.view(), 1e-6));
-  auto stats = compute_error_stats(a.span(), back.span());
-  EXPECT_LE(stats.max_rel_error, 1e-6);
-}
-
-TEST(Sz, DoubleAnd4D) {
-  const Device dev = Device::serial();
-  NDArray<double> a(Shape{3, 5, 40, 9});
-  for (std::size_t i = 0; i < a.size(); ++i)
-    a[i] = 1e4 * std::sin(0.001 * double(i));
-  auto back = decompress_f64(dev, compress(dev, a.view(), 1e-4));
-  EXPECT_EQ(back.shape(), a.shape());
-  EXPECT_LE(compute_error_stats(a.span(), back.span()).max_rel_error, 1e-4);
-}
-
-TEST(Sz, BlockIndependenceAcrossAdapters) {
-  NDArray<float> a(Shape{37, 41});
-  for (std::size_t i = 0; i < a.size(); ++i)
-    a[i] = std::sin(0.03f * float(i));
-  const Device cpu = Device::serial();
-  const Device gpu = machine::make_device("V100");
-  auto sc = compress(cpu, a.view(), 1e-3);
-  auto sg = compress(gpu, a.view(), 1e-3);
-  EXPECT_EQ(sc, sg);
-  auto bc = decompress_f32(gpu, sc);
-  auto bg = decompress_f32(cpu, sg);
-  for (std::size_t i = 0; i < bc.size(); ++i) EXPECT_EQ(bc[i], bg[i]);
-}
-
-TEST(Sz, ConstantField) {
-  const Device dev = Device::serial();
-  NDArray<float> a(Shape{30, 30}, -7.5f);
-  auto stream = compress(dev, a.view(), 1e-3);
-  auto back = decompress_f32(dev, stream);
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_NEAR(back[i], -7.5f, 7.5f * 2e-3f);
-  EXPECT_LT(stream.size(), a.size_bytes() / 10);
-}
-
-TEST(Sz, CorruptStreamThrows) {
-  const Device dev = Device::serial();
-  NDArray<float> a(Shape{20, 20}, 1.0f);
-  auto stream = compress(dev, a.view(), 1e-2);
-  stream.resize(stream.size() / 3);
-  EXPECT_THROW(decompress_f32(dev, stream), Error);
-}
-
-
-// ---------------------------------------------------------------------------
-// cuSZ dual-quantization (the actual cuSZ parallelization trick).
-// ---------------------------------------------------------------------------
 
 class DualQuantBound
     : public ::testing::TestWithParam<std::tuple<double, int>> {};
@@ -133,20 +35,40 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1e-1, 1e-3, 1e-5),
                        ::testing::Values(1, 2, 3)));
 
-TEST(DualQuant, MatchesInLoopRatiosOnSmoothData) {
-  // Dual-quant trades nothing on ratio for smooth data; streams should be
-  // within ~15 % of the in-loop codec's.
+TEST(DualQuant, SmoothDataCompressesWell) {
   const Device dev = Device::serial();
-  NDArray<float> a(Shape{48, 48, 48});
-  for (std::size_t i = 0; i < 48; ++i)
-    for (std::size_t j = 0; j < 48; ++j)
-      for (std::size_t k = 0; k < 48; ++k)
+  NDArray<float> a(Shape{64, 64, 64});
+  for (std::size_t i = 0; i < 64; ++i)
+    for (std::size_t j = 0; j < 64; ++j)
+      for (std::size_t k = 0; k < 64; ++k)
         a.at(i, j, k) =
-            std::sin(0.1f * float(i)) + std::cos(0.07f * float(j + k));
-  auto dq = compress_dualquant(dev, a.view(), 1e-3);
-  auto il = compress(dev, a.view(), 1e-3);
-  EXPECT_LT(double(dq.size()), 1.15 * double(il.size()));
-  EXPECT_GT(double(dq.size()), 0.5 * double(il.size()));
+            std::sin(0.1f * float(i)) + std::cos(0.05f * float(j + k));
+  auto stream = compress_dualquant(dev, a.view(), 1e-3);
+  EXPECT_GT(compression_ratio(a.size_bytes(), stream.size()), 8.0);
+  auto stats = compute_error_stats(
+      a.span(), decompress_dualquant_f32(dev, stream).span());
+  EXPECT_LE(stats.max_rel_error, 1e-3);
+}
+
+TEST(DualQuant, DoubleAnd4D) {
+  const Device dev = Device::serial();
+  NDArray<double> a(Shape{3, 5, 40, 9});
+  for (std::size_t i = 0; i < a.size(); ++i)
+    a[i] = 1e4 * std::sin(0.001 * double(i));
+  auto back =
+      decompress_dualquant_f64(dev, compress_dualquant(dev, a.view(), 1e-4));
+  EXPECT_EQ(back.shape(), a.shape());
+  EXPECT_LE(compute_error_stats(a.span(), back.span()).max_rel_error, 1e-4);
+}
+
+TEST(DualQuant, ConstantField) {
+  const Device dev = Device::serial();
+  NDArray<float> a(Shape{30, 30}, -7.5f);
+  auto stream = compress_dualquant(dev, a.view(), 1e-3);
+  auto back = decompress_dualquant_f32(dev, stream);
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_NEAR(back[i], -7.5f, 7.5f * 2e-3f);
+  EXPECT_LT(stream.size(), a.size_bytes() / 10);
 }
 
 TEST(DualQuant, TinyBoundForcesOutliersButStaysCorrect) {

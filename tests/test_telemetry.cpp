@@ -95,6 +95,10 @@ TEST(TelemetryJson, ParserRejectsMalformedInput) {
 
 TEST(TelemetryJson, NonFiniteNumbersDumpAsNull) {
   EXPECT_EQ(telemetry::dump(Value(std::nan(""))), "null");
+  EXPECT_EQ(telemetry::dump(Value(HUGE_VAL)), "null");
+  EXPECT_EQ(telemetry::dump(Value(-HUGE_VAL)), "null");
+  // Finite but past int64's range: a plain number, never an integer cast.
+  EXPECT_EQ(telemetry::parse(telemetry::dump(Value(1e30))).as_double(), 1e30);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ namespace hpdr::zfp::reference {
 
 inline std::size_t encode_planes(BitWriter& w, const std::uint64_t* u,
                                  std::size_t n, int intprec,
-                                 std::size_t budget, int kmin = 0) {
+                                 std::size_t budget) {
   std::size_t bits = budget;
   std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
+  for (int k = intprec - 1; k >= 0 && bits; --k) {
     // Gather plane k into a word (bit i = coefficient i's bit; n ≤ 64).
     std::uint64_t x = 0;
 #pragma omp simd reduction(| : x)
@@ -58,11 +58,11 @@ inline std::size_t encode_planes(BitWriter& w, const std::uint64_t* u,
 }
 
 inline void decode_planes(BitReader& r, std::uint64_t* u, std::size_t n,
-                          int intprec, std::size_t budget, int kmin = 0) {
+                          int intprec, std::size_t budget) {
   std::fill(u, u + n, 0);
   std::size_t bits = budget;
   std::size_t sig = 0;
-  for (int k = intprec - 1; k >= kmin && bits; --k) {
+  for (int k = intprec - 1; k >= 0 && bits; --k) {
     const std::size_t m = std::min(sig, bits);
     std::uint64_t x = r.get(static_cast<unsigned>(m));
     bits -= m;
