@@ -1,7 +1,7 @@
 // Single-thread throughput of the hot serial kernels every codec rides on
 // (DESIGN.md §11/§16): bitstream put/read/append, Huffman encode/decode
 // (MGARD's u32 quantization codes and the Huffman-X byte path on XGC
-// bytes), LZ4 block
+// bytes), the v4 frame checksum (XXH64 against FNV-1a), LZ4 block
 // compress/decompress, the ZFP block
 // transform and bitplane coder, the MGARD level step (decompose and
 // recompose), and SZ dual-quantization. Each optimized
@@ -26,6 +26,7 @@
 #include "algorithms/mgard/quantize.hpp"
 #include "check.hpp"
 #include "common.hpp"
+#include "core/checksum.hpp"
 #include "core/isa.hpp"
 #include "huffman_reference.hpp"
 #include "mgard_reference.hpp"
@@ -707,6 +708,20 @@ int main(int argc, char** argv) {
     kd.ref_gbps = in_bytes / 1e9 / sd_ref;
     kd.speedup = sd_ref / sd;
     record("huffman_bytes_decode", kd, 2.0);
+
+    // The frame checksum over that chunk's huffman-x frame, in GB/s of
+    // frame bytes: XXH64 (stream v4) against FNV-1a (stream v2). Neither
+    // has an ISA slot, so the gate holds under HPDR_ISA=scalar too.
+    const double frame_bytes = static_cast<double>(blob.size());
+    std::uint64_t hx = 0, hf = 0;
+    const auto [sx, sf] = best_of_pair(
+        reps, [&] { hx = xxh64(blob); }, [&] { hf = fnv1a64(blob); });
+    HPDR_EXPECT_TRUE(hx != hf);
+    KernelResult kc;
+    kc.fast_gbps = frame_bytes / 1e9 / sx;
+    kc.ref_gbps = frame_bytes / 1e9 / sf;
+    kc.speedup = sf / sx;
+    record("frame_checksum", kc, 5.0);
   }
 
   // ---- LZ4 block codec: hash-chain match finder + wild-copy decoder vs

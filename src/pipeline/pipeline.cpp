@@ -124,11 +124,13 @@ std::vector<std::uint8_t>& scratch_slot() {
 
 constexpr std::uint8_t kMagic = 0x48;  // 'H'
 /// v1: [rows][size] per chunk; v2 adds a codec tag and an FNV-1a checksum
-/// per chunk (stream-format v2 chunk framing, DESIGN.md §8). Readers accept
-/// both; writers emit v2.
-constexpr std::uint8_t kVersion = 2;
-constexpr std::uint8_t kMinVersion = 1;
-/// Chunk codec tags (v2).
+/// per chunk; v4 is v2's framing with an XXH64 checksum (DESIGN.md §8.2).
+/// v3 is the progressive container (pipeline/progressive.cpp). Readers
+/// accept 1, 2 and 4; writers emit v4.
+constexpr std::uint8_t kVersion = 4;
+constexpr std::uint8_t kFnvFramedVersion = 2;
+constexpr std::uint8_t kProgressiveVersion = 3;
+/// Chunk codec tags (v2 and v4).
 constexpr std::uint8_t kTagCodec = 0;  ///< payload from the named codec
 constexpr std::uint8_t kTagRaw = 1;    ///< lossless passthrough fallback
 constexpr double kSerializeBytes = 256;  // metadata embedded per chunk
@@ -171,7 +173,7 @@ struct Slabs {
   }
 };
 
-/// Parsed container header + chunk table (both format versions).
+/// Parsed container header + chunk table (versions 1, 2 and 4).
 struct Header {
   std::uint8_t version = 0;
   std::string compressor;
@@ -183,8 +185,14 @@ struct Header {
   std::vector<std::uint8_t> tags;            ///< kTagCodec for v1 streams
   std::vector<std::uint64_t> checksums;      ///< empty for v1 streams
 
-  bool framed() const { return version >= 2; }
+  bool framed() const { return version >= kFnvFramedVersion; }
 };
+
+/// The checksum a framed chunk carries: FNV-1a in v2, XXH64 in v4.
+std::uint64_t frame_checksum(std::uint8_t version,
+                             std::span<const std::uint8_t> blob) {
+  return version == kFnvFramedVersion ? fnv1a64(blob) : xxh64(blob);
+}
 
 /// Parse and sanity-cap the header; `in` is left at the first chunk blob.
 /// Every count/length is bounded against the actual container size before
@@ -193,7 +201,9 @@ Header parse_header(ByteReader& in) {
   Header h;
   HPDR_REQUIRE(in.get_u8() == kMagic, "not an HPDR pipeline container");
   h.version = in.get_u8();
-  HPDR_REQUIRE(h.version >= kMinVersion && h.version <= kVersion,
+  // Not a range: v3 is the progressive container, read elsewhere.
+  HPDR_REQUIRE(h.version == 1 || h.version == kFnvFramedVersion ||
+                   h.version == kVersion,
                "unsupported container version "
                    << static_cast<int>(h.version));
   h.compressor = in.get_string();
@@ -231,10 +241,12 @@ Header parse_header(ByteReader& in) {
 
 /// Dedup-cache key derivation (DESIGN.md §14). A key is the pair
 /// (content hash, meta hash): the content hash addresses the bytes being
-/// transformed (raw chunk on encode; the v2 framing checksum on decode —
-/// reused, never recomputed, per the serving-path contract), and the meta
-/// hash pins everything else that shapes the output. Direction salts keep
-/// an encode entry from ever answering a decode lookup of colliding hashes.
+/// transformed (XXH64 of the raw chunk on encode; the framing checksum on
+/// decode — reused, never recomputed, per the serving-path contract), and
+/// the meta hash pins everything else that shapes the output, the container
+/// version included on decode, so a v2 FNV-1a value never answers a v4
+/// lookup. Direction salts keep an encode entry from ever answering a
+/// decode lookup of colliding hashes.
 constexpr std::uint64_t kCacheFrameSalt = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kCacheRawSalt = 0xc2b2ae3d27d4eb4full;
 
@@ -304,7 +316,7 @@ bool decode_chunk(const Device& dev, const Compressor& comp, const Header& h,
     cache_miss = 1;
   }
   const char* why = nullptr;
-  if (h.framed() && fnv1a64(blob) != h.checksums[c]) {
+  if (h.framed() && frame_checksum(h.version, blob) != h.checksums[c]) {
     ins.corrupt_detected.add();
     why = "checksum mismatch";
   } else if (h.tags[c] == kTagRaw) {
@@ -338,12 +350,13 @@ bool decode_chunk(const Device& dev, const Compressor& comp, const Header& h,
 }
 
 /// True for a v3 progressive container (handled by ProgressiveReader, not
-/// the v1/v2 decoder below).
+/// the v1/v2/v4 decoder below).
 bool is_progressive_stream(std::span<const std::uint8_t> stream) {
-  return stream.size() >= 2 && stream[0] == kMagic && stream[1] == 3;
+  return stream.size() >= 2 && stream[0] == kMagic &&
+         stream[1] == kProgressiveVersion;
 }
 
-/// The one v1/v2 decoder (DESIGN.md §9): reconstruct rows [row_begin,
+/// The one v1/v2/v4 decoder (DESIGN.md §9): reconstruct rows [row_begin,
 /// row_end) of the tensor into `out` and bill the Fig. 9 reconstruction DAG
 /// over exactly the chunks that overlap them. decompress() is the
 /// whole-tensor call, decompress_rows() the range-checked one.
@@ -423,9 +436,11 @@ DecompressResult decode_rows(const Device& dev, const Compressor& comp,
     // neighbouring range that touches the same chunk.
     ChunkCacheBase* const cache = cache_for(opts);
     const std::uint64_t meta_base =
-        cache != nullptr ? cache_meta_base(kCacheRawSalt, h.compressor,
-                                           h.dtype, shape, 0.0)
-                         : 0;
+        cache != nullptr
+            ? fnv1a64_fold(h.version, cache_meta_base(kCacheRawSalt,
+                                                      h.compressor, h.dtype,
+                                                      shape, 0.0))
+            : 0;
     const telemetry::TraceContext trace = telemetry::current_trace();
     const fault::CancelToken cancel = fault::current_cancel();
     pool.parallel_for(n, [&](std::size_t i) {
@@ -637,7 +652,7 @@ CompressResult compress(const Device& dev, const Compressor& comp,
       std::uint64_t raw_hash = 0;
       std::uint64_t cmeta = 0;
       if (cache != nullptr) {
-        raw_hash = fnv1a64({src, schedule[c]});
+        raw_hash = xxh64({src, schedule[c]});
         cmeta = fnv1a64_fold(chunk_rows[c], meta_base);
         if (cache->get_frame(raw_hash, cmeta, blobs[c], checksums[c])) {
           cache_hit[c] = 1;
@@ -680,7 +695,7 @@ CompressResult compress(const Device& dev, const Compressor& comp,
       // the stored bytes — decode detects exactly this mismatch. Only a
       // clean codec frame is cacheable: passthrough fallbacks depend on
       // retry state, not content, and raw frames gain nothing over memcpy.
-      checksums[c] = fnv1a64(blobs[c]);
+      checksums[c] = xxh64(blobs[c]);
       if (cache != nullptr && tags[c] == kTagCodec)
         cache->put_frame(raw_hash, cmeta, blobs[c], checksums[c]);
       fault::corrupt_at("chunk.corrupt", c, blobs[c]);
@@ -774,7 +789,7 @@ CompressResult compress(const Device& dev, const Compressor& comp,
     d.worker = workers[c];
   }
 
-  // Container (v2: per-chunk codec tag + checksum framing). The header and
+  // Container (v4: per-chunk codec tag + XXH64 framing). The header and
   // chunk table are tiny and go through a ByteWriter; the payload region's
   // exact size is known from the chunk table, so the stream is sized once
   // and every blob is copied straight to its final offset — in parallel —

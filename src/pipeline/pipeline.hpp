@@ -27,11 +27,12 @@
 /// genuine measurements, while task durations come from the calibrated
 /// device model (see DESIGN.md §1).
 ///
-/// Container format v2 (DESIGN.md §8) frames every chunk with a codec tag
-/// and an FNV-1a checksum: a chunk whose codec fails is retried then stored
-/// through the lossless passthrough fallback, and a chunk corrupted at rest
-/// is detected at decode and — under ChunkRecovery::Skip — zero-filled
-/// instead of poisoning the whole tensor (partial reconstruction).
+/// Container format v4 (DESIGN.md §8.2) frames every chunk with a codec tag
+/// and an XXH64 checksum (v2 streams, FNV-1a framed, still decode): a chunk
+/// whose codec fails is retried then stored through the lossless
+/// passthrough fallback, and a chunk corrupted at rest is detected at
+/// decode and — under ChunkRecovery::Skip — zero-filled instead of
+/// poisoning the whole tensor (partial reconstruction).
 
 #include <cstdint>
 #include <span>
@@ -66,7 +67,7 @@ class ChunkCacheBase {
   virtual ~ChunkCacheBase() = default;
 
   /// Encode direction: cached compressed frame for a raw chunk. On hit
-  /// fills `blob` and the frame's FNV-1a `checksum` (computed at insert,
+  /// fills `blob` and the frame's XXH64 `checksum` (computed at insert,
   /// so a hit re-frames without rehashing the payload).
   virtual bool get_frame(std::uint64_t raw_hash, std::uint64_t meta_hash,
                          std::vector<std::uint8_t>& blob,
@@ -76,7 +77,7 @@ class ChunkCacheBase {
                          std::uint64_t checksum) = 0;
 
   /// Decode direction: cached raw bytes for a compressed frame, keyed on
-  /// the per-chunk FNV-1a the v2 framing already carries. On hit copies
+  /// the per-chunk checksum the framing already carries. On hit copies
   /// exactly `bytes` into `dst` (an entry of a different size is a miss).
   virtual bool get_raw(std::uint64_t frame_checksum, std::uint64_t meta_hash,
                        std::uint8_t* dst, std::size_t bytes) = 0;
@@ -200,8 +201,8 @@ struct StreamInfo {
   DType dtype = DType::F32;
   std::size_t num_chunks = 0;
   std::string compressor;
-  std::uint8_t version = 0;          ///< container version (2 = framed,
-                                     ///< 3 = progressive components)
+  std::uint8_t version = 0;          ///< container version (2/4 = framed
+                                     ///< by FNV-1a/XXH64, 3 = progressive)
   std::size_t fallback_chunks = 0;   ///< chunks stored via passthrough
                                      ///< (v3: raw-mode chunks)
   std::size_t components = 0;        ///< v3: refinement components indexed

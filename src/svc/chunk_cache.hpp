@@ -6,14 +6,14 @@
 /// traffic is repetitive — successive timesteps, overlapping subdomain
 /// reads, many users requesting the same variable at the same error bound —
 /// so most fleet work can become a memcpy instead of a codec run. The
-/// ChunkCache keys chunks by (content FNV-1a, codec id, error bound, codec
+/// ChunkCache keys chunks by (content XXH64, codec id, error bound, codec
 /// config) and serves both directions of the pipeline chunk loop:
 ///
 ///   * repeat *compressions*: identical raw chunk → the cached compressed
 ///     frame plus its insert-time framing checksum (codec and rehash both
 ///     skipped);
 ///   * hot *decompressions*: identical compressed frame → the cached raw
-///     bytes, keyed on the per-chunk FNV-1a the v2 framing already carries
+///     bytes, keyed on the per-chunk checksum the framing already carries
 ///     (the serving path never rehashes the payload).
 ///
 /// Capacity is not a knob: entries lease bytes from the Service's existing

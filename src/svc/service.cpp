@@ -526,7 +526,7 @@ JobResult Service::run_job(Pending& job) {
         st = slot;
       }
       std::lock_guard<std::mutex> st_lk(st->mu);
-      const std::uint64_t h = fnv1a64(
+      const std::uint64_t h = xxh64(
           {static_cast<const std::uint8_t*>(spec.input), spec.input_bytes});
       const bool reuse = st->reader && st->stream_hash == h &&
                          st->stream_bytes == spec.input_bytes;

@@ -1,6 +1,10 @@
 #include "telemetry/manifest.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 
 #include "core/error.hpp"
@@ -30,6 +34,27 @@ double get_num(const Value& obj, const char* key) {
   return v->as_double();
 }
 
+/// `v` (the field `key`) as a count of type T: a whole number in
+/// [0, T's max], whether the JSON spelled it as an integer or as a double.
+/// A string, fraction, NaN, negative or out-of-range value throws
+/// hpdr::Error and never reaches a cast.
+template <class T>
+T get_count(const Value* v, const char* key) {
+  constexpr auto kMax = static_cast<std::int64_t>(
+      std::min<std::uint64_t>(std::numeric_limits<T>::max(),
+                              std::numeric_limits<std::int64_t>::max()));
+  HPDR_REQUIRE(v && v->is_number(), "manifest: missing number '" << key
+                                                                 << "'");
+  const double d = v->as_double();
+  // NaN fails every comparison; 0x1p63 bounds the int64 conversion.
+  HPDR_REQUIRE(v->is_int() || (d >= 0 && d < 0x1p63 && d == std::trunc(d)),
+               "manifest: '" << key << "' is not a whole number: " << d);
+  const std::int64_t i = v->as_int();
+  HPDR_REQUIRE(i >= 0 && i <= kMax,
+               "manifest: '" << key << "' out of range: " << i);
+  return static_cast<T>(i);
+}
+
 }  // namespace
 
 Value ChunkDecision::to_json() const {
@@ -51,10 +76,11 @@ Value ChunkDecision::to_json() const {
 ChunkDecision ChunkDecision::from_json(const Value& v) {
   HPDR_REQUIRE(v.is_object(), "manifest: chunk entry is not an object");
   ChunkDecision d;
-  d.index = static_cast<std::size_t>(get_num(v, "index"));
-  d.bytes = static_cast<std::size_t>(get_num(v, "bytes"));
-  d.rows = static_cast<std::size_t>(get_num(v, "rows"));
-  d.stored_bytes = static_cast<std::size_t>(get_num(v, "stored_bytes"));
+  d.index = get_count<std::size_t>(v.get("index"), "index");
+  d.bytes = get_count<std::size_t>(v.get("bytes"), "bytes");
+  d.rows = get_count<std::size_t>(v.get("rows"), "rows");
+  d.stored_bytes = get_count<std::size_t>(v.get("stored_bytes"),
+                                          "stored_bytes");
   d.predicted_compute_s = get_num(v, "predicted_compute_s");
   d.predicted_h2d_s = get_num(v, "predicted_h2d_s");
   d.realized_compute_s = get_num(v, "realized_compute_s");
@@ -64,10 +90,9 @@ ChunkDecision ChunkDecision::from_json(const Value& v) {
   if (const Value* f = v.get("fallback"))
     d.fallback = f->is_bool() && f->as_bool();
   if (const Value* r = v.get("retries"))
-    d.retries = static_cast<std::size_t>(r->as_double());
+    d.retries = get_count<std::size_t>(r, "retries");
   // Worker assignment arrived with the parallel chunk execution engine.
-  if (const Value* w = v.get("worker"))
-    d.worker = static_cast<int>(w->as_double());
+  if (const Value* w = v.get("worker")) d.worker = get_count<int>(w, "worker");
   return d;
 }
 
@@ -131,8 +156,8 @@ Value RunManifest::to_json() const {
 
 RunManifest RunManifest::from_json(const Value& v) {
   HPDR_REQUIRE(v.is_object(), "manifest: root is not an object");
-  const Value* ver = v.get("hpdr_manifest_version");
-  HPDR_REQUIRE(ver && ver->is_number() && ver->as_int() == kManifestVersion,
+  HPDR_REQUIRE(get_count<int>(v.get("hpdr_manifest_version"),
+                              "hpdr_manifest_version") == kManifestVersion,
                "manifest: unsupported version");
   RunManifest m;
   const Value* tool = v.get("tool");
@@ -154,7 +179,7 @@ RunManifest RunManifest::from_json(const Value& v) {
     if (const Value* p = f->get("plan"))
       m.fault_plan = p->is_string() ? p->as_string() : "";
     if (const Value* s = f->get("seed"))
-      m.fault_seed = static_cast<std::uint64_t>(s->as_int());
+      m.fault_seed = get_count<std::uint64_t>(s, "faults.seed");
   }
   m.include_metrics = v.get("metrics") != nullptr;
   m.include_spans = v.get("spans") != nullptr;

@@ -459,7 +459,7 @@ TEST_F(SvcCancelTest, OpenBreakerDegradesCompressToDecodablePassthrough) {
             svc::BreakerRegistry::State::Open);
 
   // Degrade mode: the job completes as lossless kTagRaw passthrough —
-  // bigger than a codec stream, but valid v2 framing any decoder accepts.
+  // bigger than a codec stream, but valid framing any decoder accepts.
   const auto r = service.submit(compress_spec(tiny, "zfp-x")).get();
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.degraded);

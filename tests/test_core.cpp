@@ -1,9 +1,13 @@
-// Unit tests for the core layer: Shape, NDArray, bit/byte streams, stats.
+// Unit tests for the core layer: Shape, NDArray, bit/byte streams, stats,
+// checksums.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <string_view>
 
 #include "core/bitstream.hpp"
+#include "core/checksum.hpp"
 #include "core/error.hpp"
 #include "core/ndarray.hpp"
 #include "core/shape.hpp"
@@ -214,6 +218,36 @@ TEST(Stats, ShannonEntropy) {
   std::vector<std::size_t> single(256, 0);
   single[7] = 42;
   EXPECT_NEAR(shannon_entropy_bits(single), 0.0, 1e-9);
+}
+
+std::uint64_t xxh64_of(std::string_view s) {
+  return xxh64({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+}
+
+// Published XXH64 values (seed 0). The byte ramps cover the 32-byte stripe
+// loop (≥32) and every tail path: 8-byte words, one 4-byte word, single
+// bytes, and the short-input seed (<32).
+TEST(Checksum, Xxh64KnownAnswers) {
+  EXPECT_EQ(xxh64_of(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxh64_of("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(xxh64_of("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(xxh64_of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+  std::vector<std::uint8_t> ramp(257);
+  for (std::size_t i = 0; i < ramp.size(); ++i)
+    ramp[i] = static_cast<std::uint8_t>(i);
+  const std::pair<std::size_t, std::uint64_t> known[] = {
+      {8, 0x884a173614b81b8dull},   {15, 0xa948f5f0f6abac2dull},
+      {31, 0xc346d2b59b4d8ee1ull},  {32, 0xcbf59c5116ff32b4ull},
+      {40, 0xf5da40f1b11741e9ull},  {63, 0xe26aa9e2a95f8e4full},
+      {64, 0xf7c67301db6713f0ull},  {100, 0x6ac1e58032166597ull},
+      {256, 0x1facbe8406cd904bull}};
+  for (const auto& [n, want] : known)
+    EXPECT_EQ(xxh64({ramp.data(), n}), want) << "n=" << n;
+  // Loads are unaligned-safe: the same 100 bytes from an odd address.
+  std::vector<std::uint8_t> shifted(101);
+  std::memcpy(shifted.data() + 1, ramp.data(), 100);
+  EXPECT_EQ(xxh64({shifted.data() + 1, 100}), 0x6ac1e58032166597ull);
 }
 
 }  // namespace

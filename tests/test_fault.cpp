@@ -352,7 +352,7 @@ TEST_F(FaultTest, ExhaustedCodecFallsBackToLosslessPassthrough) {
   const std::size_t nchunks = result.chunk_rows.size();
   EXPECT_EQ(result.fallback_chunks, nchunks);
   auto info = pipeline::inspect(result.stream);
-  EXPECT_EQ(info.version, 2);
+  EXPECT_EQ(info.version, 4);
   EXPECT_EQ(info.fallback_chunks, nchunks);
   // Passthrough chunks reconstruct bit-exactly, no codec involved.
   fault::Injector::instance().disarm();

@@ -135,7 +135,7 @@ TEST(CorruptStreamsExtra, HostileHeaderSizesAreRejectedBeforeAllocation) {
   EXPECT_THROW(mgard::decompress_f32(dev, forged), Error);
 }
 
-/// `stream` (a v2 pipeline container) with every chunk's row count
+/// `stream` (a framed v2/v4 pipeline container) with every chunk's row count
 /// replaced. The chunk table carries no checksum, so nothing else flags
 /// the edit.
 std::vector<std::uint8_t> with_chunk_rows(

@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "compressor/compressor.hpp"
 #include "core/isa.hpp"
@@ -351,6 +354,42 @@ TEST(TelemetryManifest, FromJsonValidates) {
   EXPECT_THROW(telemetry::RunManifest::from_json(telemetry::parse(
                    R"({"hpdr_manifest_version": 999})")),
                Error);
+}
+
+// Every integer field of a manifest is read through one checked path: a
+// huge, negative, fractional or string value throws hpdr::Error instead of
+// reaching an undefined cast or std::bad_variant_access.
+TEST(TelemetryManifest, FromJsonRejectsNonCountIntegers) {
+  telemetry::RunManifest m = sample_manifest();
+  m.chunks[0].retries = 1;
+  m.fault_plan = "hdem.task:nth=1";
+  m.fault_seed = 9;
+  const Value good = m.to_json();
+  ASSERT_NO_THROW(telemetry::RunManifest::from_json(good));
+  const std::vector<std::pair<std::string, std::string>> fields = {
+      {"", "hpdr_manifest_version"}, {"faults", "seed"},
+      {"chunk", "index"},            {"chunk", "bytes"},
+      {"chunk", "rows"},             {"chunk", "stored_bytes"},
+      {"chunk", "retries"},          {"chunk", "worker"}};
+  for (const auto& [where, key] : fields) {
+    for (const Value& bad :
+         {Value(1e30), Value(-1), Value(1.5), Value("7")}) {
+      Value doc = good;
+      if (where.empty()) {
+        doc.set(key, bad);
+      } else if (where == "faults") {
+        Value f = *doc.get("faults");
+        f.set(key, bad);
+        doc.set("faults", std::move(f));
+      } else {
+        Value chunks = *doc.get("chunks");
+        chunks.as_array()[0].set(key, bad);
+        doc.set("chunks", std::move(chunks));
+      }
+      EXPECT_THROW(telemetry::RunManifest::from_json(doc), Error)
+          << key << " = " << telemetry::dump(bad);
+    }
+  }
 }
 
 TEST(TelemetryManifest, ManifestIncludesRegistryMetrics) {

@@ -75,6 +75,7 @@
 #include <vector>
 
 #include "core/bitstream.hpp"
+#include "core/checksum.hpp"
 #include "hpdr.hpp"
 
 using namespace hpdr;
@@ -928,9 +929,11 @@ int cmd_serve(int argc, char** argv) {
 }
 
 /// Regenerate the golden-stream corpus (tests/golden/): a fixed input
-/// raster, byte-exact v1 (hand-composed legacy framing) and v2 container
-/// streams, and the expected decode. test_golden.cpp locks decoder
-/// compatibility and writer stability against these bytes.
+/// raster, byte-exact v1 and v2 container streams (composed here from the
+/// codec blobs, as those writers framed them), v4 streams from today's
+/// writer, the v3 progressive stream, and the expected decodes.
+/// test_golden.cpp locks decoder compatibility and writer stability
+/// against these bytes.
 int cmd_write_golden(int argc, char** argv) {
   if (argc < 3) usage("write-golden needs <dir>");
   const std::string dir = argv[2];
@@ -947,8 +950,8 @@ int cmd_write_golden(int argc, char** argv) {
       shape.size() * sizeof(float)};
   write_file(dir + "/input.raw", raw);
 
-  // 4 rows per chunk -> 4 chunks; the same split the v1 composer uses, so
-  // both versions decode identically.
+  // 4 rows per chunk -> 4 chunks; the split the writer makes of this
+  // raster, so every version carries the same blobs and decodes alike.
   const std::size_t rows_per = 4;
   const std::size_t slab_bytes = shape[1] * shape[2] * sizeof(float);
   pipeline::Options gopts;
@@ -956,23 +959,14 @@ int cmd_write_golden(int argc, char** argv) {
   gopts.fixed_chunk_bytes = rows_per * slab_bytes;
   gopts.param = 1e-3;
 
-  auto zfp = make_compressor("zfp-x");
-  const auto v2 =
-      pipeline::compress(dev, *zfp, raw.data(), shape, DType::F32, gopts);
-  write_file(dir + "/v2_zfp.hpdr", v2.stream);
-  std::vector<std::uint8_t> decoded(raw.size());
-  pipeline::decompress(dev, *zfp, v2.stream, decoded.data(), shape,
-                       DType::F32, {});
-  write_file(dir + "/v2_zfp.raw", decoded);
-
-  // Hand-composed v1 container: magic, version 1, then a chunk table of
-  // [rows][size] pairs — no codec tags, no checksums. Same chunk split and
-  // codec as the v2 stream, so its blobs (and decode) match exactly.
-  {
+  // A legacy container from the codec's blobs: magic, version, header,
+  // then a chunk table of [rows][size] (v1) or [rows][size][tag][FNV-1a]
+  // (v2), then the blobs.
+  auto legacy = [&](const Compressor& comp, std::uint8_t version) {
     ByteWriter head;
     head.put_u8(0x48);  // 'H'
-    head.put_u8(1);     // legacy version
-    head.put_string(zfp->name());
+    head.put_u8(version);
+    head.put_string(comp.name());
     head.put_u8(static_cast<std::uint8_t>(DType::F32));
     head.put_u8(static_cast<std::uint8_t>(shape.rank()));
     for (std::size_t d = 0; d < shape.rank(); ++d) head.put_varint(shape[d]);
@@ -982,30 +976,46 @@ int cmd_write_golden(int argc, char** argv) {
     cshape[0] = rows_per;
     std::vector<std::vector<std::uint8_t>> blobs;
     for (std::size_t c = 0; c < nchunks; ++c)
-      blobs.push_back(zfp->compress(dev,
+      blobs.push_back(comp.compress(dev,
                                     raw.data() + c * rows_per * slab_bytes,
                                     cshape, DType::F32, gopts.param));
     head.put_varint(nchunks);
     for (const auto& b : blobs) {
       head.put_varint(rows_per);
       head.put_varint(b.size());
+      if (version == 2) {
+        head.put_u8(0);  // codec tag
+        head.put_u64(fnv1a64(b));
+      }
     }
     auto stream = head.take();
     for (const auto& b : blobs) stream.insert(stream.end(), b.begin(),
                                               b.end());
-    write_file(dir + "/v1_zfp.hpdr", stream);
-  }
+    return stream;
+  };
+
+  auto zfp = make_compressor("zfp-x");
+  const auto v4 =
+      pipeline::compress(dev, *zfp, raw.data(), shape, DType::F32, gopts);
+  write_file(dir + "/v4_zfp.hpdr", v4.stream);
+  std::vector<std::uint8_t> decoded(raw.size());
+  pipeline::decompress(dev, *zfp, v4.stream, decoded.data(), shape,
+                       DType::F32, {});
+  write_file(dir + "/v2_zfp.raw", decoded);
+  write_file(dir + "/v2_zfp.hpdr", legacy(*zfp, 2));
+  write_file(dir + "/v1_zfp.hpdr", legacy(*zfp, 1));
 
   // Lossless reference: huffman-x round-trips bit-exactly to input.raw.
   auto huff = make_compressor("huffman-x");
-  const auto v2h =
+  const auto v4h =
       pipeline::compress(dev, *huff, raw.data(), shape, DType::F32, gopts);
-  write_file(dir + "/v2_huffman.hpdr", v2h.stream);
+  write_file(dir + "/v4_huffman.hpdr", v4h.stream);
+  write_file(dir + "/v2_huffman.hpdr", legacy(*huff, 2));
 
   // Stream-format v3 (DESIGN.md §15): the progressive MGARD refinement
   // container, same raster and chunk split. v3_mgard.raw is the
   // full-refinement decode, which the byte-identity guarantee makes equal
-  // to a one-shot v2 mgard-x decode of the same tensor/options.
+  // to a one-shot mgard-x decode of the same tensor/options.
   const auto v3 = pipeline::progressive_compress(dev, raw.data(), shape,
                                                  DType::F32, gopts);
   write_file(dir + "/v3_mgard.hpdr", v3);
@@ -1014,7 +1024,8 @@ int cmd_write_golden(int argc, char** argv) {
   write_file(dir + "/v3_mgard.raw", rd.data());
 
   std::printf("golden corpus in %s: input.raw, v1_zfp.hpdr, v2_zfp.hpdr, "
-              "v2_zfp.raw, v2_huffman.hpdr, v3_mgard.hpdr, v3_mgard.raw\n",
+              "v2_zfp.raw, v2_huffman.hpdr, v3_mgard.hpdr, v3_mgard.raw, "
+              "v4_zfp.hpdr, v4_huffman.hpdr\n",
               dir.c_str());
   return 0;
 }
