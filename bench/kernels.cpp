@@ -10,9 +10,9 @@
 // compared bit-for-bit, so this binary is both a perf gate and a
 // correctness differential. Gates
 // (HPDR_EXPECT_GE on the speedup ratios) trip the exit code for CI; the
-// measured numbers go to BENCH_kernels.json (--out F overrides). Under
-// HPDR_ISA=scalar the SIMD-dispatched kernels (ZFP transforms, SZ) run their
-// scalar reference slots, so their gates relax to a no-regression check.
+// measured numbers go to BENCH_kernels.json (--out F overrides). The
+// SIMD-dispatched kernels (ZFP transforms, SZ) run the host's instance of
+// their one body (DESIGN.md §16.1).
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -487,14 +487,7 @@ int main(int argc, char** argv) {
   const unsigned threads = bench::apply_threads(argc, argv);
   const int reps = tiny ? 3 : 5;
   const Device dev = Device::serial();
-  // SIMD-dispatched kernels (ZFP transforms, SZ dual-quant) race their
-  // intrinsic path against the pre-PR-5 per-element reference. With
-  // HPDR_ISA=scalar they run the PR-5 scalar slot instead, so the gate
-  // drops to a no-regression check (the differential still runs).
-  const bool scalar_forced = isa::level() == isa::Level::Scalar;
-  const double simd_gate = scalar_forced ? 0.9 : 1.2;
-  std::printf("isa: %s%s\n", isa::to_string(isa::level()),
-              isa::overridden() ? " (HPDR_ISA override)" : "");
+  std::printf("isa: %s\n", isa::to_string(isa::level()));
 
   bench::Table t({"kernel", "fast GB/s", "ref GB/s", "speedup", "gate"});
   telemetry::Value kernels = telemetry::Value::object();
@@ -710,8 +703,7 @@ int main(int argc, char** argv) {
     record("huffman_bytes_decode", kd, 2.0);
 
     // The frame checksum over that chunk's huffman-x frame, in GB/s of
-    // frame bytes: XXH64 (stream v4) against FNV-1a (stream v2). Neither
-    // has an ISA slot, so the gate holds under HPDR_ISA=scalar too.
+    // frame bytes: XXH64 (stream v4) against FNV-1a (stream v2).
     const double frame_bytes = static_cast<double>(blob.size());
     std::uint64_t hx = 0, hf = 0;
     const auto [sx, sf] = best_of_pair(
@@ -812,7 +804,7 @@ int main(int argc, char** argv) {
     kf.fast_gbps = bytes / 1e9 / sf;
     kf.ref_gbps = bytes / 1e9 / sr;
     kf.speedup = sr / sf;
-    record("zfp_fwd_transform", kf, simd_gate);
+    record("zfp_fwd_transform", kf, 1.2);
 
     // Inverse on the transformed coefficients; must reproduce src exactly.
     const std::vector<std::int64_t> coeffs = fast;
@@ -834,15 +826,14 @@ int main(int argc, char** argv) {
     ki.fast_gbps = bytes / 1e9 / si;
     ki.ref_gbps = bytes / 1e9 / sir;
     ki.speedup = sir / si;
-    record("zfp_inv_transform", ki, simd_gate);
+    record("zfp_inv_transform", ki, 1.2);
   }
 
   // ---- ZFP bitplane coder: one bit-matrix transpose per block and one put
   // (or peek) per group vs per-plane gather/deposit loops and one bit per
   // call. Real NYX 4³ blocks at zfp-x's rate 11 (704 − 9 exponent
   // bits = 695 per block) and unbounded (the variable modes); both budgets
-  // run in each timed pass. The coder has no ISA slot, so its gates hold
-  // under HPDR_ISA=scalar too.
+  // run in each timed pass.
   {
     const std::size_t max_blocks = tiny ? (1u << 13) : (1u << 15);
     const auto field =
@@ -938,8 +929,7 @@ int main(int argc, char** argv) {
   // ---- MGARD level step: 16 pencils stepped in lockstep per group (the
   // inner loop over lanes) vs one strided scalar recurrence per pencil, on
   // one NYX Medium chunk as the pipeline hands it to mgard-x (16×128×128
-  // f32, 1 MiB). Each rep copies the input in both closures. The kernel has
-  // no ISA slot, so its gates hold under HPDR_ISA=scalar too.
+  // f32, 1 MiB). Each rep copies the input in both closures.
   {
     const auto field =
         data::nyx_density(data::dataset_shape("nyx", data::Size::Medium), 1);
@@ -1030,7 +1020,7 @@ int main(int argc, char** argv) {
     k.fast_gbps = bytes / 1e9 / sf;
     k.ref_gbps = bytes / 1e9 / sr;
     k.speedup = sr / sf;
-    record("sz_dualquant", k, simd_gate);
+    record("sz_dualquant", k, 1.2);
   }
 
   t.print();
@@ -1047,7 +1037,6 @@ int main(int argc, char** argv) {
   {
     telemetry::Value i = telemetry::Value::object();
     i.set("level", telemetry::Value(isa::to_string(isa::level())));
-    i.set("requested", telemetry::Value(isa::requested()));
     doc.set("isa", std::move(i));
   }
   doc.set("kernels", std::move(kernels));

@@ -919,8 +919,7 @@ int main(int argc, char** argv) {
 
   telemetry::Value doc = Object{
       {"bench", "paper"},
-      {"isa", Object{{"level", isa::to_string(isa::level())},
-                     {"requested", isa::requested()}}}};
+      {"isa", Object{{"level", isa::to_string(isa::level())}}}};
   for (std::size_t k = 0; k < std::size(kFigures); ++k) {
     if (any_selected && !selected[k]) continue;
     const Figure& f = kFigures[k];

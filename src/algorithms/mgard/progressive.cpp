@@ -165,8 +165,9 @@ ProgressiveChunk encode_impl(const Device& dev, const T* data,
             for (std::uint64_t u : plan.u)
               bw.put_bit(((u >> pl) & 1) != 0);
         }
-        const auto packed = bw.to_bytes();
-        w.put_bytes(packed);
+        // The words' first byte_size() bytes are to_bytes() without its copy.
+        w.put_bytes({reinterpret_cast<const std::uint8_t*>(bw.words().data()),
+                     bw.byte_size()});
       }
       e[si] = lo == 0 ? std::min(bin / 2, plan.max_abs) : plane_bound(lo);
       out.components.push_back({w.take(), chunk_bound()});

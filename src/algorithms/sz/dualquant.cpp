@@ -11,10 +11,6 @@
 #include "core/isa.hpp"
 #include "core/stats.hpp"
 
-#if HPDR_ISA_X86
-#include <immintrin.h>
-#endif
-
 namespace hpdr::sz {
 namespace {
 
@@ -86,8 +82,8 @@ void prequantize_impl(const Device& dev, const T* data, std::size_t n,
 
 /// Interior of one Lorenzo row (k in [1, nk)): 7-term stencil, residual
 /// range check, symbol emission. The k = 0 column stays in the caller (its
-/// stencil is different). Dispatched per ISA level; every variant computes
-/// the exact integer sequence of the scalar loop, so symbol streams are
+/// stencil is different). Written once; each dispatch slot is this body
+/// compiled for one level (DESIGN.md §16.1), so symbol streams are
 /// byte-identical across levels.
 using LorenzoRowFn = void (*)(const std::int64_t* cur, const std::int64_t* up,
                               const std::int64_t* back,
@@ -95,10 +91,10 @@ using LorenzoRowFn = void (*)(const std::int64_t* cur, const std::int64_t* up,
                               const std::uint8_t* ob, std::uint32_t* sym,
                               std::size_t nk);
 
-void lorenzo_row_scalar(const std::int64_t* cur, const std::int64_t* up,
-                        const std::int64_t* back, const std::int64_t* upback,
-                        const std::uint8_t* ob, std::uint32_t* sym,
-                        std::size_t nk) {
+[[gnu::always_inline]] inline void lorenzo_row_body(
+    const std::int64_t* cur, const std::int64_t* up, const std::int64_t* back,
+    const std::int64_t* upback, const std::uint8_t* ob, std::uint32_t* sym,
+    std::size_t nk) {
   // Interior: full 7-term stencil from already-known lattice values —
   // pure reads of P, so the loop carries no dependence and vectorizes.
 #pragma omp simd
@@ -112,109 +108,33 @@ void lorenzo_row_scalar(const std::int64_t* cur, const std::int64_t* up,
   }
 }
 
-#if HPDR_ISA_X86
-
-HPDR_ISA_TARGET_AVX2 inline __m256i loadu256(const std::int64_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+void lorenzo_row_scalar(const std::int64_t* cur, const std::int64_t* up,
+                        const std::int64_t* back, const std::int64_t* upback,
+                        const std::uint8_t* ob, std::uint32_t* sym,
+                        std::size_t nk) {
+  lorenzo_row_body(cur, up, back, upback, ob, sym, nk);
 }
 
+#if HPDR_ISA_X86
 HPDR_ISA_TARGET_AVX2 void lorenzo_row_avx2(
     const std::int64_t* cur, const std::int64_t* up, const std::int64_t* back,
     const std::int64_t* upback, const std::uint8_t* ob, std::uint32_t* sym,
     std::size_t nk) {
-  const __m256i lo = _mm256_set1_epi64x(-kRadius);
-  const __m256i hi = _mm256_set1_epi64x(kRadius);
-  const __m256i bias = _mm256_set1_epi64x(kRadius + 1);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i pack_idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  std::size_t k = 1;
-  for (; k + 4 <= nk; k += 4) {
-    __m256i pred = _mm256_add_epi64(loadu256(cur + k - 1), loadu256(up + k));
-    pred = _mm256_add_epi64(pred, loadu256(back + k));
-    pred = _mm256_sub_epi64(pred, loadu256(up + k - 1));
-    pred = _mm256_sub_epi64(pred, loadu256(back + k - 1));
-    pred = _mm256_sub_epi64(pred, loadu256(upback + k));
-    pred = _mm256_add_epi64(pred, loadu256(upback + k - 1));
-    const __m256i r = _mm256_sub_epi64(loadu256(cur + k), pred);
-    // In-range and not-an-outlier lanes keep r + kRadius + 1; others get 0.
-    std::uint32_t ob4 = 0;
-    std::memcpy(&ob4, ob + k, 4);
-    const __m256i obq =
-        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(ob4)));
-    const __m256i ob_zero = _mm256_cmpeq_epi64(obq, zero);
-    const __m256i out_lo = _mm256_cmpgt_epi64(lo, r);
-    const __m256i out_hi = _mm256_cmpgt_epi64(r, hi);
-    const __m256i good =
-        _mm256_andnot_si256(_mm256_or_si256(out_lo, out_hi), ob_zero);
-    const __m256i sym64 = _mm256_and_si256(good, _mm256_add_epi64(r, bias));
-    // Narrow 4×i64 → 4×i32 and store 16 bytes.
-    const __m256i packed = _mm256_permutevar8x32_epi32(sym64, pack_idx);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sym + k),
-                     _mm256_castsi256_si128(packed));
-  }
-  for (; k < nk; ++k) {
-    const std::int64_t pred = cur[k - 1] + up[k] + back[k] - up[k - 1] -
-                              back[k - 1] - upback[k] + upback[k - 1];
-    const std::int64_t r = cur[k] - pred;
-    sym[k] = (ob[k] || r < -kRadius || r > kRadius)
-                 ? 0u
-                 : static_cast<std::uint32_t>(r + kRadius + 1);
-  }
+  lorenzo_row_body(cur, up, back, upback, ob, sym, nk);
 }
 
 HPDR_ISA_TARGET_AVX512 void lorenzo_row_avx512(
     const std::int64_t* cur, const std::int64_t* up, const std::int64_t* back,
     const std::int64_t* upback, const std::uint8_t* ob, std::uint32_t* sym,
     std::size_t nk) {
-  const __m512i lo = _mm512_set1_epi64(-kRadius);
-  const __m512i hi = _mm512_set1_epi64(kRadius);
-  const __m512i bias = _mm512_set1_epi64(kRadius + 1);
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t k = 1;
-  for (; k + 8 <= nk; k += 8) {
-    __m512i pred =
-        _mm512_add_epi64(_mm512_loadu_si512(cur + k - 1), _mm512_loadu_si512(up + k));
-    pred = _mm512_add_epi64(pred, _mm512_loadu_si512(back + k));
-    pred = _mm512_sub_epi64(pred, _mm512_loadu_si512(up + k - 1));
-    pred = _mm512_sub_epi64(pred, _mm512_loadu_si512(back + k - 1));
-    pred = _mm512_sub_epi64(pred, _mm512_loadu_si512(upback + k));
-    pred = _mm512_add_epi64(pred, _mm512_loadu_si512(upback + k - 1));
-    const __m512i r = _mm512_sub_epi64(_mm512_loadu_si512(cur + k), pred);
-    // maskz forms: GCC's plain cvt intrinsics route through
-    // _mm512_undefined_epi32 and trip -Wmaybe-uninitialized under -Werror.
-    const __m512i obq = _mm512_maskz_cvtepu8_epi64(
-        static_cast<__mmask8>(-1),
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(ob + k)));
-    const __mmask8 good = _mm512_cmpeq_epi64_mask(obq, zero) &
-                          _mm512_cmple_epi64_mask(lo, r) &
-                          _mm512_cmple_epi64_mask(r, hi);
-    const __m512i sym64 = _mm512_maskz_add_epi64(good, r, bias);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sym + k),
-                        _mm512_maskz_cvtepi64_epi32(static_cast<__mmask8>(-1), sym64));
-  }
-  for (; k < nk; ++k) {
-    const std::int64_t pred = cur[k - 1] + up[k] + back[k] - up[k - 1] -
-                              back[k - 1] - upback[k] + upback[k - 1];
-    const std::int64_t r = cur[k] - pred;
-    sym[k] = (ob[k] || r < -kRadius || r > kRadius)
-                 ? 0u
-                 : static_cast<std::uint32_t>(r + kRadius + 1);
-  }
+  lorenzo_row_body(cur, up, back, upback, ob, sym, nk);
 }
 
-#endif  // HPDR_ISA_X86
-
 const isa::Table<LorenzoRowFn> kLorenzoRow = {
-    lorenzo_row_scalar,
-#if HPDR_ISA_X86
-    lorenzo_row_avx2, lorenzo_row_avx512,
+    lorenzo_row_scalar, lorenzo_row_avx2, lorenzo_row_avx512};
 #else
-    nullptr, nullptr,
+const isa::Table<LorenzoRowFn> kLorenzoRow = {lorenzo_row_scalar};
 #endif
-    // NEON slot: the scalar loop autovectorizes well on AArch64 (no 64-bit
-    // lane-narrowing quirks to work around), so it doubles as the neon path.
-    nullptr,
-};
 
 }  // namespace
 
@@ -236,6 +156,7 @@ void lorenzo_residuals(const Device& dev, const std::int64_t* P,
   // Missing neighbour rows (domain border) read from a shared zero row, so
   // the inner loop is branch-free and identical for every row.
   const std::vector<std::int64_t> zeros(g.nk, 0);
+  const LorenzoRowFn row_interior = kLorenzoRow.get();
   global_stage(dev, g.nrows, [&](std::size_t row) {
     const std::size_t j = g.rank >= 2 ? row % g.nj : 0;
     const std::size_t i = g.rank >= 3 ? row / g.nj : 0;
@@ -256,7 +177,7 @@ void lorenzo_residuals(const Device& dev, const std::int64_t* P,
                    ? 0u
                    : static_cast<std::uint32_t>(r + kRadius + 1);
     }
-    kLorenzoRow.get()(cur, up, back, upback, ob, sym, g.nk);
+    row_interior(cur, up, back, upback, ob, sym, g.nk);
   });
 }
 

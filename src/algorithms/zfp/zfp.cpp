@@ -13,13 +13,6 @@
 #include "core/error.hpp"
 #include "core/isa.hpp"
 
-#if HPDR_ISA_X86
-#include <immintrin.h>
-#endif
-#if HPDR_ISA_NEON
-#include <arm_neon.h>
-#endif
-
 namespace hpdr::zfp {
 namespace detail {
 
@@ -64,7 +57,8 @@ constexpr std::uint64_t kNbMask = 0xaaaaaaaaaaaaaaaaull;
 /// 64 values — all of it sits in registers/L1). The arithmetic is the
 /// exact integer sequence of fwd_lift4, so results are bit-identical.
 template <int kLanes>
-inline void fwd_lift_lanes(std::int64_t* p, std::size_t s) {
+[[gnu::always_inline]] inline void fwd_lift_lanes(std::int64_t* p,
+                                                  std::size_t s) {
 #pragma omp simd
   for (int l = 0; l < kLanes; ++l) {
     std::int64_t a0 = p[l], b0 = p[l + s];
@@ -82,7 +76,8 @@ inline void fwd_lift_lanes(std::int64_t* p, std::size_t s) {
 }
 
 template <int kLanes>
-inline void inv_lift_lanes(std::int64_t* p, std::size_t s) {
+[[gnu::always_inline]] inline void inv_lift_lanes(std::int64_t* p,
+                                                  std::size_t s) {
 #pragma omp simd
   for (int l = 0; l < kLanes; ++l) {
     const std::int64_t A = p[l], D = p[l + s];
@@ -141,359 +136,93 @@ std::span<const std::uint16_t> sequency_order(std::size_t rank) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar dispatch slot: the PR 5 layout (unit-stride rows serial, contiguous
-// lanes autovectorized with `omp simd`). Retained verbatim as the
-// differential-test reference for the intrinsic variants below.
+// The transform body, written once. Unit-stride rows run one lift at a
+// time (good scalar ILP); the cross-row/cross-plane passes have contiguous
+// lanes, so they run as lane-parallel lifts. Same integer ops in the same
+// per-lift order as fwd_lift4/inv_lift4 along each axis, so every slot
+// below gives the same bytes. Each slot is this body compiled for one
+// level (DESIGN.md §16.1): everything it calls is always-inline, so the
+// compiler vectorizes the lanes with the slot's instruction set.
 // ---------------------------------------------------------------------------
 
-void fwd_transform_scalar(std::int64_t* q, std::size_t rank) {
-  // The along-row pass has unit stride per lift (good scalar ILP); the
-  // cross-row/cross-plane passes have contiguous *lanes*, so they run as
-  // lane-parallel SIMD lifts. Same integer ops in the same per-lift order
-  // as serial fwd_lift4 — streams stay byte-identical.
+using TransformFn = void (*)(std::int64_t*, std::size_t);
+
+[[gnu::always_inline]] inline void fwd_transform_body(std::int64_t* q,
+                                                      std::size_t rank) {
   if (rank == 1) {
-    fwd_lift4(q, 1);
+    fwd_lift_lanes<1>(q, 1);
     return;
   }
   if (rank == 2) {
-    for (std::size_t i = 0; i < 4; ++i) fwd_lift4(q + 4 * i, 1);
+    for (std::size_t i = 0; i < 4; ++i) fwd_lift_lanes<1>(q + 4 * i, 1);
     fwd_lift_lanes<4>(q, 4);
     return;
   }
-  for (std::size_t i = 0; i < 16; ++i) fwd_lift4(q + 4 * i, 1);
+  for (std::size_t i = 0; i < 16; ++i) fwd_lift_lanes<1>(q + 4 * i, 1);
   for (std::size_t i = 0; i < 4; ++i) fwd_lift_lanes<4>(q + 16 * i, 4);
   fwd_lift_lanes<16>(q, 16);
 }
 
-void inv_transform_scalar(std::int64_t* q, std::size_t rank) {
+[[gnu::always_inline]] inline void inv_transform_body(std::int64_t* q,
+                                                      std::size_t rank) {
   if (rank == 1) {
-    inv_lift4(q, 1);
+    inv_lift_lanes<1>(q, 1);
     return;
   }
   if (rank == 2) {
     inv_lift_lanes<4>(q, 4);
-    for (std::size_t i = 0; i < 4; ++i) inv_lift4(q + 4 * i, 1);
+    for (std::size_t i = 0; i < 4; ++i) inv_lift_lanes<1>(q + 4 * i, 1);
     return;
   }
   inv_lift_lanes<16>(q, 16);
   for (std::size_t i = 0; i < 4; ++i) inv_lift_lanes<4>(q + 16 * i, 4);
-  for (std::size_t i = 0; i < 16; ++i) inv_lift4(q + 4 * i, 1);
+  for (std::size_t i = 0; i < 16; ++i) inv_lift_lanes<1>(q + 4 * i, 1);
+}
+
+void fwd_transform_scalar(std::int64_t* q, std::size_t rank) {
+  fwd_transform_body(q, rank);
+}
+void inv_transform_scalar(std::int64_t* q, std::size_t rank) {
+  inv_transform_body(q, rank);
 }
 
 #if HPDR_ISA_X86
-
-// ---------------------------------------------------------------------------
-// AVX2 slot. AVX2 has no 64-bit arithmetic right shift, so `x >> 1` is
-// emulated as a logical shift with the sign bit re-inserted — bit-identical
-// to the scalar `>> 1` for every int64 value.
-// ---------------------------------------------------------------------------
-
-HPDR_ISA_TARGET_AVX2 inline __m256i srai1_epi64_avx2(__m256i x) {
-  const __m256i sign = _mm256_cmpgt_epi64(_mm256_setzero_si256(), x);
-  return _mm256_or_si256(_mm256_srli_epi64(x, 1), _mm256_slli_epi64(sign, 63));
-}
-
-/// Four independent 4-point forward lifts, lane l on p[l + j*s], j = 0..3.
-HPDR_ISA_TARGET_AVX2 inline void fwd_lift4x4_avx2(std::int64_t* p,
-                                                  std::size_t s) {
-  __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + s));
-  __m256i a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 2 * s));
-  __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 3 * s));
-  const __m256i d0 = _mm256_sub_epi64(b0, a0);
-  a0 = _mm256_add_epi64(a0, srai1_epi64_avx2(d0));
-  const __m256i d1 = _mm256_sub_epi64(b1, a1);
-  a1 = _mm256_add_epi64(a1, srai1_epi64_avx2(d1));
-  const __m256i D = _mm256_sub_epi64(a1, a0);
-  const __m256i A = _mm256_add_epi64(a0, srai1_epi64_avx2(D));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), A);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + s), D);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 2 * s), d0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 3 * s), d1);
-}
-
-HPDR_ISA_TARGET_AVX2 inline void inv_lift4x4_avx2(std::int64_t* p,
-                                                  std::size_t s) {
-  const __m256i A = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  const __m256i D = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + s));
-  const __m256i d0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 2 * s));
-  const __m256i d1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 3 * s));
-  const __m256i a0 = _mm256_sub_epi64(A, srai1_epi64_avx2(D));
-  const __m256i a1 = _mm256_add_epi64(D, a0);
-  const __m256i x0 = _mm256_sub_epi64(a0, srai1_epi64_avx2(d0));
-  const __m256i x2 = _mm256_sub_epi64(a1, srai1_epi64_avx2(d1));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), x0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + s), _mm256_add_epi64(d0, x0));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 2 * s), x2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 3 * s),
-                      _mm256_add_epi64(d1, x2));
-}
-
 HPDR_ISA_TARGET_AVX2 void fwd_transform_avx2(std::int64_t* q,
                                              std::size_t rank) {
-  if (rank == 1) {
-    fwd_lift4(q, 1);
-    return;
-  }
-  if (rank == 2) {
-    for (std::size_t i = 0; i < 4; ++i) fwd_lift4(q + 4 * i, 1);
-    fwd_lift4x4_avx2(q, 4);
-    return;
-  }
-  for (std::size_t i = 0; i < 16; ++i) fwd_lift4(q + 4 * i, 1);
-  for (std::size_t i = 0; i < 4; ++i) fwd_lift4x4_avx2(q + 16 * i, 4);
-  // The 16-lane cross-plane pass: lanes 4c..4c+3 at stride 16.
-  for (std::size_t c = 0; c < 4; ++c) fwd_lift4x4_avx2(q + 4 * c, 16);
+  fwd_transform_body(q, rank);
 }
-
 HPDR_ISA_TARGET_AVX2 void inv_transform_avx2(std::int64_t* q,
                                              std::size_t rank) {
-  if (rank == 1) {
-    inv_lift4(q, 1);
-    return;
-  }
-  if (rank == 2) {
-    inv_lift4x4_avx2(q, 4);
-    for (std::size_t i = 0; i < 4; ++i) inv_lift4(q + 4 * i, 1);
-    return;
-  }
-  for (std::size_t c = 0; c < 4; ++c) inv_lift4x4_avx2(q + 4 * c, 16);
-  for (std::size_t i = 0; i < 4; ++i) inv_lift4x4_avx2(q + 16 * i, 4);
-  for (std::size_t i = 0; i < 16; ++i) inv_lift4(q + 4 * i, 1);
+  inv_transform_body(q, rank);
 }
-
-// ---------------------------------------------------------------------------
-// AVX-512 slot: native 64-bit arithmetic shifts, 8 lanes per vector for the
-// 16-lane cross-plane pass, 256-bit VL forms for the 4-lane passes.
-// ---------------------------------------------------------------------------
-
-HPDR_ISA_TARGET_AVX512 inline __m512i srai1_epi64_avx512(__m512i x) {
-  // maskz form: GCC's plain _mm512_srai_epi64 routes through
-  // _mm512_undefined_epi32 and trips -Wmaybe-uninitialized under -Werror.
-  return _mm512_maskz_srai_epi64(static_cast<__mmask8>(-1), x, 1);
-}
-
-HPDR_ISA_TARGET_AVX512 inline void fwd_lift8x8_avx512(std::int64_t* p,
-                                                      std::size_t s) {
-  __m512i a0 = _mm512_loadu_si512(p);
-  __m512i b0 = _mm512_loadu_si512(p + s);
-  __m512i a1 = _mm512_loadu_si512(p + 2 * s);
-  __m512i b1 = _mm512_loadu_si512(p + 3 * s);
-  const __m512i d0 = _mm512_sub_epi64(b0, a0);
-  a0 = _mm512_add_epi64(a0, srai1_epi64_avx512(d0));
-  const __m512i d1 = _mm512_sub_epi64(b1, a1);
-  a1 = _mm512_add_epi64(a1, srai1_epi64_avx512(d1));
-  const __m512i D = _mm512_sub_epi64(a1, a0);
-  const __m512i A = _mm512_add_epi64(a0, srai1_epi64_avx512(D));
-  _mm512_storeu_si512(p, A);
-  _mm512_storeu_si512(p + s, D);
-  _mm512_storeu_si512(p + 2 * s, d0);
-  _mm512_storeu_si512(p + 3 * s, d1);
-}
-
-HPDR_ISA_TARGET_AVX512 inline void inv_lift8x8_avx512(std::int64_t* p,
-                                                      std::size_t s) {
-  const __m512i A = _mm512_loadu_si512(p);
-  const __m512i D = _mm512_loadu_si512(p + s);
-  const __m512i d0 = _mm512_loadu_si512(p + 2 * s);
-  const __m512i d1 = _mm512_loadu_si512(p + 3 * s);
-  const __m512i a0 = _mm512_sub_epi64(A, srai1_epi64_avx512(D));
-  const __m512i a1 = _mm512_add_epi64(D, a0);
-  const __m512i x0 = _mm512_sub_epi64(a0, srai1_epi64_avx512(d0));
-  const __m512i x2 = _mm512_sub_epi64(a1, srai1_epi64_avx512(d1));
-  _mm512_storeu_si512(p, x0);
-  _mm512_storeu_si512(p + s, _mm512_add_epi64(d0, x0));
-  _mm512_storeu_si512(p + 2 * s, x2);
-  _mm512_storeu_si512(p + 3 * s, _mm512_add_epi64(d1, x2));
-}
-
-HPDR_ISA_TARGET_AVX512 inline void fwd_lift4x4_avx512(std::int64_t* p,
-                                                      std::size_t s) {
-  __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + s));
-  __m256i a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 2 * s));
-  __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 3 * s));
-  const __m256i d0 = _mm256_sub_epi64(b0, a0);
-  a0 = _mm256_add_epi64(a0, _mm256_srai_epi64(d0, 1));
-  const __m256i d1 = _mm256_sub_epi64(b1, a1);
-  a1 = _mm256_add_epi64(a1, _mm256_srai_epi64(d1, 1));
-  const __m256i D = _mm256_sub_epi64(a1, a0);
-  const __m256i A = _mm256_add_epi64(a0, _mm256_srai_epi64(D, 1));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), A);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + s), D);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 2 * s), d0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 3 * s), d1);
-}
-
-HPDR_ISA_TARGET_AVX512 inline void inv_lift4x4_avx512(std::int64_t* p,
-                                                      std::size_t s) {
-  const __m256i A = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  const __m256i D = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + s));
-  const __m256i d0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 2 * s));
-  const __m256i d1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 3 * s));
-  const __m256i a0 = _mm256_sub_epi64(A, _mm256_srai_epi64(D, 1));
-  const __m256i a1 = _mm256_add_epi64(D, a0);
-  const __m256i x0 = _mm256_sub_epi64(a0, _mm256_srai_epi64(d0, 1));
-  const __m256i x2 = _mm256_sub_epi64(a1, _mm256_srai_epi64(d1, 1));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), x0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + s), _mm256_add_epi64(d0, x0));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 2 * s), x2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 3 * s),
-                      _mm256_add_epi64(d1, x2));
-}
-
 HPDR_ISA_TARGET_AVX512 void fwd_transform_avx512(std::int64_t* q,
                                                  std::size_t rank) {
-  if (rank == 1) {
-    fwd_lift4(q, 1);
-    return;
-  }
-  if (rank == 2) {
-    for (std::size_t i = 0; i < 4; ++i) fwd_lift4(q + 4 * i, 1);
-    fwd_lift4x4_avx512(q, 4);
-    return;
-  }
-  for (std::size_t i = 0; i < 16; ++i) fwd_lift4(q + 4 * i, 1);
-  for (std::size_t i = 0; i < 4; ++i) fwd_lift4x4_avx512(q + 16 * i, 4);
-  fwd_lift8x8_avx512(q, 16);
-  fwd_lift8x8_avx512(q + 8, 16);
+  fwd_transform_body(q, rank);
 }
-
 HPDR_ISA_TARGET_AVX512 void inv_transform_avx512(std::int64_t* q,
                                                  std::size_t rank) {
-  if (rank == 1) {
-    inv_lift4(q, 1);
-    return;
-  }
-  if (rank == 2) {
-    inv_lift4x4_avx512(q, 4);
-    for (std::size_t i = 0; i < 4; ++i) inv_lift4(q + 4 * i, 1);
-    return;
-  }
-  inv_lift8x8_avx512(q, 16);
-  inv_lift8x8_avx512(q + 8, 16);
-  for (std::size_t i = 0; i < 4; ++i) inv_lift4x4_avx512(q + 16 * i, 4);
-  for (std::size_t i = 0; i < 16; ++i) inv_lift4(q + 4 * i, 1);
+  inv_transform_body(q, rank);
 }
 
-#endif  // HPDR_ISA_X86
-
-#if HPDR_ISA_NEON
-
-// NEON slot: 2 int64 lanes per vector, vshrq_n_s64 is a native arithmetic
-// shift. Two vectors cover each 4-lane pass.
-inline void fwd_lift4x2_neon(std::int64_t* p, std::size_t s) {
-  int64x2_t a0 = vld1q_s64(p);
-  int64x2_t b0 = vld1q_s64(p + s);
-  int64x2_t a1 = vld1q_s64(p + 2 * s);
-  int64x2_t b1 = vld1q_s64(p + 3 * s);
-  const int64x2_t d0 = vsubq_s64(b0, a0);
-  a0 = vaddq_s64(a0, vshrq_n_s64(d0, 1));
-  const int64x2_t d1 = vsubq_s64(b1, a1);
-  a1 = vaddq_s64(a1, vshrq_n_s64(d1, 1));
-  const int64x2_t D = vsubq_s64(a1, a0);
-  const int64x2_t A = vaddq_s64(a0, vshrq_n_s64(D, 1));
-  vst1q_s64(p, A);
-  vst1q_s64(p + s, D);
-  vst1q_s64(p + 2 * s, d0);
-  vst1q_s64(p + 3 * s, d1);
-}
-
-inline void inv_lift4x2_neon(std::int64_t* p, std::size_t s) {
-  const int64x2_t A = vld1q_s64(p);
-  const int64x2_t D = vld1q_s64(p + s);
-  const int64x2_t d0 = vld1q_s64(p + 2 * s);
-  const int64x2_t d1 = vld1q_s64(p + 3 * s);
-  const int64x2_t a0 = vsubq_s64(A, vshrq_n_s64(D, 1));
-  const int64x2_t a1 = vaddq_s64(D, a0);
-  const int64x2_t x0 = vsubq_s64(a0, vshrq_n_s64(d0, 1));
-  const int64x2_t x2 = vsubq_s64(a1, vshrq_n_s64(d1, 1));
-  vst1q_s64(p, x0);
-  vst1q_s64(p + s, vaddq_s64(d0, x0));
-  vst1q_s64(p + 2 * s, x2);
-  vst1q_s64(p + 3 * s, vaddq_s64(d1, x2));
-}
-
-void fwd_transform_neon(std::int64_t* q, std::size_t rank) {
-  if (rank == 1) {
-    fwd_lift4(q, 1);
-    return;
-  }
-  if (rank == 2) {
-    for (std::size_t i = 0; i < 4; ++i) fwd_lift4(q + 4 * i, 1);
-    fwd_lift4x2_neon(q, 4);
-    fwd_lift4x2_neon(q + 2, 4);
-    return;
-  }
-  for (std::size_t i = 0; i < 16; ++i) fwd_lift4(q + 4 * i, 1);
-  for (std::size_t i = 0; i < 4; ++i) {
-    fwd_lift4x2_neon(q + 16 * i, 4);
-    fwd_lift4x2_neon(q + 16 * i + 2, 4);
-  }
-  for (std::size_t c = 0; c < 8; ++c) fwd_lift4x2_neon(q + 2 * c, 16);
-}
-
-void inv_transform_neon(std::int64_t* q, std::size_t rank) {
-  if (rank == 1) {
-    inv_lift4(q, 1);
-    return;
-  }
-  if (rank == 2) {
-    inv_lift4x2_neon(q, 4);
-    inv_lift4x2_neon(q + 2, 4);
-    for (std::size_t i = 0; i < 4; ++i) inv_lift4(q + 4 * i, 1);
-    return;
-  }
-  for (std::size_t c = 0; c < 8; ++c) inv_lift4x2_neon(q + 2 * c, 16);
-  for (std::size_t i = 0; i < 4; ++i) {
-    inv_lift4x2_neon(q + 16 * i, 4);
-    inv_lift4x2_neon(q + 16 * i + 2, 4);
-  }
-  for (std::size_t i = 0; i < 16; ++i) inv_lift4(q + 4 * i, 1);
-}
-
-#endif  // HPDR_ISA_NEON
-
-const isa::Table<void (*)(std::int64_t*, std::size_t)> kFwdTransform = {
-    fwd_transform_scalar,
-#if HPDR_ISA_X86
-    fwd_transform_avx2, fwd_transform_avx512,
+const isa::Table<TransformFn> kFwdTransform = {
+    fwd_transform_scalar, fwd_transform_avx2, fwd_transform_avx512};
+const isa::Table<TransformFn> kInvTransform = {
+    inv_transform_scalar, inv_transform_avx2, inv_transform_avx512};
 #else
-    nullptr, nullptr,
+const isa::Table<TransformFn> kFwdTransform = {fwd_transform_scalar};
+const isa::Table<TransformFn> kInvTransform = {inv_transform_scalar};
 #endif
-#if HPDR_ISA_NEON
-    fwd_transform_neon,
-#else
-    nullptr,
-#endif
-};
-
-const isa::Table<void (*)(std::int64_t*, std::size_t)> kInvTransform = {
-    inv_transform_scalar,
-#if HPDR_ISA_X86
-    inv_transform_avx2, inv_transform_avx512,
-#else
-    nullptr, nullptr,
-#endif
-#if HPDR_ISA_NEON
-    inv_transform_neon,
-#else
-    nullptr,
-#endif
-};
 
 }  // namespace
 
 void fwd_transform(std::int64_t* q, std::size_t rank) {
-  kFwdTransform.get()(q, rank);
+  static const TransformFn fn = kFwdTransform.get();
+  fn(q, rank);
 }
 
 void inv_transform(std::int64_t* q, std::size_t rank) {
-  kInvTransform.get()(q, rank);
+  static const TransformFn fn = kInvTransform.get();
+  fn(q, rank);
 }
 
 namespace {

@@ -1,20 +1,14 @@
 #include "core/isa.hpp"
 
-#include <cstdlib>
-#include <mutex>
-
-#include "telemetry/metrics.hpp"
-
 namespace hpdr::isa {
 
 namespace {
 
 #if defined(__x86_64__) || defined(__i386__)
-Level detect_native() {
+Level detect() {
   __builtin_cpu_init();
-  // The AVX-512 kernels use F (core int64 ops), BW/DQ (narrowing, byte
-  // masks), and VL (512-bit forms applied to 256-bit vectors); treat the
-  // level as present only when the whole family is.
+  // The AVX-512 slots are compiled for F, BW, DQ and VL; treat the level as
+  // present only when the whole family is.
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl")) {
     return Level::Avx512;
@@ -24,58 +18,12 @@ Level detect_native() {
 }
 #elif defined(__aarch64__)
 // AdvSIMD is architecturally mandatory on AArch64; no runtime probe needed.
-Level detect_native() { return Level::Neon; }
+Level detect() { return Level::Neon; }
 #else
-Level detect_native() { return Level::Scalar; }
+Level detect() { return Level::Scalar; }
 #endif
 
-/// Clamp a requested level down to what this hardware can run. On x86 an
-/// avx512 request degrades to avx2 before scalar; a neon request on x86 (or
-/// any vector request on unknown ISAs) degrades straight to scalar.
-Level clamp_to_native(Level want, Level native) {
-  if (want == Level::Scalar) return Level::Scalar;
-  if (native == Level::Neon) return want == Level::Neon ? Level::Neon : Level::Scalar;
-  if (want == Level::Neon) return Level::Scalar;  // x86 / unknown host
-  if (static_cast<int>(want) <= static_cast<int>(native)) return want;
-  return native;  // avx512 request on an avx2-only box → avx2 (or scalar)
-}
-
-std::once_flag g_init_once;
-Level g_native = Level::Scalar;
-std::string g_requested;
-bool g_overridden = false;
-
-void publish(Level active) {
-  telemetry::gauge("core.isa.level").set(static_cast<double>(active));
-}
-
-void init() {
-  g_native = detect_native();
-  Level active = g_native;
-  if (const char* env = std::getenv("HPDR_ISA")) {
-    g_requested = env;
-    Level want;
-    if (parse(g_requested, want)) {
-      g_overridden = true;
-      active = clamp_to_native(want, g_native);
-    }
-  }
-  detail::g_active.store(static_cast<int>(active), std::memory_order_relaxed);
-  publish(active);
-}
-
 }  // namespace
-
-namespace detail {
-
-std::atomic<int> g_active{-1};
-
-Level resolve_slow() {
-  std::call_once(g_init_once, init);
-  return static_cast<Level>(g_active.load(std::memory_order_relaxed));
-}
-
-}  // namespace detail
 
 const char* to_string(Level level) {
   switch (level) {
@@ -87,41 +35,9 @@ const char* to_string(Level level) {
   return "scalar";
 }
 
-bool parse(std::string_view text, Level& out) {
-  if (text == "scalar") out = Level::Scalar;
-  else if (text == "avx2") out = Level::Avx2;
-  else if (text == "avx512") out = Level::Avx512;
-  else if (text == "neon") out = Level::Neon;
-  else return false;
-  return true;
+Level level() {
+  static const Level detected = detect();
+  return detected;
 }
-
-Level native_level() {
-  (void)level();  // ensure detection ran
-  return g_native;
-}
-
-Level level() { return active_fast(); }
-
-const std::string& requested() {
-  (void)level();
-  return g_requested;
-}
-
-bool overridden() {
-  (void)level();
-  return g_overridden;
-}
-
-Level force(Level want) {
-  Level active = clamp_to_native(want, native_level());
-  detail::g_active.store(static_cast<int>(active), std::memory_order_relaxed);
-  publish(active);
-  return active;
-}
-
-ScopedForce::ScopedForce(Level want) : prev_(level()) { force(want); }
-
-ScopedForce::~ScopedForce() { force(prev_); }
 
 }  // namespace hpdr::isa

@@ -2,36 +2,19 @@
 #define HPDR_CORE_ISA_HPP
 
 /// \file isa.hpp
-/// Runtime ISA dispatch (DESIGN.md §16). Kernels that carry hand-written
-/// SIMD variants register one function pointer per `Level` in an
-/// `isa::Table`; the active level is detected once at first use (CPUID on
-/// x86, compile-time on AArch64) and may be forced down for testing via the
-/// `HPDR_ISA=scalar|avx2|avx512|neon` environment variable or
-/// `isa::force()` / `isa::ScopedForce`. The scalar slot is always populated
-/// and always compiled — it is the differential-test reference every vector
-/// path is checked against, byte for byte.
-///
-/// Contract:
-///  - A request (env or force) for a level the hardware cannot run clamps
-///    *down* to the nearest supported level; it never clamps up. The raw
-///    request is preserved for the run manifest so an operator can see that
-///    `HPDR_ISA=avx512` silently became `avx2` on an older box.
-///  - `Table::get()` re-reads the active level on every call, so a
-///    `ScopedForce` in a test affects kernels dispatched afterwards without
-///    any re-registration. Dispatch granularity is a whole transform /
-///    block kernel, so the relaxed atomic load is noise.
-///  - The selected level is exported as gauge `core.isa.level` and embedded
-///    in every telemetry run manifest (`isa: {level, requested}`).
+/// Runtime ISA dispatch (DESIGN.md §16). A kernel that gains from wider
+/// vectors is written once, as an always-inline body; its `isa::Table`
+/// holds that body compiled at the build's baseline target and, on x86,
+/// under the AVX2 and AVX-512 attributes below. The host's level is
+/// detected once at first use (CPUID on x86, the compile target on
+/// AArch64, whose baseline build already vectorizes with NEON) and picks
+/// the slot. Every slot is the same source, so streams never depend on the
+/// host, and the level is recorded in every run manifest (`isa: {level}`).
 
-#include <atomic>
-#include <string>
-#include <string_view>
-
-// Kernel TUs define their vector variants with these macros so every level
-// compiles in one translation unit regardless of the build's -march (the
-// attribute enables the ISA per function; runtime detection keeps the CPU
-// from ever reaching code it can't run). x86 intrinsic variants must be
-// guarded by `#if HPDR_ISA_X86`, NEON variants by `#if HPDR_ISA_NEON`.
+// The attribute enables the ISA per function, so every slot compiles in one
+// translation unit whatever the build's -march; runtime detection keeps the
+// CPU from reaching code it cannot run. Wrappers that carry these attributes
+// must be guarded by `#if HPDR_ISA_X86`.
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define HPDR_ISA_X86 1
@@ -41,17 +24,12 @@
 #else
 #define HPDR_ISA_X86 0
 #endif
-#if defined(__aarch64__)
-#define HPDR_ISA_NEON 1
-#else
-#define HPDR_ISA_NEON 0
-#endif
 
 namespace hpdr::isa {
 
-/// Dispatch levels, ordered so that on x86 a numerically higher level is a
-/// strict superset of the one below it. Neon lives on its own axis (AArch64
-/// only) and falls back directly to Scalar.
+/// Host levels, ordered so that on x86 a numerically higher level is a
+/// strict superset of the one below it. Neon (AArch64 only) runs the
+/// scalar slot, which its baseline build vectorizes.
 enum class Level : int {
   Scalar = 0,
   Avx2 = 1,
@@ -62,78 +40,27 @@ enum class Level : int {
 /// Stable lowercase name ("scalar", "avx2", "avx512", "neon").
 const char* to_string(Level level);
 
-/// Parse a level name as accepted by HPDR_ISA. Returns false (and leaves
-/// `out` untouched) on unknown text.
-bool parse(std::string_view text, Level& out);
-
-/// Best level the running hardware supports, independent of any override.
-/// Detected once (CPUID / compile target) and cached.
-Level native_level();
-
-/// The active dispatch level: native_level() clamped down by HPDR_ISA or a
-/// later force(). First call performs detection, applies the environment
-/// override, and publishes gauge `core.isa.level`.
+/// Best level the running hardware supports, detected once and cached.
 Level level();
 
-/// Raw HPDR_ISA text as seen at first use ("" when unset). Preserved even
-/// when the request was clamped or unparseable, for the run manifest.
-const std::string& requested();
-
-/// True when HPDR_ISA was set to a recognised level name.
-bool overridden();
-
-/// Force the active level (clamped down to what the hardware supports;
-/// returns the level actually installed). Test hook — takes effect for all
-/// subsequent Table::get() calls in the process.
-Level force(Level level);
-
-/// RAII force() for differential tests: forces in the constructor, restores
-/// the previous active level in the destructor.
-class ScopedForce {
- public:
-  explicit ScopedForce(Level level);
-  ~ScopedForce();
-  ScopedForce(const ScopedForce&) = delete;
-  ScopedForce& operator=(const ScopedForce&) = delete;
-
- private:
-  Level prev_;
-};
-
-namespace detail {
-// -1 until the first level() call resolves detection + env override.
-extern std::atomic<int> g_active;
-Level resolve_slow();
-}  // namespace detail
-
-inline Level active_fast() {
-  int v = detail::g_active.load(std::memory_order_relaxed);
-  if (v >= 0) return static_cast<Level>(v);
-  return detail::resolve_slow();
-}
-
 /// Per-level function-pointer table. The scalar slot must always be set;
-/// vector slots are optional and fall through downwards (avx512 → avx2 →
-/// scalar, neon → scalar) when empty or when the active level is lower.
+/// get() returns the widest filled slot the host can run.
 template <class F>
 struct Table {
   F scalar = nullptr;
   F avx2 = nullptr;
   F avx512 = nullptr;
-  F neon = nullptr;
 
   F get() const {
-    switch (active_fast()) {
+    switch (level()) {
       case Level::Avx512:
         if (avx512) return avx512;
         [[fallthrough]];
       case Level::Avx2:
         if (avx2) return avx2;
         break;
-      case Level::Neon:
-        if (neon) return neon;
-        break;
       case Level::Scalar:
+      case Level::Neon:
         break;
     }
     return scalar;

@@ -8,7 +8,6 @@
 
 #include "core/checksum.hpp"
 #include "core/error.hpp"
-#include "core/isa.hpp"
 #include "core/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "machine/device_registry.hpp"
@@ -155,10 +154,6 @@ Service::Service(Config cfg)
       life_(std::make_shared<Session::Life>()) {
   cfg_.max_concurrent_jobs = std::max(1u, cfg_.max_concurrent_jobs);
   cfg_.watchdog_interval_s = std::max(1e-4, cfg_.watchdog_interval_s);
-  // Resolve the SIMD dispatch level up front so the core.isa.level gauge is
-  // registered before the first stats/prometheus snapshot, not lazily on
-  // the first kernel call.
-  isa::level();
   life_->svc = this;
   default_session_ = open_session();
   runners_.reserve(cfg_.max_concurrent_jobs);

@@ -91,11 +91,14 @@ void dump_rec(std::ostream& os, const Value& v, int indent, int depth) {
   } else if (v.is_bool()) {
     os << (v.as_bool() ? "true" : "false");
   } else if (v.is_number()) {
-    // Integers dump without a decimal point, and so do whole doubles. A
-    // double reaches as_int()'s cast only when finite and in int64's range.
+    // Integers dump without a decimal point (non-negative ones unsigned, so
+    // values above INT64_MAX stay exact), and so do whole doubles. A double
+    // reaches as_int()'s cast only when finite and in int64's range.
     const double d = v.as_double();
-    if (v.is_int() || (std::isfinite(d) && d >= -0x1p63 && d < 0x1p63 &&
-                       d == static_cast<double>(v.as_int())))
+    if (v.is_int() && d >= 0)
+      os << v.as_uint();
+    else if (v.is_int() || (std::isfinite(d) && d >= -0x1p63 && d < 0x1p63 &&
+                            d == static_cast<double>(v.as_int())))
       os << v.as_int();
     else
       dump_number(os, d);
@@ -310,7 +313,10 @@ class Parser {
     HPDR_REQUIRE(pos_ > begin, "JSON: invalid value at offset " << begin);
     const std::string tok(s_.substr(begin, pos_ - begin));
     try {
-      if (integral) return Value(static_cast<std::int64_t>(std::stoll(tok)));
+      // Integer literals keep every value in [INT64_MIN, UINT64_MAX].
+      if (integral && tok[0] == '-')
+        return Value(static_cast<std::int64_t>(std::stoll(tok)));
+      if (integral) return Value(static_cast<std::uint64_t>(std::stoull(tok)));
       return Value(std::stod(tok));
     } catch (const std::exception&) {
       HPDR_REQUIRE(false, "JSON: bad number '" << tok << "'");

@@ -27,8 +27,9 @@ namespace hpdr::telemetry {
 /// surrounding quotes.
 std::string json_escape(std::string_view s);
 
-/// One JSON value. Numbers are stored as double (plus a separate integer
-/// flavor so counters survive round-trips exactly up to 2^53).
+/// One JSON value. Numbers are stored as double, or as an exact integer:
+/// int64, or uint64 for a value above INT64_MAX (a u64 seed or hash), so
+/// every integer in [INT64_MIN, UINT64_MAX] round-trips exactly.
 class Value {
  public:
   using Array = std::vector<Value>;
@@ -39,12 +40,18 @@ class Value {
   Value(std::nullptr_t) : v_(nullptr) {}
   Value(bool b) : v_(b) {}
   Value(double d) : v_(d) {}
-  /// All integral types funnel into the int64 flavor (counters are u64 but
-  /// JSON consumers cap at 2^53 anyway).
+  /// Integral types keep their exact value: as int64, or as uint64 when
+  /// an unsigned value does not fit int64.
   template <class T, std::enable_if_t<std::is_integral_v<T> &&
                                           !std::is_same_v<T, bool>,
                                       int> = 0>
-  Value(T i) : v_(static_cast<std::int64_t>(i)) {}
+  Value(T i) {
+    if (std::is_unsigned_v<T> &&
+        static_cast<std::uint64_t>(i) > std::uint64_t{INT64_MAX})
+      v_ = static_cast<std::uint64_t>(i);
+    else
+      v_ = static_cast<std::int64_t>(i);
+  }
   Value(const char* s) : v_(std::string(s)) {}
   Value(std::string s) : v_(std::move(s)) {}
   Value(Array a) : v_(std::move(a)) {}
@@ -58,7 +65,10 @@ class Value {
   bool is_number() const {
     return std::holds_alternative<double>(v_) || is_int();
   }
-  bool is_int() const { return std::holds_alternative<std::int64_t>(v_); }
+  bool is_int() const {
+    return std::holds_alternative<std::int64_t>(v_) ||
+           std::holds_alternative<std::uint64_t>(v_);
+  }
   bool is_string() const { return std::holds_alternative<std::string>(v_); }
   bool is_array() const { return std::holds_alternative<Array>(v_); }
   bool is_object() const { return std::holds_alternative<Object>(v_); }
@@ -67,12 +77,21 @@ class Value {
   double as_double() const {
     if (auto* i = std::get_if<std::int64_t>(&v_))
       return static_cast<double>(*i);
+    if (auto* u = std::get_if<std::uint64_t>(&v_))
+      return static_cast<double>(*u);
     return std::get<double>(v_);
   }
+  /// An integer above INT64_MAX throws std::bad_variant_access here; read
+  /// it with as_uint().
   std::int64_t as_int() const {
     if (auto* d = std::get_if<double>(&v_))
       return static_cast<std::int64_t>(*d);
     return std::get<std::int64_t>(v_);
+  }
+  /// A non-negative integer, exactly (a negative one wraps).
+  std::uint64_t as_uint() const {
+    if (auto* u = std::get_if<std::uint64_t>(&v_)) return *u;
+    return static_cast<std::uint64_t>(as_int());
   }
   const std::string& as_string() const { return std::get<std::string>(v_); }
   const Array& as_array() const { return std::get<Array>(v_); }
@@ -89,8 +108,8 @@ class Value {
   void push_back(Value val) { as_array().push_back(std::move(val)); }
 
  private:
-  std::variant<std::nullptr_t, bool, double, std::int64_t, std::string,
-               Array, Object>
+  std::variant<std::nullptr_t, bool, double, std::int64_t, std::uint64_t,
+               std::string, Array, Object>
       v_;
 };
 

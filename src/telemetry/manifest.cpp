@@ -40,19 +40,18 @@ double get_num(const Value& obj, const char* key) {
 /// hpdr::Error and never reaches a cast.
 template <class T>
 T get_count(const Value* v, const char* key) {
-  constexpr auto kMax = static_cast<std::int64_t>(
-      std::min<std::uint64_t>(std::numeric_limits<T>::max(),
-                              std::numeric_limits<std::int64_t>::max()));
   HPDR_REQUIRE(v && v->is_number(), "manifest: missing number '" << key
                                                                  << "'");
   const double d = v->as_double();
-  // NaN fails every comparison; 0x1p63 bounds the int64 conversion.
-  HPDR_REQUIRE(v->is_int() || (d >= 0 && d < 0x1p63 && d == std::trunc(d)),
+  // NaN fails every comparison; 0x1p64 bounds the u64 conversion.
+  HPDR_REQUIRE(v->is_int() || (d >= 0 && d < 0x1p64 && d == std::trunc(d)),
                "manifest: '" << key << "' is not a whole number: " << d);
-  const std::int64_t i = v->as_int();
-  HPDR_REQUIRE(i >= 0 && i <= kMax,
-               "manifest: '" << key << "' out of range: " << i);
-  return static_cast<T>(i);
+  HPDR_REQUIRE(d >= 0, "manifest: '" << key << "' out of range: " << d);
+  const std::uint64_t u =
+      v->is_int() ? v->as_uint() : static_cast<std::uint64_t>(d);
+  HPDR_REQUIRE(u <= std::numeric_limits<T>::max(),
+               "manifest: '" << key << "' out of range: " << u);
+  return static_cast<T>(u);
 }
 
 }  // namespace
@@ -122,12 +121,9 @@ Value RunManifest::to_json() const {
     v.set("faults", std::move(f));
   }
   {
-    // Which SIMD dispatch level the kernels actually ran at, plus the raw
-    // HPDR_ISA request when one was set (possibly clamped — an operator can
-    // see that `avx512` silently became `avx2` on an older box).
+    // Which SIMD dispatch level the kernels ran at.
     Value i = Value::object();
     i.set("level", Value(isa::to_string(isa::level())));
-    i.set("requested", Value(isa::requested()));
     v.set("isa", std::move(i));
   }
   if (include_metrics)

@@ -1,170 +1,35 @@
-// Runtime ISA dispatch (DESIGN.md §16): level detection and override
-// semantics, and the differential matrix — every SIMD-dispatched kernel
-// forced to scalar must produce byte-identical output to its native path.
+// Runtime ISA dispatch (DESIGN.md §16): the host level is detected once,
+// and a table hands out the widest filled slot that level can run. That
+// each slot computes its kernel's definition is checked per kernel, in
+// test_zfp.cpp (ZfpTransform) and test_sz.cpp (DualQuant).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstring>
-#include <random>
-#include <vector>
+#include <algorithm>
 
-#include "algorithms/huffman/huffman.hpp"
-#include "algorithms/lz4/lz4.hpp"
-#include "algorithms/sz/sz.hpp"
-#include "algorithms/zfp/zfp.hpp"
 #include "core/isa.hpp"
-#include "core/ndarray.hpp"
 
 namespace hpdr {
 namespace {
 
 TEST(IsaLevel, NativeLevelIsStableAndActiveNeverExceedsIt) {
-  const isa::Level native = isa::native_level();
-  EXPECT_EQ(native, isa::native_level());  // cached, not re-detected
-  EXPECT_LE(static_cast<int>(isa::level()), static_cast<int>(native));
+  const isa::Level native = isa::level();
+  EXPECT_EQ(native, isa::level());  // cached, not re-detected
+  using Fn = int (*)();
+  const isa::Table<Fn> full = {+[] { return 0; }, +[] { return 1; },
+                               +[] { return 2; }};
+  const int active = full.get()();
 #if HPDR_ISA_X86
   EXPECT_NE(native, isa::Level::Neon);
+  EXPECT_EQ(active, static_cast<int>(native));
+#else
+  EXPECT_EQ(active, 0);  // off x86 the baseline-built scalar slot runs
 #endif
-#if HPDR_ISA_NEON
-  EXPECT_TRUE(native == isa::Level::Neon || native == isa::Level::Scalar);
+#if defined(__aarch64__)
+  EXPECT_EQ(native, isa::Level::Neon);
 #endif
-}
-
-TEST(IsaLevel, ParseAcceptsExactlyTheDocumentedNames) {
-  isa::Level l = isa::Level::Avx2;
-  EXPECT_TRUE(isa::parse("scalar", l));
-  EXPECT_EQ(l, isa::Level::Scalar);
-  EXPECT_TRUE(isa::parse("avx2", l));
-  EXPECT_EQ(l, isa::Level::Avx2);
-  EXPECT_TRUE(isa::parse("avx512", l));
-  EXPECT_EQ(l, isa::Level::Avx512);
-  EXPECT_TRUE(isa::parse("neon", l));
-  EXPECT_EQ(l, isa::Level::Neon);
-  l = isa::Level::Avx512;
-  EXPECT_FALSE(isa::parse("AVX-512", l));
-  EXPECT_FALSE(isa::parse("", l));
-  EXPECT_FALSE(isa::parse("sse9", l));
-  EXPECT_EQ(l, isa::Level::Avx512);  // untouched on failure
-}
-
-TEST(IsaLevel, ToStringRoundTripsThroughParse) {
-  for (isa::Level l : {isa::Level::Scalar, isa::Level::Avx2,
-                       isa::Level::Avx512, isa::Level::Neon}) {
-    isa::Level back = isa::Level::Scalar;
-    EXPECT_TRUE(isa::parse(isa::to_string(l), back));
-    EXPECT_EQ(back, l);
-  }
-}
-
-TEST(IsaLevel, ForceClampsDownNeverUp) {
-  const isa::Level prev = isa::level();
-  // Forcing scalar always succeeds; forcing above native clamps to native.
-  EXPECT_EQ(isa::force(isa::Level::Scalar), isa::Level::Scalar);
-  EXPECT_EQ(isa::level(), isa::Level::Scalar);
-  const isa::Level native = isa::native_level();
-#if HPDR_ISA_X86
-  EXPECT_LE(static_cast<int>(isa::force(isa::Level::Avx512)),
-            static_cast<int>(native));
-#endif
-  isa::force(prev);
-  EXPECT_EQ(isa::level(), prev);
-}
-
-TEST(IsaLevel, ScopedForceRestoresOnExit) {
-  const isa::Level prev = isa::level();
-  {
-    isa::ScopedForce f(isa::Level::Scalar);
-    EXPECT_EQ(isa::level(), isa::Level::Scalar);
-  }
-  EXPECT_EQ(isa::level(), prev);
-}
-
-// ---- Differential matrix: scalar vs native, byte for byte. Each fixture
-// computes the same workload twice, once under ScopedForce(Scalar) and
-// once at the machine's active level, and requires identical bytes. On a
-// scalar-only box both runs take the scalar slot and the test degenerates
-// to determinism — still worth asserting.
-
-std::vector<std::int64_t> zfp_blocks(std::size_t nblocks, unsigned seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<std::int64_t> v(nblocks * 64);
-  for (auto& q : v)
-    q = static_cast<std::int64_t>(rng() & 0xFFFFF) - 0x80000;
-  return v;
-}
-
-TEST(IsaDifferential, ZfpTransformsMatchScalarBitForBit) {
-  for (std::size_t rank : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-    const auto src = zfp_blocks(256, 11 + static_cast<unsigned>(rank));
-    std::vector<std::int64_t> native = src, scalar = src;
-    for (std::size_t b = 0; b < 256; ++b)
-      zfp::detail::fwd_transform(native.data() + b * 64, rank);
-    {
-      isa::ScopedForce f(isa::Level::Scalar);
-      for (std::size_t b = 0; b < 256; ++b)
-        zfp::detail::fwd_transform(scalar.data() + b * 64, rank);
-    }
-    EXPECT_EQ(native, scalar) << "fwd rank " << rank;
-
-    std::vector<std::int64_t> inv_native = native, inv_scalar = native;
-    for (std::size_t b = 0; b < 256; ++b)
-      zfp::detail::inv_transform(inv_native.data() + b * 64, rank);
-    {
-      isa::ScopedForce f(isa::Level::Scalar);
-      for (std::size_t b = 0; b < 256; ++b)
-        zfp::detail::inv_transform(inv_scalar.data() + b * 64, rank);
-    }
-    EXPECT_EQ(inv_native, inv_scalar) << "inv rank " << rank;
-    EXPECT_EQ(inv_native, src) << "inverse must undo forward, rank " << rank;
-  }
-}
-
-TEST(IsaDifferential, SzDualQuantStreamMatchesScalarBitForBit) {
-  const Device dev = Device::serial();
-  NDArray<float> field(Shape{64, 48});
-  std::mt19937_64 rng(23);
-  std::normal_distribution<float> noise(0.f, 0.05f);
-  for (std::size_t i = 0; i < field.size(); ++i)
-    field.data()[i] =
-        std::sin(0.05f * static_cast<float>(i)) + noise(rng);
-
-  const auto native = sz::compress_dualquant(dev, field.cview(), 1e-3);
-  std::vector<std::uint8_t> scalar;
-  {
-    isa::ScopedForce f(isa::Level::Scalar);
-    scalar = sz::compress_dualquant(dev, field.cview(), 1e-3);
-  }
-  EXPECT_EQ(native, scalar);
-  // And the scalar path decodes the native stream (and vice versa).
-  {
-    isa::ScopedForce f(isa::Level::Scalar);
-    const auto out = sz::decompress_dualquant_f32(dev, native);
-    ASSERT_EQ(out.size(), field.size());
-  }
-}
-
-TEST(IsaDifferential, Lz4AndHuffmanAreIsaInvariant) {
-  // LZ4 and Huffman carry no vector slots today; the matrix still pins the
-  // contract that forcing scalar cannot change any codec's bytes.
-  const Device dev = Device::serial();
-  std::vector<std::uint8_t> data(50000);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = static_cast<std::uint8_t>((i % 96 < 80) ? (i % 96) : (i >> 6));
-  std::vector<std::uint32_t> symbols(20000);
-  std::mt19937_64 rng(31);
-  std::geometric_distribution<int> mag(0.3);
-  for (auto& s : symbols) s = static_cast<std::uint32_t>(32768 + mag(rng));
-
-  const std::size_t alphabet = 33000;
-  const auto lz_native = lz4::compress(dev, data);
-  const auto hf_native = huffman::encode_u32(dev, symbols, alphabet);
-  {
-    isa::ScopedForce f(isa::Level::Scalar);
-    EXPECT_EQ(lz4::compress(dev, data), lz_native);
-    EXPECT_EQ(huffman::encode_u32(dev, symbols, alphabet), hf_native);
-    EXPECT_EQ(lz4::decompress(dev, lz_native), data);
-    EXPECT_EQ(huffman::decode_u32(dev, hf_native), symbols);
-  }
+  // An empty slot falls through to the next narrower one.
+  const isa::Table<Fn> no512 = {full.scalar, full.avx2, nullptr};
+  EXPECT_EQ(no512.get()(), std::min(active, 1));
 }
 
 }  // namespace

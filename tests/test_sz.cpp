@@ -95,6 +95,64 @@ TEST(DualQuant, PortableAndDeterministic) {
             compress_dualquant(par, a.view(), 1e-3));
 }
 
+// lorenzo_residuals against its definition: per element, the 7-term
+// Lorenzo stencil over the lattice (zero outside the domain), symbol
+// r + kRadius + 1 for |r| ≤ kRadius and 0 for an outlier or a residual out
+// of range. The lattice is built so residuals land on ±kRadius and
+// ±(kRadius + 1), and rows have odd lengths so vector tails run too.
+TEST(DualQuant, LorenzoResidualsMatchPerElementStencil) {
+  using detail::kRadius;
+  for (const Shape& cs : {Shape{301}, Shape{13, 45}, Shape{6, 9, 37}}) {
+    const std::size_t nk = cs[cs.rank() - 1];
+    const std::size_t nj = cs.rank() >= 2 ? cs[cs.rank() - 2] : 1;
+    const std::size_t n = cs.size();
+    std::vector<std::int64_t> P(n);
+    auto at = [&](std::size_t i, std::size_t j, std::size_t k, std::size_t di,
+                  std::size_t dj, std::size_t dk) -> std::int64_t {
+      if (i < di || j < dj || k < dk) return 0;
+      return P[((i - di) * nj + (j - dj)) * nk + (k - dk)];
+    };
+    auto pred = [&](std::size_t flat) {
+      const std::size_t i = flat / (nj * nk), j = flat / nk % nj,
+                        k = flat % nk;
+      return at(i, j, k, 0, 0, 1) + at(i, j, k, 0, 1, 0) +
+             at(i, j, k, 1, 0, 0) - at(i, j, k, 0, 1, 1) -
+             at(i, j, k, 1, 0, 1) - at(i, j, k, 1, 1, 0) +
+             at(i, j, k, 1, 1, 1);
+    };
+    // Pick each element's residual, then solve for P in flat order (the
+    // stencil reads only elements already set).
+    std::mt19937_64 rng(cs.rank() * 31);
+    const std::int64_t edges[] = {kRadius, -kRadius, kRadius + 1,
+                                  -(kRadius + 1)};
+    std::vector<std::uint8_t> oob(n);
+    for (std::size_t flat = 0; flat < n; ++flat) {
+      const std::uint64_t u = rng();
+      const std::int64_t r = u % 5 == 0
+                                 ? edges[u / 5 % 4]
+                                 : static_cast<std::int64_t>(u % 4001) - 2000;
+      P[flat] = pred(flat) + r;
+      oob[flat] = u % 13 == 0;
+    }
+    std::vector<std::uint32_t> want(n);
+    bool edge_seen[4] = {};
+    for (std::size_t flat = 0; flat < n; ++flat) {
+      const std::int64_t r = P[flat] - pred(flat);
+      for (int e = 0; e < 4; ++e)
+        edge_seen[e] |= !oob[flat] && r == edges[e];
+      want[flat] = (oob[flat] || r < -kRadius || r > kRadius)
+                       ? 0u
+                       : static_cast<std::uint32_t>(r + kRadius + 1);
+    }
+    for (int e = 0; e < 4; ++e) EXPECT_TRUE(edge_seen[e]) << edges[e];
+    for (const Device& dev : {Device::serial(), Device::openmp()}) {
+      std::vector<std::uint32_t> sym(n, 7);
+      detail::lorenzo_residuals(dev, P.data(), oob.data(), cs, sym.data());
+      EXPECT_EQ(sym, want) << "rank " << cs.rank();
+    }
+  }
+}
+
 TEST(DualQuant, CorruptStreamThrows) {
   const Device dev = Device::serial();
   NDArray<float> a(Shape{16, 16}, 1.0f);

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -12,7 +14,6 @@
 #include <vector>
 
 #include "compressor/compressor.hpp"
-#include "core/isa.hpp"
 #include "core/thread_pool.hpp"
 #include "data/generators.hpp"
 #include "fault/fault.hpp"
@@ -75,6 +76,12 @@ TEST(TelemetryJson, IntegersSurviveExactly) {
   EXPECT_EQ(telemetry::parse(telemetry::dump(v)).as_int(), big);
   // Integers serialize without a decimal point.
   EXPECT_EQ(telemetry::dump(Value(7)), "7");
+  // Unsigned values above INT64_MAX stay exact; past UINT64_MAX is an error.
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(telemetry::dump(Value(top)), "18446744073709551615");
+  EXPECT_EQ(telemetry::parse("18446744073709551615").as_uint(), top);
+  EXPECT_EQ(telemetry::parse("-9223372036854775808").as_int(), INT64_MIN);
+  EXPECT_THROW(telemetry::parse("18446744073709551616"), Error);
 }
 
 TEST(TelemetryJson, ObjectSetReplacesAndPreservesOrder) {
@@ -392,6 +399,24 @@ TEST(TelemetryManifest, FromJsonRejectsNonCountIntegers) {
   }
 }
 
+// A fault seed is a u64: values above INT64_MAX dump as unsigned decimals
+// and read back exactly.
+TEST(TelemetryManifest, FaultSeedAboveInt64MaxRoundTrips) {
+  for (const std::uint64_t seed : {(std::uint64_t{1} << 63) + 5,
+                                   std::numeric_limits<std::uint64_t>::max()}) {
+    telemetry::RunManifest m = sample_manifest();
+    m.fault_plan = "hdem.task:nth=1";
+    m.fault_seed = seed;
+    const std::string text = telemetry::dump(m.to_json());
+    EXPECT_NE(text.find("\"seed\":" + std::to_string(seed) + "}"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(telemetry::RunManifest::from_json(telemetry::parse(text))
+                  .fault_seed,
+              seed);
+  }
+}
+
 TEST(TelemetryManifest, ManifestIncludesRegistryMetrics) {
   telemetry::counter("test.manifest.counter").reset();
   telemetry::counter("test.manifest.counter").add(7);
@@ -621,19 +646,16 @@ TEST(TelemetryNaming, EveryRegisteredInstrumentNameIsValid) {
     const auto jr = service.submit(spec).get();
     EXPECT_TRUE(jr.ok) << jr.error;
   }
-  // Resolving the dispatch level registers the core.isa.level gauge (§16);
-  // in serve mode the Service constructor above already did this.
-  isa::level();
   const auto names = telemetry::MetricsRegistry::instance().names();
   EXPECT_GT(names.size(), 10u);
   for (const auto& n : names)
     EXPECT_TRUE(telemetry::valid_metric_name(n)) << "bad metric name: " << n;
-  // The families the §14/§15/§16 dashboards scrape must be registered.
+  // The families the §14/§15 dashboards scrape must be registered.
   for (const char* required :
        {"svc.cache.hit", "svc.cache.miss", "svc.cache.insert",
         "svc.cache.evict", "svc.cache.bytes", "svc.cache.hit.latency",
         "svc.progressive.requests", "svc.progressive.refine",
-        "svc.progressive.bytes_fetched", "core.isa.level"})
+        "svc.progressive.bytes_fetched"})
     EXPECT_NE(std::find(names.begin(), names.end(), required), names.end())
         << "missing metric: " << required;
 }

@@ -1,7 +1,7 @@
-// Tests for ZFP-X fixed-rate compression: transform invertibility,
-// negabinary mapping, the bitplane coder against its per-bit reference,
-// rate exactness, accuracy-vs-rate, adapter portability, non-finite blocks
-// and hostile header fields.
+// Tests for ZFP-X fixed-rate compression: transform invertibility and its
+// per-axis definition, negabinary mapping, the bitplane coder against its
+// per-bit reference, rate exactness, accuracy-vs-rate, adapter portability,
+// non-finite blocks and hostile header fields.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,6 +53,32 @@ TEST(ZfpLift, ConstantBlockConcentratesEnergy) {
   EXPECT_EQ(v[1], 0);
   EXPECT_EQ(v[2], 0);
   EXPECT_EQ(v[3], 0);
+}
+
+// fwd_transform is fwd_lift4 along each axis of the 4^rank block, fastest
+// axis (stride 1) first; its lane-parallel body must compute exactly that
+// on whichever slot the host dispatches to, and inv_transform must undo it.
+TEST(ZfpTransform, MatchesPerAxisLifts) {
+  constexpr std::size_t kBlocks = 256;
+  for (std::size_t rank : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    const std::size_t n = std::size_t{1} << (2 * rank);
+    std::mt19937_64 rng(11 + rank);
+    std::vector<std::int64_t> src(kBlocks * n);
+    for (auto& q : src)
+      q = static_cast<std::int64_t>(rng() & 0xFFFFF) - 0x80000;
+    std::vector<std::int64_t> fast = src, lifts = src;
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      std::int64_t* q = lifts.data() + b * n;
+      for (std::size_t stride = 1; stride < n; stride *= 4)
+        for (std::size_t base = 0; base < n; ++base)
+          if (base / stride % 4 == 0) detail::fwd_lift4(q + base, stride);
+      detail::fwd_transform(fast.data() + b * n, rank);
+    }
+    EXPECT_EQ(fast, lifts) << "rank " << rank;
+    for (std::size_t b = 0; b < kBlocks; ++b)
+      detail::inv_transform(fast.data() + b * n, rank);
+    EXPECT_EQ(fast, src) << "inverse must undo forward, rank " << rank;
+  }
 }
 
 TEST(ZfpNegabinary, RoundTripAndMagnitudeOrdering) {
