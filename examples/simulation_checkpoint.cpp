@@ -6,7 +6,8 @@
 // The "simulation" is a real 2-D heat-diffusion solver (explicit finite
 // differences). We run it twice:
 //   1. a reference run writing raw checkpoints,
-//   2. a run writing MGARD-X-reduced checkpoints (BPLite files on disk),
+//   2. a run writing an MGARD-X-reduced checkpoint (one pipeline stream in
+//      one file on disk),
 // then restart from the *reduced* checkpoint and measure how far the
 // restarted trajectory drifts from the reference — demonstrating that an
 // error-bounded checkpoint preserves the physics while shrinking the file.
@@ -15,6 +16,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "hpdr.hpp"
 
@@ -69,7 +72,7 @@ int main(int argc, char** argv) {
   const double rel_eb = argc > 1 ? std::atof(argv[1]) : 1e-4;
   const Device dev = Device::openmp();
   const std::string ckpt_path =
-      (std::filesystem::temp_directory_path() / "hpdr_checkpoint.bp")
+      (std::filesystem::temp_directory_path() / "hpdr_checkpoint.hpdr")
           .string();
 
   // Phase 1: run and checkpoint (reduced) halfway.
@@ -82,14 +85,13 @@ int main(int argc, char** argv) {
   opts.param = rel_eb;
   opts.init_chunk_bytes = u.size_bytes() / 4;
   opts.max_chunk_bytes = u.size_bytes();
-  std::size_t stored = 0;
-  {
-    io::ReducedWriter writer(ckpt_path, dev, "mgard-x", opts);
-    writer.begin_step();
-    stored = writer.put_f32("temperature", u.view());
-    writer.end_step();
-    writer.close();
-  }
+  const auto mgard = make_compressor("mgard-x");
+  const auto ckpt =
+      pipeline::compress(dev, *mgard, u.data(), u.shape(), DType::F32, opts);
+  std::ofstream(ckpt_path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(ckpt.stream.data()),
+             static_cast<std::streamsize>(ckpt.stream.size()));
+  const std::size_t stored = std::filesystem::file_size(ckpt_path);
   std::printf("checkpoint: %zu B raw -> %zu B on disk (ratio %.1fx, eb %g)\n",
               u.size_bytes(), stored,
               double(u.size_bytes()) / double(stored), rel_eb);
@@ -99,10 +101,14 @@ int main(int argc, char** argv) {
   for (int s = 0; s < kStepsPerPhase; ++s) step(ref, tmp);
 
   // Phase 2b: restart from the reduced checkpoint and continue.
-  NDArray<float> restarted = [&] {
-    io::ReducedReader reader(ckpt_path, dev);
-    return reader.get_f32(0, "temperature");
-  }();
+  NDArray<float> restarted(u.shape());
+  {
+    std::ifstream in(ckpt_path, std::ios::binary);
+    const std::vector<std::uint8_t> stream(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    pipeline::decompress(dev, *mgard, stream, restarted.data(), u.shape(),
+                         DType::F32, opts);
+  }
   auto ckpt_stats = compute_error_stats(u.span(), restarted.span());
   for (int s = 0; s < kStepsPerPhase; ++s) step(restarted, tmp);
 

@@ -12,9 +12,9 @@
 ///
 /// The Group Execution Model (GEM) partitions work into independent groups;
 /// the Domain Execution Model (DEM) runs all threads over the whole domain
-/// with global synchronization between stages. Both support multi-stage
-/// fusion: consecutive operations sharing a model execute back to back with
-/// group-local (GEM) or domain-wide (DEM) staging.
+/// with global synchronization between stages. A GEM group can stage its
+/// working data in group-local memory across the stages it runs back to
+/// back (iterative_staged); DEM stages share data through the domain.
 ///
 /// Device mapping (Table II) is realized here by dispatch on DeviceKind:
 ///   * Serial: groups run sequentially; staging data lives in the CPU cache
@@ -157,34 +157,6 @@ void locality(const Device& dev, const Shape& domain, const Shape& block,
   });
 }
 
-/// Iterative abstraction (Fig. 3b). `num_vectors` independent sequential
-/// recurrences (e.g., tridiagonal solves) are distributed across threads,
-/// every `group_size` consecutive vectors forming one GEM group so a core
-/// can exploit locality across the vectors it owns.
-template <class F>
-void iterative(const Device& dev, std::size_t num_vectors,
-               std::size_t group_size, F&& f) {
-  HPDR_REQUIRE(group_size > 0, "group_size must be positive");
-  const std::size_t groups = (num_vectors + group_size - 1) / group_size;
-  detail::run_indexed(dev, groups, [&](std::size_t g) {
-    const std::size_t begin = g * group_size;
-    const std::size_t end = std::min(begin + group_size, num_vectors);
-    for (std::size_t v = begin; v < end; ++v) f(v);
-  });
-}
-
-/// Iterative abstraction with group staging: like iterative(), but each
-/// GEM group owns `scratch_bytes` of staging memory shared by the vectors
-/// it processes (Table II: working data staged in cache/shared memory),
-/// and receives its whole vector range so it can step its vectors in
-/// lockstep (MGARD's level step runs its tridiagonal solves this way).
-/// `f` is void(std::size_t begin, std::size_t end, GroupCtx&) over the
-/// group's vectors [begin, end).
-template <class F>
-void iterative_staged(const Device& dev, std::size_t num_vectors,
-                      std::size_t group_size, std::size_t scratch_bytes,
-                      F&& f);
-
 /// A subset handed to MapAndProcess: a contiguous index range tagged with
 /// the subset id (e.g., a decomposition level in MGARD).
 struct Subset {
@@ -218,29 +190,20 @@ void map_and_process(const Device& dev, std::span<const Subset> subsets,
   });
 }
 
-/// Global pipeline abstraction (Fig. 3d). Runs each stage over the whole
-/// domain with a global synchronization between stages (DEM multi-stage).
-/// Each stage is `void(std::size_t i)` over [0, domain_size). On CPUs the
-/// barrier is the sequential stage order; on the simulated GPU it models a
+/// Global abstraction (Fig. 3d): one DEM stage over the whole domain. A
+/// multi-stage kernel calls it once per stage; on CPUs the barrier between
+/// stages is the call order, on the simulated GPU it models a
 /// cooperative-groups grid sync.
-template <class... Stages>
-void global_pipeline(const Device& dev, std::size_t domain_size,
-                     Stages&&... stages) {
-  (detail::run_indexed(dev, domain_size, std::forward<Stages>(stages)), ...);
-}
-
-/// Single-stage DEM launch over an arbitrary-size domain; used by encoders
-/// whose stage count is data-dependent.
 template <class F>
 void global_stage(const Device& dev, std::size_t domain_size, F&& f) {
   detail::run_indexed(dev, domain_size, std::forward<F>(f));
 }
 
-/// Per-group staging memory for fused multi-stage GEM kernels — the
-/// "ShMem" rows of Table II. On a GPU this is the thread block's shared
-/// memory, persisting across block-synchronized stages; on CPU adapters it
-/// is a group-private arena that stays cache-resident because the group's
-/// stages run back to back on one core.
+/// Per-group staging memory for GEM kernels — the "ShMem" rows of Table II.
+/// On a GPU this is the thread block's shared memory, persisting across
+/// block-synchronized stages; on CPU adapters it is a group-private arena
+/// that stays cache-resident because the group's stages run back to back
+/// on one core.
 class GroupCtx {
  public:
   explicit GroupCtx(std::span<std::byte> arena) : arena_(arena) {}
@@ -262,24 +225,15 @@ class GroupCtx {
   std::span<std::byte> arena_;
 };
 
-/// Fused multi-stage Locality launch (§III-B: "multiple operations sharing
-/// the same execution model can be fused into one model for more efficient
-/// execution"). Every stage is void(const Block&, GroupCtx&); for each
-/// group, stages execute back to back with a group-level barrier between
-/// them (Table II "Order" row: sequential on CPUs, block sync on GPUs) and
-/// share `scratch_bytes` of staging memory.
-template <class... Stages>
-void locality_fused(const Device& dev, const Shape& domain,
-                    const Shape& block, std::size_t scratch_bytes,
-                    Stages&&... stages) {
-  locality(dev, domain, block, [&](const Block& b) {
-    // One arena per group invocation; lives for all fused stages.
-    std::vector<std::byte> arena(scratch_bytes);
-    GroupCtx ctx(arena);
-    (stages(b, ctx), ...);
-  });
-}
-
+/// Iterative abstraction (Fig. 3b). `num_vectors` independent sequential
+/// recurrences (e.g., tridiagonal solves) are distributed across threads,
+/// every `group_size` consecutive vectors forming one GEM group so a core
+/// can exploit locality across the vectors it owns. Each group owns
+/// `scratch_bytes` of staging memory shared by its vectors (Table II:
+/// working data staged in cache/shared memory) and receives its whole
+/// vector range, so it can step its vectors in lockstep (MGARD's level step
+/// runs its tridiagonal solves this way). `f` is void(std::size_t begin,
+/// std::size_t end, GroupCtx&) over the group's vectors [begin, end).
 template <class F>
 void iterative_staged(const Device& dev, std::size_t num_vectors,
                       std::size_t group_size, std::size_t scratch_bytes,

@@ -20,29 +20,13 @@ constexpr std::uint8_t kMagic = 0x47;  // 'G'
 constexpr std::uint8_t kVersion = 2;
 constexpr std::uint8_t kModeRaw = 0;     // stored uncompressed (tiny input)
 constexpr std::uint8_t kModeLossy = 1;
+/// Grid byte of a lossy stream: 0 is a uniform grid, the only kind this
+/// codec writes or reads; any other value is rejected.
+constexpr std::uint8_t kGridUniform = 0;
 
 template <class T>
 constexpr std::uint8_t dtype_of() {
   return sizeof(T) == 4 ? 0 : 1;
-}
-
-using Coords = std::vector<std::vector<double>>;
-
-std::uint64_t coords_hash(const Coords& coords) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& c : coords) {
-    mix(c.size());
-    for (double x : c) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &x, 8);
-      mix(bits);
-    }
-  }
-  return h;
 }
 
 }  // namespace
@@ -86,19 +70,13 @@ bool too_small_to_decompose(const Shape& shape) {
 }
 
 /// Hierarchies are the expensive reduction context — cached in the CMM so
-/// repeated calls on same-shaped (and same-grid) data allocate nothing
-/// (§III-B).
+/// repeated calls on same-shaped data allocate nothing (§III-B).
 std::shared_ptr<Hierarchy> cached_hierarchy(const Device& dev,
-                                            const Shape& shape,
-                                            const Coords& coords) {
-  ContextKey key{"mgard-hierarchy", shape.hash() ^ coords_hash(coords), 0,
-                 0.0, dev.name()};
+                                            const Shape& shape) {
+  ContextKey key{"mgard-hierarchy", shape.hash(), 0, 0.0, dev.name()};
   return ContextCache::instance().get_or_create<Hierarchy>(key, [&] {
     AllocationStats::instance().record_alloc(shape.size() * 9);
-    return coords.empty()
-               ? std::make_shared<Hierarchy>(shape)
-               : std::make_shared<Hierarchy>(
-                     shape, Coords(coords));
+    return std::make_shared<Hierarchy>(shape);
   });
 }
 
@@ -107,28 +85,11 @@ namespace {
 template <class T>
 std::vector<std::uint8_t> compress_impl(const Device& dev,
                                         NDView<const T> data,
-                                        double rel_eb, double snorm,
-                                        const Coords& coords = {}) {
+                                        double rel_eb, double snorm) {
   HPDR_REQUIRE(data.size() > 0, "empty input");
   HPDR_REQUIRE(rel_eb > 0, "error bound must be positive");
   HPDR_REQUIRE(snorm >= 0, "s must be non-negative");
   const Shape orig = data.shape();
-  const bool nonuniform = !coords.empty();
-  if (nonuniform) {
-    HPDR_REQUIRE(coords.size() == orig.rank(),
-                 "one coordinate array per dimension required");
-    for (std::size_t d = 0; d < orig.rank(); ++d) {
-      HPDR_REQUIRE(orig[d] >= 3,
-                   "non-uniform grids need every dimension >= 3");
-      if (coords[d].empty()) continue;
-      HPDR_REQUIRE(coords[d].size() == orig[d],
-                   "coords[" << d << "] must have " << orig[d]
-                             << " entries");
-      for (std::size_t i = 1; i < coords[d].size(); ++i)
-        HPDR_REQUIRE(coords[d][i] > coords[d][i - 1],
-                     "coordinates must be strictly increasing");
-    }
-  }
 
   ByteWriter out;
   out.put_u8(kMagic);
@@ -137,7 +98,7 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   out.put_u8(static_cast<std::uint8_t>(orig.rank()));
   for (std::size_t d = 0; d < orig.rank(); ++d) out.put_varint(orig[d]);
 
-  const Shape shape = nonuniform ? orig : normalize_shape(orig);
+  const Shape shape = normalize_shape(orig);
   if (too_small_to_decompose(shape)) {
     // Too small to decompose — store raw.
     out.put_u8(kModeRaw);
@@ -154,16 +115,9 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
     abs_eb = rel_eb * std::max(1.0, std::abs(double(range.lo)));
   out.put_f64(abs_eb);
   out.put_f64(snorm);
-  // Grid block: coordinates travel with the stream so reconstruction on
-  // any system sees the same geometry.
-  out.put_u8(nonuniform ? 1 : 0);
-  if (nonuniform)
-    for (const auto& c : coords) {
-      out.put_varint(c.size());
-      for (double x : c) out.put_f64(x);
-    }
+  out.put_u8(kGridUniform);
 
-  std::shared_ptr<Hierarchy> h = cached_hierarchy(dev, shape, coords);
+  std::shared_ptr<Hierarchy> h = cached_hierarchy(dev, shape);
   const std::size_t L = h->num_levels();
 
   // Alg. 1 lines 5-13: multilevel decomposition (in a working copy).
@@ -241,20 +195,11 @@ NDArray<T> decompress_impl(const Device& dev,
   HPDR_REQUIRE(mode == kModeLossy, "corrupt MGARD mode byte");
   const double abs_eb = in.get_f64();
   const double snorm = in.get_f64();
-  const bool nonuniform = in.get_u8() != 0;
-  Coords coords;
-  if (nonuniform) {
-    coords.resize(rank);
-    for (std::size_t d = 0; d < rank; ++d) {
-      const std::size_t n = in.get_varint();
-      HPDR_REQUIRE(n == 0 || n == orig[d], "coordinate count mismatch");
-      coords[d].resize(n);
-      for (auto& x : coords[d]) x = in.get_f64();
-    }
-  }
+  HPDR_REQUIRE(in.get_u8() == kGridUniform,
+               "non-uniform MGARD grids are not supported");
 
-  const Shape shape = nonuniform ? orig : normalize_shape(orig);
-  std::shared_ptr<Hierarchy> h = cached_hierarchy(dev, shape, coords);
+  const Shape shape = normalize_shape(orig);
+  std::shared_ptr<Hierarchy> h = cached_hierarchy(dev, shape);
   const std::size_t L = h->num_levels();
 
   const std::size_t n_outliers = in.get_varint();
@@ -334,20 +279,6 @@ std::vector<std::uint8_t> compress(const Device& dev,
   return compress_impl(dev, data, rel_eb, s);
 }
 
-std::vector<std::uint8_t> compress_nonuniform(
-    const Device& dev, NDView<const float> data,
-    const std::vector<std::vector<double>>& coords, double rel_eb,
-    double s) {
-  HPDR_REQUIRE(!coords.empty(), "coords required; use compress() otherwise");
-  return compress_impl(dev, data, rel_eb, s, coords);
-}
-std::vector<std::uint8_t> compress_nonuniform(
-    const Device& dev, NDView<const double> data,
-    const std::vector<std::vector<double>>& coords, double rel_eb,
-    double s) {
-  HPDR_REQUIRE(!coords.empty(), "coords required; use compress() otherwise");
-  return compress_impl(dev, data, rel_eb, s, coords);
-}
 NDArray<float> decompress_f32(const Device& dev,
                               std::span<const std::uint8_t> stream) {
   return decompress_impl<float>(dev, stream);

@@ -44,23 +44,6 @@ std::vector<std::uint8_t> compress(const Device& dev,
                                    NDView<const double> data, double rel_eb,
                                    double s = 0.0);
 
-/// Compress data living on a **non-uniform tensor-product grid** (the
-/// paper: "MGARD is designed to compress both uniform and non-uniform
-/// grids"). `coords[d]` holds shape[d] strictly increasing node
-/// coordinates for dimension d (an empty entry marks a uniform dimension).
-/// Interpolation, transfer-mass, and correction operators all honour the
-/// spacings; the coordinates are recorded in the stream so decompression
-/// is self-contained. Shape normalization is not applied: every dimension
-/// must be ≥ 3.
-std::vector<std::uint8_t> compress_nonuniform(
-    const Device& dev, NDView<const float> data,
-    const std::vector<std::vector<double>>& coords, double rel_eb,
-    double s = 0.0);
-std::vector<std::uint8_t> compress_nonuniform(
-    const Device& dev, NDView<const double> data,
-    const std::vector<std::vector<double>>& coords, double rel_eb,
-    double s = 0.0);
-
 NDArray<float> decompress_f32(const Device& dev,
                               std::span<const std::uint8_t> stream);
 NDArray<double> decompress_f64(const Device& dev,
@@ -79,13 +62,10 @@ Shape normalize_shape(const Shape& s);
 bool too_small_to_decompose(const Shape& shape);
 
 /// The hierarchy for `shape` on `dev`, built once and then shared through
-/// the context cache (§III-B). `coords` are a non-uniform grid's node
-/// coordinates (empty: uniform). The v2 codec and the v3 progressive
-/// encoder and decoder all call this, so they share one cache entry per
-/// grid.
-std::shared_ptr<Hierarchy> cached_hierarchy(
-    const Device& dev, const Shape& shape,
-    const std::vector<std::vector<double>>& coords = {});
+/// the context cache (§III-B). The v2 codec and the v3 progressive encoder
+/// and decoder all call this, so they share one cache entry per shape.
+std::shared_ptr<Hierarchy> cached_hierarchy(const Device& dev,
+                                            const Shape& shape);
 
 /// Quantization bin size used for level `l` of `L` on a rank-`rank` grid,
 /// given the absolute error bound. Exposed so tests can verify the error

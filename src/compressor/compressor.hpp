@@ -2,8 +2,8 @@
 #define HPDR_COMPRESSOR_COMPRESSOR_HPP
 
 /// \file compressor.hpp
-/// Type-erased reduction-pipeline interface. The HDEM pipeline, the BPLite
-/// I/O engine, and the cluster simulators all drive compressors through this
+/// Type-erased reduction-pipeline interface. The HDEM pipeline, the serving
+/// layer, and the cluster simulators all drive compressors through this
 /// interface, so HPDR pipelines (MGARD-X, ZFP-X, Huffman-X) and the
 /// non-HPDR baselines (MGARD-GPU, ZFP-CUDA, cuSZ, nvCOMP-LZ4) are
 /// interchangeable in every experiment.

@@ -220,13 +220,11 @@ class BitReader {
 };
 
 /// Growable byte sink with fixed-width and varint primitives. All container
-/// metadata in HPDR (Huffman headers, chunk tables, BPLite) goes through
-/// this class so the on-disk layout has a single definition.
+/// metadata in HPDR (Huffman headers, codec headers, chunk tables) goes
+/// through this class so the on-disk layout has a single definition.
 class ByteWriter {
  public:
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u16(std::uint16_t v) { put_le(v); }
-  void put_u32(std::uint32_t v) { put_le(v); }
   void put_u64(std::uint64_t v) { put_le(v); }
   void put_f64(double v) {
     std::uint64_t bits;
@@ -272,8 +270,6 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   std::uint8_t get_u8() { return get_le<std::uint8_t>(); }
-  std::uint16_t get_u16() { return get_le<std::uint16_t>(); }
-  std::uint32_t get_u32() { return get_le<std::uint32_t>(); }
   std::uint64_t get_u64() { return get_le<std::uint64_t>(); }
   double get_f64() {
     std::uint64_t bits = get_u64();

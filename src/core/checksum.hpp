@@ -10,7 +10,7 @@
 /// content hashes (DESIGN.md §8.2, §14.1): four independent multiply-rotate
 /// lanes over 32-byte stripes, so it runs at several GB/s on one core with
 /// no ISA slot. FNV-1a, one dependent multiply per byte, stays the checksum
-/// of v2 frames, v3 components and BPLite files, whose bytes are fixed.
+/// of v2 frames and v3 components, whose bytes are fixed.
 ///
 /// The seeded FNV-1a overloads make the hash *incremental*: a composite key
 /// over several fields (a codec name, a dtype, an error bound, a chunk

@@ -92,7 +92,6 @@ class NDArray {
 
   NDView<T> view() { return {data_.data(), shape_}; }
   NDView<const T> view() const { return {data_.data(), shape_}; }
-  NDView<const T> cview() const { return {data_.data(), shape_}; }
 
   std::span<T> span() { return {data_.data(), data_.size()}; }
   std::span<const T> span() const { return {data_.data(), data_.size()}; }

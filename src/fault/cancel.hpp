@@ -6,8 +6,8 @@
 /// small shared state cell — a sticky reason flag plus an optional deadline
 /// on the steady clock. Producers (Session::cancel, the service watchdog,
 /// the deadline itself) fire the token; consumers poll it at natural work
-/// boundaries (pipeline chunk loops, codec block loops, BPLite I/O, retry
-/// backoff) and abort by throwing an Error whose kind carries the reason.
+/// boundaries (pipeline chunk loops, codec block loops, retry backoff) and
+/// abort by throwing an Error whose kind carries the reason.
 ///
 /// Tokens travel two ways:
 ///   * explicitly — captured by value and checked via token.check(); and

@@ -13,10 +13,8 @@
 /// Standard sites (the recovery machinery behind each one):
 ///   cmm.alloc      context-cache allocation fails → LRU evict + one retry
 ///   hdem.task      a pipeline chunk's codec task fails → retry → fallback
-///   bplite.write   transient container write fault → RetryPolicy
-///   bplite.read    transient container read fault → RetryPolicy
-///   fs.write       transient filesystem-model write fault → RetryPolicy
-///   fs.read        transient filesystem-model read fault → RetryPolicy
+///   fs.write       transient CLI file write fault → RetryPolicy
+///   fs.read        transient CLI file read fault → RetryPolicy
 ///   gpu.fail       a simulated GPU dies mid-run → timesteps redistribute
 ///   gpu.straggle   a simulated GPU runs slow → contention model stretches
 ///   chunk.corrupt  stored chunk bytes flip → checksum detects, decode skips

@@ -3,12 +3,11 @@
 
 /// \file retry.hpp
 /// Retry with exponential backoff for transient faults (DESIGN.md §8).
-/// Used by the BPLite writer/reader, the filesystem model, and the CLI's
-/// file I/O: an operation that throws hpdr::Error is re-attempted up to
-/// max_attempts times with deterministic jittered backoff, bounded by a
-/// cumulative deadline. Backoff is *accounted, not slept* — HPDR's I/O
-/// stack is a model, so retries charge simulated seconds (surfaced through
-/// telemetry and the fs-model timings) instead of stalling tests.
+/// Used by the CLI's file I/O (the fs.write / fs.read fault sites): an
+/// operation that throws hpdr::Error is re-attempted up to max_attempts
+/// times with deterministic jittered backoff, bounded by a cumulative
+/// deadline. Backoff is *accounted, not slept*: retries charge simulated
+/// seconds (surfaced through telemetry) instead of stalling tests.
 
 #include <cstdint>
 #include <type_traits>

@@ -30,7 +30,7 @@
 ///   adapter/    parallel abstractions + execution models + device adapters
 ///   machine/    context memory model (CMM), device registry
 ///   runtime/    HDEM device model, discrete-event timelines, roofline
-///   io/         BPLite containers, filesystem models, reduced I/O
+///   io/         parallel-filesystem bandwidth models (Figs. 17–18)
 ///   sim/        multi-GPU nodes and clusters (Summit, Frontier, ...)
 ///   data/       synthetic scientific datasets (NYX, XGC, E3SM)
 ///   fault/      deterministic fault injection + retry/backoff (§8), usable
@@ -56,9 +56,7 @@
 #include "fault/chaos.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
-#include "io/bplite.hpp"
 #include "io/fs_model.hpp"
-#include "io/reduction_io.hpp"
 #include "machine/context_memory.hpp"
 #include "machine/device_registry.hpp"
 #include "pipeline/adaptive.hpp"

@@ -2,28 +2,7 @@
 
 #include <algorithm>
 
-#include "core/error.hpp"
-#include "fault/fault.hpp"
-
 namespace hpdr::io {
-namespace {
-
-FsOpResult resilient_op(const char* site, double per_attempt_s,
-                        const fault::RetryPolicy& policy) {
-  FsOpResult r;
-  fault::RetryStats stats;
-  fault::with_retry(policy, [&] {
-    r.seconds += per_attempt_s;  // a failed attempt still burns the transfer
-    if (fault::should_fire(site))
-      throw Error(std::string("injected ") + site + " fault");
-  }, &stats);
-  r.attempts = stats.attempts;
-  r.backoff_s = stats.backoff_s;
-  r.seconds += stats.backoff_s;
-  return r;
-}
-
-}  // namespace
 
 double FsModel::write_gbps(int writers) const {
   if (writers <= 0) return 0.0;
@@ -44,16 +23,6 @@ double FsModel::read_seconds(std::size_t bytes, int writers) const {
   if (writers <= 0 || bytes == 0) return 0.0;
   return open_latency_s + metadata_per_writer_s * writers +
          static_cast<double>(bytes) / (read_gbps(writers) * 1e9);
-}
-
-FsOpResult FsModel::write_seconds_resilient(
-    std::size_t bytes, int writers, const fault::RetryPolicy& policy) const {
-  return resilient_op("fs.write", write_seconds(bytes, writers), policy);
-}
-
-FsOpResult FsModel::read_seconds_resilient(
-    std::size_t bytes, int writers, const fault::RetryPolicy& policy) const {
-  return resilient_op("fs.read", read_seconds(bytes, writers), policy);
 }
 
 FsModel gpfs_summit() {

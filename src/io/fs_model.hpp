@@ -15,18 +15,7 @@
 #include <cstdint>
 #include <string>
 
-#include "fault/retry.hpp"
-
 namespace hpdr::io {
-
-/// Outcome of a modeled I/O operation under the fault/retry machinery:
-/// total simulated seconds (every attempt pays the full transfer, plus the
-/// accumulated backoff), how many attempts it took, and the backoff alone.
-struct FsOpResult {
-  double seconds = 0.0;
-  int attempts = 1;
-  double backoff_s = 0.0;
-};
 
 struct FsModel {
   std::string name = "fs";
@@ -43,16 +32,6 @@ struct FsModel {
   /// End-to-end time to write/read `bytes` with `writers` writers.
   double write_seconds(std::size_t bytes, int writers) const;
   double read_seconds(std::size_t bytes, int writers) const;
-
-  /// write_seconds/read_seconds through the retry machinery: the fs.write /
-  /// fs.read fault sites can fail individual attempts, each of which still
-  /// pays the full modeled transfer time, plus jittered backoff between
-  /// attempts. With the injector disarmed this is exactly one attempt and
-  /// identical timing to the plain calls. Exhausted retries throw Error.
-  FsOpResult write_seconds_resilient(std::size_t bytes, int writers,
-                                     const fault::RetryPolicy& policy) const;
-  FsOpResult read_seconds_resilient(std::size_t bytes, int writers,
-                                    const fault::RetryPolicy& policy) const;
 };
 
 /// Summit's GPFS (Alpine): 2.5 TB/s peak (§VI-B).

@@ -38,10 +38,6 @@ struct Instruments {
       telemetry::counter("pipeline.decompress.calls");
   telemetry::Counter& decompress_raw_bytes =
       telemetry::counter("pipeline.decompress.raw_bytes");
-  telemetry::Counter& rows_calls =
-      telemetry::counter("pipeline.decompress_rows.calls");
-  telemetry::Counter& rows_chunks_skipped =
-      telemetry::counter("pipeline.decompress_rows.chunks_skipped");
   // Resilience counters (DESIGN.md §8) — all under fault.* so a fault-free
   // run asserts to zero across the family.
   telemetry::Counter& encode_retries =
@@ -112,15 +108,6 @@ class KernelWidthSplit {
   int saved_ = 0;
   bool active_ = false;
 };
-
-/// Per-thread decode scratch for boundary chunks, reused across chunks and
-/// calls. A user takes the buffer out of the slot and puts it back when
-/// done: a codec's nested parallel_for may run another chunk of the same
-/// loop on this thread while it waits, and that chunk needs its own buffer.
-std::vector<std::uint8_t>& scratch_slot() {
-  thread_local std::vector<std::uint8_t> slot;
-  return slot;
-}
 
 constexpr std::uint8_t kMagic = 0x48;  // 'H'
 /// v1: [rows][size] per chunk; v2 adds a codec tag and an FNV-1a checksum
@@ -350,186 +337,10 @@ bool decode_chunk(const Device& dev, const Compressor& comp, const Header& h,
 }
 
 /// True for a v3 progressive container (handled by ProgressiveReader, not
-/// the v1/v2/v4 decoder below).
+/// decompress()).
 bool is_progressive_stream(std::span<const std::uint8_t> stream) {
   return stream.size() >= 2 && stream[0] == kMagic &&
          stream[1] == kProgressiveVersion;
-}
-
-/// The one v1/v2/v4 decoder (DESIGN.md §9): reconstruct rows [row_begin,
-/// row_end) of the tensor into `out` and bill the Fig. 9 reconstruction DAG
-/// over exactly the chunks that overlap them. decompress() is the
-/// whole-tensor call, decompress_rows() the range-checked one.
-DecompressResult decode_rows(const Device& dev, const Compressor& comp,
-                             std::span<const std::uint8_t> stream, void* out,
-                             const Shape& shape, DType dtype,
-                             std::size_t row_begin, std::size_t row_end,
-                             const Options& opts) {
-  HPDR_REQUIRE(!is_progressive_stream(stream),
-               "v3 progressive container: decode through "
-               "pipeline::ProgressiveReader (refine to a bound)");
-  auto& ins = Instruments::get();
-  ByteReader in(stream);
-  const Header h = parse_header(in);
-  check_stream_matches(h, comp, shape, dtype);
-  const Slabs slabs(shape, dtype);
-  const GpuPerfModel model(dev.spec());
-  const bool gpu = dev.spec().is_gpu();
-  auto* out_bytes = static_cast<std::uint8_t*>(out);
-
-  // Serial planning pass over the chunk table: which chunks overlap the row
-  // range, where their blobs sit, and which of their decoded bytes land
-  // where in the output.
-  struct Touched {
-    std::size_t c;         ///< chunk index in the stream
-    std::size_t blob_off;  ///< payload-relative blob offset
-    std::size_t skip;      ///< decoded bytes of the chunk before the range
-    std::size_t bytes;     ///< decoded bytes of the chunk inside the range
-    std::size_t out_off;   ///< byte offset into `out`
-  };
-  const std::uint8_t* payload =
-      stream.data() + (stream.size() - in.remaining());
-  std::vector<Touched> touched;
-  std::size_t off = 0;
-  std::size_t row = 0;
-  std::size_t written = 0;
-  for (std::size_t c = 0; c < h.rows.size(); ++c) {
-    // A subtraction, so a corrupt row count cannot wrap `row`.
-    HPDR_REQUIRE(h.rows[c] <= slabs.rows - row, "chunks overrun the tensor");
-    const std::size_t c_begin = row;
-    row += h.rows[c];
-    off += h.sizes[c];
-    HPDR_REQUIRE(off <= in.remaining(), "chunk blobs exceed container size");
-    if (row <= row_begin || c_begin >= row_end) {
-      ins.rows_chunks_skipped.add();
-      continue;
-    }
-    const std::size_t ov_begin = std::max(c_begin, row_begin);
-    const std::size_t bytes =
-        (std::min(row, row_end) - ov_begin) * slabs.slab_bytes;
-    touched.push_back({c, off - h.sizes[c],
-                       (ov_begin - c_begin) * slabs.slab_bytes, bytes,
-                       written});
-    written += bytes;
-  }
-  HPDR_REQUIRE(written == (row_end - row_begin) * slabs.slab_bytes,
-               "chunks do not cover rows [" << row_begin << ", " << row_end
-                                            << ")");
-  const std::size_t n = touched.size();
-
-  // Decode the touched chunks in parallel. Whole chunks decode straight
-  // into the output; a chunk straddling the range boundary decodes into
-  // the pooled scratch and is cropped. Corrupt chunks zero-fill under
-  // ChunkRecovery::Skip — partial reconstruction — and reject the stream
-  // under Strict; their indices gather in chunk order afterwards.
-  DecompressResult result;
-  {
-    telemetry::Span span("pipeline.decode", "pipeline");
-    auto& pool = ThreadPool::instance();
-    pool.reset_peak();
-    const KernelWidthSplit split(n, dev);
-    std::vector<std::uint8_t> chunk_ok(n, 1);
-    std::vector<std::uint8_t> cache_hit(n, 0);
-    std::vector<std::uint8_t> cache_miss(n, 0);
-    // Overlapping subdomain reads are the dedup cache's decode sweet spot:
-    // a boundary chunk decoded for one row range hits for every
-    // neighbouring range that touches the same chunk.
-    ChunkCacheBase* const cache = cache_for(opts);
-    const std::uint64_t meta_base =
-        cache != nullptr
-            ? fnv1a64_fold(h.version, cache_meta_base(kCacheRawSalt,
-                                                      h.compressor, h.dtype,
-                                                      shape, 0.0))
-            : 0;
-    const telemetry::TraceContext trace = telemetry::current_trace();
-    const fault::CancelToken cancel = fault::current_cancel();
-    pool.parallel_for(n, [&](std::size_t i) {
-      const telemetry::TraceScope trace_scope(trace);
-      const fault::CancelScope cancel_scope(cancel);
-      fault::poll_cancel();
-      split.apply();
-      const Touched& t = touched[i];
-      const std::size_t chunk_bytes = h.rows[t.c] * slabs.slab_bytes;
-      const bool whole = t.bytes == chunk_bytes;
-      std::vector<std::uint8_t> scratch;
-      if (!whole) {
-        scratch = std::exchange(scratch_slot(), {});
-        if (scratch.size() < chunk_bytes) scratch.resize(chunk_bytes);
-      }
-      std::uint8_t* dst = whole ? out_bytes + t.out_off : scratch.data();
-      chunk_ok[i] = decode_chunk(
-          dev, comp, h, t.c, {payload + t.blob_off, h.sizes[t.c]}, dst,
-          slabs.chunk_shape(shape, h.rows[t.c]), chunk_bytes, opts.recovery,
-          cache, meta_base, cache_hit[i], cache_miss[i]);
-      if (!whole) {
-        std::memcpy(out_bytes + t.out_off, dst + t.skip, t.bytes);
-        scratch_slot() = std::move(scratch);
-      }
-    });
-    ins.pool_occupancy.observe(pool.peak_active());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!chunk_ok[i]) result.corrupt_chunks.push_back(touched[i].c);
-      result.cache_hits += cache_hit[i];
-      result.cache_misses += cache_miss[i];
-    }
-  }
-
-  // HDEM reconstruction DAG (Fig. 9 bottom) over the touched chunks, each
-  // copy-out sized to the bytes it delivers. Launch-order optimization:
-  // chunk i+1's deserialize is issued before chunk i's output copy so both
-  // D2H-engine clients don't serialize behind the (large) output copy.
-  const bool pipelined = opts.overlap;
-  const double page = pipelined ? 1.0 : kPageablePenalty;
-  auto queue = [&](std::size_t i) {
-    return pipelined ? static_cast<std::uint32_t>(i % 3) : 0u;
-  };
-  HdemSimulator sim(3);
-  std::vector<std::uint32_t> comp_id(n);
-  std::vector<std::uint32_t> copyout_id(n);
-  auto submit_copyout = [&](std::size_t i) {
-    copyout_id[i] = sim.submit(
-        queue(i), EngineId::D2H, "copy-out",
-        gpu ? model.d2h().seconds(touched[i].bytes) / page : 0.0);
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c = touched[i].c;
-    const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
-    const std::uint32_t q = queue(i);
-    if (!comp.uses_context_cache()) {
-      const double alloc_s =
-          gpu ? comp.allocs_per_call() *
-                    model.alloc_seconds(chunk_bytes /
-                                        std::max(1, comp.allocs_per_call()))
-              : 0.0;
-      sim.submit(q, EngineId::Compute, "alloc", alloc_s);
-    }
-    // Input buffer pair frees once chunk i-2's kernel consumed it.
-    std::vector<std::uint32_t> in_deps;
-    if (pipelined && i >= 2) in_deps.push_back(comp_id[i - 2]);
-    sim.submit(q, EngineId::H2D, "copy-in",
-               gpu ? model.h2d().seconds(h.sizes[c]) / page : 0.0, {},
-               std::move(in_deps));
-    // Default (unoptimized) order: the previous output copy is issued to
-    // the D2H engine before this chunk's deserialization, delaying it.
-    if (!opts.reorder_launches && i >= 1) submit_copyout(i - 1);
-    sim.submit(q, EngineId::D2H, "deserialize",
-               gpu ? model.d2h().seconds(
-                         static_cast<std::size_t>(kSerializeBytes))
-                   : 0.0);
-    std::vector<std::uint32_t> k_deps;
-    if (pipelined && i >= 2) k_deps.push_back(copyout_id[i - 2]);
-    comp_id[i] = sim.submit(
-        q, EngineId::Compute, "reconstruct",
-        comp.kernel_derate() *
-            model.kernel_seconds(comp.decompress_kernel(), chunk_bytes),
-        {}, std::move(k_deps));
-    if (opts.reorder_launches && i >= 1) submit_copyout(i - 1);
-  }
-  submit_copyout(n - 1);  // n >= 1: the range is non-empty and covered
-
-  result.timeline = sim.run();
-  result.raw_bytes = written;
-  return result;
 }
 
 }  // namespace
@@ -833,25 +644,133 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
   auto& ins = Instruments::get();
   ins.decompress_calls.add();
   telemetry::Span span_all("pipeline.decompress", "pipeline");
-  DecompressResult result =
-      decode_rows(dev, comp, stream, out, shape, dtype, 0,
-                  Slabs(shape, dtype).rows, opts);
+  HPDR_REQUIRE(!is_progressive_stream(stream),
+               "v3 progressive container: decode through "
+               "pipeline::ProgressiveReader (refine to a bound)");
+  ByteReader in(stream);
+  const Header h = parse_header(in);
+  check_stream_matches(h, comp, shape, dtype);
+  const Slabs slabs(shape, dtype);
+  const GpuPerfModel model(dev.spec());
+  const bool gpu = dev.spec().is_gpu();
+  auto* out_bytes = static_cast<std::uint8_t*>(out);
+
+  // Serial planning pass over the chunk table: where each chunk's blob sits
+  // in the payload and where its rows start in the output.
+  const std::uint8_t* payload =
+      stream.data() + (stream.size() - in.remaining());
+  const std::size_t n = h.rows.size();
+  std::vector<std::size_t> blob_off(n);
+  std::vector<std::size_t> out_off(n);
+  std::size_t off = 0;
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < n; ++c) {
+    // A subtraction, so a corrupt row count cannot wrap `row`.
+    HPDR_REQUIRE(h.rows[c] <= slabs.rows - row, "chunks overrun the tensor");
+    blob_off[c] = off;
+    out_off[c] = row * slabs.slab_bytes;
+    row += h.rows[c];
+    off += h.sizes[c];
+    HPDR_REQUIRE(off <= in.remaining(), "chunk blobs exceed container size");
+  }
+  HPDR_REQUIRE(row == slabs.rows, "chunks do not cover the tensor");
+
+  // Decode the chunks in parallel, each straight into its rows of the
+  // output. Corrupt chunks zero-fill under ChunkRecovery::Skip — partial
+  // reconstruction — and reject the stream under Strict; their indices
+  // gather in chunk order afterwards.
+  DecompressResult result;
+  {
+    telemetry::Span span("pipeline.decode", "pipeline");
+    auto& pool = ThreadPool::instance();
+    pool.reset_peak();
+    const KernelWidthSplit split(n, dev);
+    std::vector<std::uint8_t> chunk_ok(n, 1);
+    std::vector<std::uint8_t> cache_hit(n, 0);
+    std::vector<std::uint8_t> cache_miss(n, 0);
+    ChunkCacheBase* const cache = cache_for(opts);
+    const std::uint64_t meta_base =
+        cache != nullptr
+            ? fnv1a64_fold(h.version, cache_meta_base(kCacheRawSalt,
+                                                      h.compressor, h.dtype,
+                                                      shape, 0.0))
+            : 0;
+    const telemetry::TraceContext trace = telemetry::current_trace();
+    const fault::CancelToken cancel = fault::current_cancel();
+    pool.parallel_for(n, [&](std::size_t c) {
+      const telemetry::TraceScope trace_scope(trace);
+      const fault::CancelScope cancel_scope(cancel);
+      fault::poll_cancel();
+      split.apply();
+      chunk_ok[c] = decode_chunk(
+          dev, comp, h, c, {payload + blob_off[c], h.sizes[c]},
+          out_bytes + out_off[c], slabs.chunk_shape(shape, h.rows[c]),
+          h.rows[c] * slabs.slab_bytes, opts.recovery, cache, meta_base,
+          cache_hit[c], cache_miss[c]);
+    });
+    ins.pool_occupancy.observe(pool.peak_active());
+    for (std::size_t c = 0; c < n; ++c) {
+      if (!chunk_ok[c]) result.corrupt_chunks.push_back(c);
+      result.cache_hits += cache_hit[c];
+      result.cache_misses += cache_miss[c];
+    }
+  }
+
+  // HDEM reconstruction DAG (Fig. 9 bottom). Launch-order optimization:
+  // chunk c+1's deserialize is issued before chunk c's output copy so both
+  // D2H-engine clients don't serialize behind the (large) output copy.
+  const bool pipelined = opts.overlap;
+  const double page = pipelined ? 1.0 : kPageablePenalty;
+  auto queue = [&](std::size_t c) {
+    return pipelined ? static_cast<std::uint32_t>(c % 3) : 0u;
+  };
+  HdemSimulator sim(3);
+  std::vector<std::uint32_t> comp_id(n);
+  std::vector<std::uint32_t> copyout_id(n);
+  auto submit_copyout = [&](std::size_t c) {
+    copyout_id[c] = sim.submit(
+        queue(c), EngineId::D2H, "copy-out",
+        gpu ? model.d2h().seconds(h.rows[c] * slabs.slab_bytes) / page : 0.0);
+  };
+  for (std::size_t c = 0; c < n; ++c) {
+    const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
+    const std::uint32_t q = queue(c);
+    if (!comp.uses_context_cache()) {
+      const double alloc_s =
+          gpu ? comp.allocs_per_call() *
+                    model.alloc_seconds(chunk_bytes /
+                                        std::max(1, comp.allocs_per_call()))
+              : 0.0;
+      sim.submit(q, EngineId::Compute, "alloc", alloc_s);
+    }
+    // Input buffer pair frees once chunk c-2's kernel consumed it.
+    std::vector<std::uint32_t> in_deps;
+    if (pipelined && c >= 2) in_deps.push_back(comp_id[c - 2]);
+    sim.submit(q, EngineId::H2D, "copy-in",
+               gpu ? model.h2d().seconds(h.sizes[c]) / page : 0.0, {},
+               std::move(in_deps));
+    // Default (unoptimized) order: the previous output copy is issued to
+    // the D2H engine before this chunk's deserialization, delaying it.
+    if (!opts.reorder_launches && c >= 1) submit_copyout(c - 1);
+    sim.submit(q, EngineId::D2H, "deserialize",
+               gpu ? model.d2h().seconds(
+                         static_cast<std::size_t>(kSerializeBytes))
+                   : 0.0);
+    std::vector<std::uint32_t> k_deps;
+    if (pipelined && c >= 2) k_deps.push_back(copyout_id[c - 2]);
+    comp_id[c] = sim.submit(
+        q, EngineId::Compute, "reconstruct",
+        comp.kernel_derate() *
+            model.kernel_seconds(comp.decompress_kernel(), chunk_bytes),
+        {}, std::move(k_deps));
+    if (opts.reorder_launches && c >= 1) submit_copyout(c - 1);
+  }
+  submit_copyout(n - 1);  // n >= 1: the chunks cover a non-empty tensor
+
+  result.timeline = sim.run();
+  result.raw_bytes = row * slabs.slab_bytes;
   ins.decompress_raw_bytes.add(result.raw_bytes);
   return result;
-}
-
-DecompressResult decompress_rows(const Device& dev, const Compressor& comp,
-                                 std::span<const std::uint8_t> stream,
-                                 void* out, const Shape& shape, DType dtype,
-                                 std::size_t row_begin, std::size_t row_end,
-                                 const Options& opts) {
-  HPDR_REQUIRE(row_begin < row_end && row_end <= shape[0],
-               "row range [" << row_begin << ", " << row_end
-                             << ") out of bounds");
-  Instruments::get().rows_calls.add();
-  telemetry::Span span_all("pipeline.decompress_rows", "pipeline");
-  return decode_rows(dev, comp, stream, out, shape, dtype, row_begin, row_end,
-                     opts);
 }
 
 StreamInfo inspect(std::span<const std::uint8_t> stream) {

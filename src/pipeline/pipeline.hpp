@@ -183,18 +183,6 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
                             const Shape& shape, DType dtype,
                             const Options& opts);
 
-/// Decompress only rows [row_begin, row_end) along the slowest dimension
-/// into `out`, which must hold (row_end−row_begin)·(elements per slab)
-/// values — the partial-retrieval path an ADIOS-style reader takes for
-/// sub-selections. It is decompress()'s decoder and DAG restricted to the
-/// chunks overlapping the range, so the full range bills what decompress()
-/// bills. A chunk straddling the range boundary is decoded fully, cropped.
-DecompressResult decompress_rows(const Device& dev, const Compressor& comp,
-                                 std::span<const std::uint8_t> stream,
-                                 void* out, const Shape& shape, DType dtype,
-                                 std::size_t row_begin, std::size_t row_end,
-                                 const Options& opts);
-
 /// Peek at a container: original shape/dtype and chunk count.
 struct StreamInfo {
   Shape shape;

@@ -64,10 +64,6 @@ struct Timeline {
   /// where a copy instant is "overlapped" if any other engine is busy at
   /// that instant.
   double overlap_ratio() const;
-
-  /// Wall-clock during which at least one engine is busy per category —
-  /// used by the Fig. 1 style breakdowns.
-  double category_time(EngineId e) const { return engine_busy(e); }
 };
 
 /// Discrete-event HDEM device. Typical pipeline use creates one simulator,

@@ -20,7 +20,7 @@
 /// Naming convention (validated at registration in debug builds, see
 /// valid_metric_name): dot-separated lowercase
 /// `subsystem.object.action[.unit]`, e.g. `pipeline.compress.chunks`,
-/// `cmm.context.hits`, `io.bplite.bytes_written`. Per-codec instruments
+/// `cmm.context.hits`, `io.file.bytes_written`. Per-codec instruments
 /// put the codec name second: `codec.mgard-x.compress.in_bytes`.
 
 #include <atomic>

@@ -9,7 +9,7 @@
 /// inside worker lambdas that the pipeline fans out to the thread pool.
 /// Every Span created while a trace is installed records (trace id, span
 /// id, parent span id), so the whole journey — admission, arena lease,
-/// encode/decode, codec calls, BPLite I/O — is attributable to one request
+/// encode/decode, codec calls — is attributable to one request
 /// and queryable as a per-request timeline (span.hpp: trace_timeline).
 ///
 /// Ids are minted from a process-wide counter run through a mixer so they

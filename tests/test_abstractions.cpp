@@ -2,6 +2,7 @@
 // (Table I), device adapters (Table II), and the CMM context cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <random>
@@ -60,9 +61,21 @@ TEST_P(AbstractionsOnDevice, LocalityClipsBoundaryBlocks) {
 }
 
 TEST_P(AbstractionsOnDevice, IterativeVisitsEveryVector) {
+  // 103 vectors in groups of 8: twelve full groups and one of 7, each
+  // handed its whole range and its own staging arena.
   const Device dev = device();
   std::vector<std::atomic<int>> visits(103);
-  iterative(dev, 103, 8, [&](std::size_t v) { visits[v].fetch_add(1); });
+  iterative_staged(dev, 103, 8, 8 * sizeof(double),
+                   [&](std::size_t begin, std::size_t end, GroupCtx& ctx) {
+                     EXPECT_EQ(begin % 8, 0u);
+                     EXPECT_EQ(end, std::min<std::size_t>(begin + 8, 103));
+                     EXPECT_EQ(ctx.capacity(), 8 * sizeof(double));
+                     // Repeated views share the group's storage.
+                     EXPECT_EQ(ctx.scratch<double>(8).data(),
+                               ctx.scratch<double>(4).data());
+                     for (std::size_t v = begin; v < end; ++v)
+                       visits[v].fetch_add(1);
+                   });
   for (auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
@@ -148,20 +161,11 @@ TEST_P(AbstractionsOnDevice, HistogramRejectsOutOfAlphabetSymbol) {
   EXPECT_THROW(huffman::histogram_u32(dev, one, 65538), Error);
 }
 
-TEST_P(AbstractionsOnDevice, GlobalPipelineStagesAreOrdered) {
-  const Device dev = device();
-  std::vector<int> data(50, 0);
-  global_pipeline(
-      dev, data.size(), [&](std::size_t i) { data[i] = static_cast<int>(i); },
-      [&](std::size_t i) { data[i] *= 2; });
-  for (std::size_t i = 0; i < data.size(); ++i)
-    EXPECT_EQ(data[i], static_cast<int>(2 * i));
-}
-
 TEST_P(AbstractionsOnDevice, EmptyDomainsAreNoOps) {
   const Device dev = device();
   locality(dev, Shape{0}, Shape{4}, [&](const Block&) { FAIL(); });
-  iterative(dev, 0, 4, [&](std::size_t) { FAIL(); });
+  iterative_staged(dev, 0, 4, 0,
+                   [&](std::size_t, std::size_t, GroupCtx&) { FAIL(); });
   global_stage(dev, 0, [&](std::size_t) { FAIL(); });
 }
 
@@ -175,43 +179,16 @@ INSTANTIATE_TEST_SUITE_P(AllAdapters, AbstractionsOnDevice,
                          });
 
 
-TEST_P(AbstractionsOnDevice, FusedStagesShareGroupScratch) {
-  // Table II staging semantics: stages of one group share "shared memory"
-  // and are separated by a group-level barrier; groups are independent.
-  const Device dev = device();
-  const std::size_t n = 64;
-  std::vector<double> input(n), output(n, 0);
-  for (std::size_t i = 0; i < n; ++i) input[i] = double(i);
-  locality_fused(
-      dev, Shape{n}, Shape{8}, /*scratch=*/8 * sizeof(double),
-      // Stage 1: load the block into staging memory, doubled.
-      [&](const Block& b, GroupCtx& ctx) {
-        auto stage = ctx.scratch<double>(b.extent[0]);
-        for (std::size_t i = 0; i < b.extent[0]; ++i)
-          stage[i] = 2.0 * input[b.origin[0] + i];
-      },
-      // Stage 2: reverse the staged block into the output — only correct
-      // if the scratch written by stage 1 is still visible.
-      [&](const Block& b, GroupCtx& ctx) {
-        auto stage = ctx.scratch<double>(b.extent[0]);
-        for (std::size_t i = 0; i < b.extent[0]; ++i)
-          output[b.origin[0] + i] = stage[b.extent[0] - 1 - i];
-      });
-  for (std::size_t g = 0; g < n / 8; ++g)
-    for (std::size_t i = 0; i < 8; ++i)
-      EXPECT_EQ(output[g * 8 + i], 2.0 * double(g * 8 + (7 - i)));
-}
-
-TEST_P(AbstractionsOnDevice, FusedScratchOverflowThrows) {
+TEST_P(AbstractionsOnDevice, GroupScratchOverflowThrows) {
   const Device dev = device();
   // Serial device reports the error synchronously; parallel adapters may
   // surface it through their exception propagation — either way it throws.
   if (GetParam() != DeviceKind::Serial && GetParam() != DeviceKind::StdThread)
     GTEST_SKIP() << "OpenMP cannot propagate exceptions out of a region";
-  EXPECT_THROW(locality_fused(dev, Shape{8}, Shape{8}, 4,
-                              [&](const Block&, GroupCtx& ctx) {
-                                ctx.scratch<double>(100);
-                              }),
+  EXPECT_THROW(iterative_staged(dev, 8, 8, 4,
+                                [&](std::size_t, std::size_t, GroupCtx& ctx) {
+                                  ctx.scratch<double>(100);
+                                }),
                Error);
 }
 

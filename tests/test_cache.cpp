@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -241,35 +240,6 @@ TEST_F(ChunkCacheTest, HotDecompressionServesRawBytesFromCache) {
   EXPECT_EQ(dr1.cache_misses, 0u);
 }
 
-TEST_F(ChunkCacheTest, PartialRetrievalSharesTheDecodeCache) {
-  const auto ds = data::make("nyx", data::Size::Tiny);
-  const Device dev = Device::serial();
-  auto comp = make_compressor("zfp-x");
-  pipeline::Options opts = chunked_opts();
-  const auto stream =
-      pipeline::compress(dev, *comp, ds.data(), ds.shape, ds.dtype, opts)
-          .stream;
-  auto budget = std::make_shared<svc::ArenaBudget>(std::size_t{64} << 20);
-  svc::ChunkCache cache(budget);
-  opts.cache = &cache;
-  // Full decode populates; the row-range read then hits for every chunk it
-  // touches — the overlapping-subdomain serving pattern.
-  std::vector<std::uint8_t> full(ds.size_bytes());
-  pipeline::decompress(dev, *comp, stream, full.data(), ds.shape, ds.dtype,
-                       opts);
-  const std::size_t rows = ds.shape[0];
-  const std::size_t slab = ds.size_bytes() / rows;
-  std::vector<std::uint8_t> part((rows / 2) * slab);
-  const auto dr = pipeline::decompress_rows(dev, *comp, stream, part.data(),
-                                            ds.shape, ds.dtype, rows / 4,
-                                            rows / 4 + rows / 2, opts);
-  EXPECT_GT(dr.cache_hits, 0u);
-  EXPECT_EQ(dr.cache_misses, 0u);
-  EXPECT_EQ(std::memcmp(part.data(),
-                        full.data() + (rows / 4) * slab, part.size()),
-            0);
-}
-
 TEST_F(ChunkCacheTest, ArmedFaultPlanBypassesTheCache) {
   const auto ds = data::make("nyx", data::Size::Tiny);
   const Device dev = Device::serial();
@@ -280,7 +250,7 @@ TEST_F(ChunkCacheTest, ArmedFaultPlanBypassesTheCache) {
   opts.cache = &cache;
   // A plan targeting an unrelated site still bypasses: a hit would skip
   // the chunk's indexed fault draws and diverge from cache-off behaviour.
-  fault::Injector::instance().configure("bplite.read:nth=100000", 0);
+  fault::Injector::instance().configure("fs.read:nth=100000", 0);
   pipeline::compress(dev, *comp, ds.data(), ds.shape, ds.dtype, opts);
   EXPECT_EQ(cache.hits() + cache.misses(), 0u);
   EXPECT_EQ(cache.inserts(), 0u);

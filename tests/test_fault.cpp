@@ -1,15 +1,13 @@
 // Fault-injection framework and end-to-end resilience (DESIGN.md §8):
 // FaultPlan parsing and determinism, per-chunk codec fallback and corrupt-
 // chunk containment in the pipeline, RetryPolicy backoff, CMM evict-and-
-// retry, BPLite/fs-model transient-fault retries, and degraded multi-GPU
-// scheduling. The Injector is process-global, so every test runs under a
-// fixture that disarms it on both sides.
+// retry, and degraded multi-GPU scheduling. The Injector is process-global,
+// so every test runs under a fixture that disarms it on both sides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -18,9 +16,6 @@
 #include "data/generators.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
-#include "io/bplite.hpp"
-#include "io/fs_model.hpp"
-#include "io/reduction_io.hpp"
 #include "machine/context_memory.hpp"
 #include "machine/device_registry.hpp"
 #include "pipeline/pipeline.hpp"
@@ -34,16 +29,6 @@ class FaultTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::Injector::instance().disarm(); }
   void TearDown() override { fault::Injector::instance().disarm(); }
-};
-
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-  }
 };
 
 const data::Dataset& tiny_nyx() {
@@ -400,30 +385,6 @@ TEST_F(FaultTest, CorruptChunkStrictThrowsSkipReconstructsRest) {
   EXPECT_TRUE(healthy_nonzero);
 }
 
-TEST_F(FaultTest, DecompressRowsSkipsCorruptChunksToo) {
-  const Device dev = Device::serial();
-  auto comp = make_compressor("zfp-x");
-  const auto& ds = tiny_nyx();
-  fault::Injector::instance().configure("chunk.corrupt:nth=1,flip=2", 1);
-  auto result = pipeline::compress(dev, *comp, ds.data(), ds.shape,
-                                   ds.dtype, small_chunks());
-  fault::Injector::instance().disarm();
-  const std::size_t rows0 = result.chunk_rows[0];
-  const std::size_t slab_bytes =
-      ds.shape.size() / ds.shape[0] * dtype_size(ds.dtype);
-  std::vector<std::uint8_t> out(rows0 * slab_bytes);
-  pipeline::Options opts = small_chunks();
-  EXPECT_THROW(pipeline::decompress_rows(dev, *comp, result.stream,
-                                         out.data(), ds.shape, ds.dtype, 0,
-                                         rows0, opts),
-               Error);
-  opts.recovery = pipeline::ChunkRecovery::Skip;
-  auto dres = pipeline::decompress_rows(dev, *comp, result.stream,
-                                        out.data(), ds.shape, ds.dtype, 0,
-                                        rows0, opts);
-  EXPECT_TRUE(dres.partial());
-}
-
 // ---------------------------------------------------------------------------
 // CMM: allocation failure → LRU eviction → one retry → Error.
 // ---------------------------------------------------------------------------
@@ -482,103 +443,6 @@ TEST_F(FaultTest, CmmAllocFaultWithEmptyCacheIsAnError) {
 }
 
 // ---------------------------------------------------------------------------
-// BPLite and fs-model transient faults.
-// ---------------------------------------------------------------------------
-
-TEST_F(FaultTest, BPLiteWriteAndReadRetryTransientFaults) {
-  TempFile tmp("hpdr_fault_bplite.bp");
-  std::vector<float> vals(64);
-  for (std::size_t i = 0; i < vals.size(); ++i)
-    vals[i] = static_cast<float>(i);
-  const Shape shape{8, 8};
-  fault::RetryPolicy policy;
-  policy.max_attempts = 3;
-
-  fault::Injector::instance().configure("bplite.write:nth=1", 0);
-  {
-    io::BPWriter w(tmp.path);
-    w.set_retry(policy);
-    w.begin_step();
-    w.put("v", shape, DType::F32,
-          {reinterpret_cast<const std::uint8_t*>(vals.data()),
-           vals.size() * 4});
-    w.end_step();
-    w.close();
-  }
-  EXPECT_EQ(fault::Injector::instance().fires("bplite.write"), 1u);
-
-  fault::Injector::instance().configure("bplite.read:nth=1", 0);
-  io::BPReader r(tmp.path);
-  r.set_retry(policy);
-  auto payload = r.read_payload(0, "v");
-  ASSERT_EQ(payload.size(), vals.size() * 4);
-  EXPECT_EQ(0, std::memcmp(payload.data(), vals.data(), payload.size()));
-  EXPECT_EQ(fault::Injector::instance().fires("bplite.read"), 1u);
-}
-
-TEST_F(FaultTest, BPLiteWriteFaultExhaustsDefaultPolicyEventually) {
-  TempFile tmp("hpdr_fault_bplite_exhaust.bp");
-  std::vector<std::uint8_t> bytes(16, 1);
-  fault::Injector::instance().configure("bplite.write:every=1", 0);
-  io::BPWriter w(tmp.path);
-  w.begin_step();
-  EXPECT_THROW(w.put("v", Shape{16}, DType::F32, bytes), Error);
-}
-
-TEST_F(FaultTest, FsModelResilientTimingsChargeRetries) {
-  const io::FsModel fs = io::gpfs_summit();
-  fault::RetryPolicy policy;
-  policy.max_attempts = 3;
-  const std::size_t bytes = std::size_t{1} << 30;
-  const double clean = fs.write_seconds(bytes, 16);
-
-  // Disarmed: one attempt, identical timing.
-  auto r = fs.write_seconds_resilient(bytes, 16, policy);
-  EXPECT_EQ(r.attempts, 1);
-  EXPECT_DOUBLE_EQ(r.seconds, clean);
-
-  // One transient fault: two attempts, both billed, plus backoff.
-  fault::Injector::instance().configure("fs.write:nth=1", 0);
-  r = fs.write_seconds_resilient(bytes, 16, policy);
-  EXPECT_EQ(r.attempts, 2);
-  EXPECT_GT(r.backoff_s, 0.0);
-  EXPECT_NEAR(r.seconds, 2 * clean + r.backoff_s, 1e-12);
-
-  // Permanent fault: retries exhaust and the failure propagates.
-  fault::Injector::instance().configure("fs.write:every=1", 0);
-  EXPECT_THROW(fs.write_seconds_resilient(bytes, 16, policy), Error);
-
-  fault::Injector::instance().configure("fs.read:nth=1", 0);
-  auto rr = fs.read_seconds_resilient(bytes, 16, policy);
-  EXPECT_EQ(rr.attempts, 2);
-}
-
-TEST_F(FaultTest, ReducedIoSurvivesTransientFaultsEndToEnd) {
-  TempFile tmp("hpdr_fault_reduced.bp");
-  const auto& ds = tiny_nyx();
-  NDView<const float> view(reinterpret_cast<const float*>(ds.data()),
-                           ds.shape);
-  fault::RetryPolicy policy;
-  policy.max_attempts = 3;
-  fault::Injector::instance().configure(
-      "bplite.write:nth=1;bplite.read:nth=1", 0);
-  {
-    io::ReducedWriter w(tmp.path, Device::serial(), "zfp-x",
-                        small_chunks());
-    w.set_retry(policy);
-    w.begin_step();
-    w.put_f32("rho", view);
-    w.end_step();
-    w.close();
-  }
-  io::ReducedReader r(tmp.path, Device::serial());
-  r.set_retry(policy);
-  auto back = r.get_f32(0, "rho");
-  ASSERT_EQ(back.shape(), ds.shape);
-  EXPECT_EQ(fault::Injector::instance().total_fires(), 2u);
-}
-
-// ---------------------------------------------------------------------------
 // Degraded multi-GPU scheduling.
 // ---------------------------------------------------------------------------
 
@@ -632,9 +496,8 @@ TEST_F(FaultTest, AllGpusFailingIsAnError) {
 }
 
 // ---------------------------------------------------------------------------
-// Demo plan: transient write fault + chunk corruption + GPU failure, end to
-// end, with matching counters in the run manifest (the PR's acceptance
-// scenario).
+// Demo plan: transient codec-task fault + chunk corruption + GPU failure,
+// end to end, with matching counters in the run manifest.
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultTest, DemoPlanCompletesEndToEndWithNonzeroCounters) {
@@ -643,34 +506,24 @@ TEST_F(FaultTest, DemoPlanCompletesEndToEndWithNonzeroCounters) {
   const Device gpu = machine::make_device("V100");
   auto comp = make_compressor("zfp-x");
   const auto& ds = tiny_nyx();
-  TempFile tmp("hpdr_fault_demo.bp");
 
   fault::Injector::instance().configure(
-      "bplite.write:nth=1;chunk.corrupt:nth=2,flip=4;gpu.fail:nth=1", 9);
+      "hdem.task:nth=1;chunk.corrupt:nth=2,flip=4;gpu.fail:nth=1", 9);
 
-  // Compress (absorbs the chunk corruption), store (absorbs the transient
-  // write), run the degraded node (absorbs the GPU failure).
+  // Compress (retries the failed codec task, absorbs the chunk
+  // corruption), then run the degraded node (absorbs the GPU failure).
   auto result = pipeline::compress(dev, *comp, ds.data(), ds.shape,
                                    ds.dtype, small_chunks());
-  {
-    io::BPWriter w(tmp.path);
-    w.begin_step();
-    w.put("rho", ds.shape, ds.dtype, result.stream, "zfp-x", 1e-2,
-          ds.size_bytes());
-    w.end_step();
-    w.close();
-  }
+  EXPECT_GE(result.codec_retries, 1u);
   auto node = sim::run_node(gpu, 2, *comp, small_chunks(), ds.data(),
                             ds.shape, ds.dtype, true, 4);
   EXPECT_EQ(node.failed_gpus, 1);
 
-  // Partial reconstruction of the corrupted stream read back from disk.
-  io::BPReader r(tmp.path);
-  auto payload = r.read_payload(0, "rho");
+  // Partial reconstruction of the corrupted stream.
   pipeline::Options opts = small_chunks();
   opts.recovery = pipeline::ChunkRecovery::Skip;
   std::vector<std::uint8_t> out(ds.size_bytes());
-  auto dres = pipeline::decompress(dev, *comp, payload, out.data(),
+  auto dres = pipeline::decompress(dev, *comp, result.stream, out.data(),
                                    ds.shape, ds.dtype, opts);
   EXPECT_TRUE(dres.partial());
 
@@ -687,10 +540,10 @@ TEST_F(FaultTest, DemoPlanCompletesEndToEndWithNonzeroCounters) {
   const telemetry::Value* metrics = j.get("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_GE(metrics->get("fault.fires")->as_int(), 3);
-  EXPECT_GE(metrics->get("fault.bplite.write.fires")->as_int(), 1);
+  EXPECT_GE(metrics->get("fault.hdem.task.fires")->as_int(), 1);
   EXPECT_GE(metrics->get("fault.chunk.corrupt.fires")->as_int(), 1);
   EXPECT_GE(metrics->get("fault.gpu.fail.fires")->as_int(), 1);
-  EXPECT_GE(metrics->get("fault.retry.recovered")->as_int(), 1);
+  EXPECT_GE(metrics->get("fault.chunk.encode_retries")->as_int(), 1);
   EXPECT_GE(metrics->get("fault.chunk.skipped")->as_int(), 1);
 }
 

@@ -137,7 +137,6 @@ TEST(Hdem, DefaultConstructedTimelineIsWellDefined) {
   EXPECT_EQ(tl.engine_busy(EngineId::H2D), 0.0);
   EXPECT_EQ(tl.engine_busy(EngineId::D2H), 0.0);
   EXPECT_EQ(tl.engine_busy(EngineId::Compute), 0.0);
-  EXPECT_EQ(tl.category_time(EngineId::Compute), 0.0);
 }
 
 TEST(Hdem, EngineNames) {

@@ -1,130 +1,10 @@
-// Tests for the I/O substrate: BPLite container format, filesystem models,
-// and reduction-integrated read/write.
+// Tests for the parallel-filesystem bandwidth models behind Figs. 17–18.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <filesystem>
-
-#include "core/stats.hpp"
-#include "data/generators.hpp"
-#include "io/bplite.hpp"
 #include "io/fs_model.hpp"
-#include "io/reduction_io.hpp"
-#include "machine/device_registry.hpp"
 
 namespace hpdr::io {
 namespace {
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-TEST(BpLite, WriteReadMultipleStepsAndVariables) {
-  TempFile f("hpdr_bplite_basic.bp");
-  std::vector<std::uint8_t> p1{1, 2, 3, 4};
-  std::vector<std::uint8_t> p2{9, 8, 7};
-  {
-    BPWriter w(f.path());
-    w.begin_step();
-    w.put("density", Shape{2, 2}, DType::F32, p1, "none", 0.0, 16);
-    w.put("energy", Shape{3}, DType::F64, p2, "mgard-x", 1e-3, 24);
-    w.end_step();
-    w.begin_step();
-    w.put("density", Shape{2, 2}, DType::F32, p2, "none", 0.0, 16);
-    w.end_step();
-    w.close();
-  }
-  BPReader r(f.path());
-  ASSERT_EQ(r.num_steps(), 2u);
-  EXPECT_EQ(r.variables(0), (std::vector<std::string>{"density", "energy"}));
-  EXPECT_EQ(r.read_payload(0, "density"), p1);
-  EXPECT_EQ(r.read_payload(0, "energy"), p2);
-  EXPECT_EQ(r.read_payload(1, "density"), p2);
-  const auto& rec = r.record(0, "energy");
-  EXPECT_EQ(rec.reduction, "mgard-x");
-  EXPECT_DOUBLE_EQ(rec.param, 1e-3);
-  EXPECT_EQ(rec.raw_bytes, 24u);
-  EXPECT_TRUE(r.has(0, "energy"));
-  EXPECT_FALSE(r.has(1, "energy"));
-}
-
-TEST(BpLite, EmptyFileJustSteps) {
-  TempFile f("hpdr_bplite_empty.bp");
-  {
-    BPWriter w(f.path());
-    w.begin_step();
-    w.end_step();
-    w.close();
-  }
-  BPReader r(f.path());
-  EXPECT_EQ(r.num_steps(), 1u);
-  EXPECT_TRUE(r.variables(0).empty());
-}
-
-TEST(BpLite, MisuseThrows) {
-  TempFile f("hpdr_bplite_misuse.bp");
-  BPWriter w(f.path());
-  EXPECT_THROW(w.put("x", Shape{1}, DType::F32, {}), Error);  // outside step
-  w.begin_step();
-  EXPECT_THROW(w.begin_step(), Error);
-  EXPECT_THROW(w.close(), Error);  // inside a step
-  w.end_step();
-  w.close();
-  EXPECT_THROW(w.begin_step(), Error);  // after close
-}
-
-TEST(BpLite, CorruptTrailerRejected) {
-  TempFile f("hpdr_bplite_corrupt.bp");
-  {
-    BPWriter w(f.path());
-    w.begin_step();
-    std::vector<std::uint8_t> p{1, 2, 3};
-    w.put("x", Shape{3}, DType::F32, p);
-    w.end_step();
-    w.close();
-  }
-  // Truncate the trailer.
-  std::filesystem::resize_file(f.path(),
-                               std::filesystem::file_size(f.path()) - 4);
-  EXPECT_THROW(BPReader r(f.path()), Error);
-}
-
-
-TEST(BpLite, ChecksumCatchesPayloadCorruption) {
-  TempFile f("hpdr_bplite_checksum.bp");
-  std::vector<std::uint8_t> p1(1024);
-  for (std::size_t i = 0; i < p1.size(); ++i)
-    p1[i] = static_cast<std::uint8_t>(i * 7);
-  {
-    BPWriter w(f.path());
-    w.begin_step();
-    w.put("x", Shape{256}, DType::F32, p1);
-    w.end_step();
-    w.close();
-  }
-  // Flip one payload byte on disk (after the 8-byte header).
-  {
-    std::fstream file(f.path(),
-                      std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(8 + 100);
-    char c;
-    file.seekg(8 + 100);
-    file.get(c);
-    file.seekp(8 + 100);
-    c = static_cast<char>(c ^ 0x40);
-    file.put(c);
-  }
-  BPReader r(f.path());
-  EXPECT_THROW(r.read_payload(0, "x"), Error);
-}
 
 TEST(FsModelTest, BandwidthSaturatesAtPeak) {
   auto fs = lustre_frontier();
@@ -146,99 +26,6 @@ TEST(FsModelTest, WriteTimeScalesWithBytesAndWriters) {
   EXPECT_GT(t2, 1.9 * t1 * 0.9);
   EXPECT_LT(fs.write_seconds(tb, 512), t1);  // more writers, more bandwidth
   EXPECT_EQ(fs.write_seconds(0, 64), 0.0);
-}
-
-TEST(ReducedIo, RoundTripThroughFileWithReduction) {
-  TempFile f("hpdr_reduced_io.bp");
-  const Device dev = machine::make_device("V100");
-  auto ds = data::make("nyx", data::Size::Tiny);
-  NDView<const float> view(
-      reinterpret_cast<const float*>(ds.data()), ds.shape);
-  pipeline::Options opts;
-  opts.mode = pipeline::Mode::Adaptive;
-  opts.param = 1e-3;
-  opts.init_chunk_bytes = 32 << 10;
-  std::size_t stored = 0;
-  {
-    ReducedWriter w(f.path(), dev, "mgard-x", opts);
-    w.begin_step();
-    stored = w.put_f32("density", view);
-    w.end_step();
-    w.close();
-  }
-  EXPECT_LT(stored, ds.size_bytes());  // actually reduced on disk
-  EXPECT_LT(std::filesystem::file_size(f.path()), ds.size_bytes());
-
-  ReducedReader r(f.path(), dev);
-  ASSERT_EQ(r.num_steps(), 1u);
-  auto back = r.get_f32(0, "density");
-  ASSERT_EQ(back.shape(), ds.shape);
-  auto stats = compute_error_stats(ds.as_f32(), back.span());
-  EXPECT_LE(stats.max_rel_error, 1e-3 * 1.0001);
-}
-
-
-TEST(ReducedIo, RowRangeReads) {
-  TempFile f("hpdr_rows_io.bp");
-  const Device dev = machine::make_device("V100");
-  auto ds = data::make("e3sm", data::Size::Tiny);  // 36 time slices
-  NDView<const float> view(
-      reinterpret_cast<const float*>(ds.data()), ds.shape);
-  pipeline::Options opts;
-  opts.mode = pipeline::Mode::Fixed;
-  opts.param = 1e-3;
-  opts.fixed_chunk_bytes = ds.size_bytes() / 6;
-  {
-    ReducedWriter w(f.path(), dev, "mgard-x", opts);
-    w.begin_step();
-    w.put_f32("PSL", view);
-    w.end_step();
-    w.close();
-  }
-  ReducedReader r(f.path(), dev);
-  auto full = r.get_f32(0, "PSL");
-  auto part = r.get_f32_rows(0, "PSL", 10, 20);
-  ASSERT_EQ(part.shape()[0], 10u);
-  const std::size_t slab = full.size() / full.shape()[0];
-  for (std::size_t i = 0; i < part.size(); ++i)
-    ASSERT_EQ(part[i], full[10 * slab + i]);
-  EXPECT_THROW(r.get_f32_rows(0, "PSL", 20, 10), Error);
-}
-
-TEST(ReducedIo, RawModePreservesBits) {
-  TempFile f("hpdr_raw_io.bp");
-  const Device dev = Device::openmp();
-  auto ds = data::make("e3sm", data::Size::Tiny);
-  NDView<const float> view(
-      reinterpret_cast<const float*>(ds.data()), ds.shape);
-  {
-    ReducedWriter w(f.path(), dev, "none", {});
-    w.begin_step();
-    w.put_f32("PSL", view);
-    w.end_step();
-    w.close();
-  }
-  ReducedReader r(f.path(), dev);
-  auto back = r.get_f32(0, "PSL");
-  auto orig = ds.as_f32();
-  for (std::size_t i = 0; i < back.size(); ++i)
-    ASSERT_EQ(back[i], orig[i]);
-}
-
-TEST(ReducedIo, DtypeMismatchThrows) {
-  TempFile f("hpdr_dtype_io.bp");
-  const Device dev = Device::openmp();
-  NDArray<float> a(Shape{8, 8}, 1.0f);
-  {
-    ReducedWriter w(f.path(), dev, "none", {});
-    w.begin_step();
-    w.put_f32("x", a.view());
-    w.end_step();
-    w.close();
-  }
-  ReducedReader r(f.path(), dev);
-  EXPECT_THROW(r.get_f64(0, "x"), Error);
-  EXPECT_THROW(r.get_f32(0, "missing"), Error);
 }
 
 }  // namespace

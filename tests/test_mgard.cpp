@@ -466,5 +466,22 @@ TEST(Mgard, CorruptStreamThrows) {
   EXPECT_THROW(decompress_f32(dev, stream), Error);
 }
 
+TEST(Mgard, NonUniformGridStreamsAreRejected) {
+  // A 16³ stream's header is magic, version, dtype, rank, three one-byte
+  // dims, mode, abs_eb and s: its grid byte sits at offset 24. Marking the
+  // grid non-uniform and inserting one empty coordinate list per dimension
+  // gives a well-formed non-uniform-grid stream, which the codec must
+  // reject rather than decode.
+  const Device dev = Device::serial();
+  NDArray<float> a(Shape{16, 16, 16});
+  for (std::size_t i = 0; i < a.size(); ++i)
+    a[i] = std::sin(0.03f * float(i));
+  auto stream = compress(dev, a.view(), 1e-3);
+  ASSERT_EQ(stream[24], 0u);
+  stream[24] = 1;
+  stream.insert(stream.begin() + 25, {0, 0, 0});
+  EXPECT_THROW(decompress_f32(dev, stream), Error);
+}
+
 }  // namespace
 }  // namespace hpdr::mgard

@@ -6,9 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstring>
-#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -245,151 +242,6 @@ TEST_F(ParallelEngine, DecompressMatchesAtAnyPoolWidth) {
   pipeline::decompress(dev, *comp(), cr.stream, b.data(), ds.shape, ds.dtype,
                        small_chunks());
   EXPECT_EQ(a, b);
-}
-
-TEST_F(ParallelEngine, DecompressRowsMatchesFullDecodeCrop) {
-  const auto cr = compress_at(4);
-  const auto& ds = dataset();
-  const Device dev = Device::serial();
-  std::vector<std::uint8_t> whole(ds.size_bytes());
-  pipeline::decompress(dev, *comp(), cr.stream, whole.data(), ds.shape,
-                       ds.dtype, small_chunks());
-  // An unaligned row window spanning chunk boundaries, decoded in parallel
-  // through the pooled scratch path.
-  const std::size_t row_begin = 3;
-  const std::size_t row_end = ds.shape[0] - 2;
-  const std::size_t slab_bytes =
-      ds.size_bytes() / ds.shape[0];
-  std::vector<std::uint8_t> window((row_end - row_begin) * slab_bytes);
-  pipeline::decompress_rows(dev, *comp(), cr.stream, window.data(), ds.shape,
-                            ds.dtype, row_begin, row_end, small_chunks());
-  EXPECT_EQ(0, std::memcmp(window.data(),
-                           whole.data() + row_begin * slab_bytes,
-                           window.size()));
-}
-
-/// zfp-x whose decompress runs a caller-supplied stage after decoding, the
-/// way a codec's intra-kernel stage may run a nested parallel_for while
-/// the decoded chunk still sits in the pipeline's buffer.
-class StagedCodec final : public Compressor {
- public:
-  explicit StagedCodec(std::function<void()> stage)
-      : inner_(make_compressor("zfp-x")), stage_(std::move(stage)) {}
-  std::string name() const override { return inner_->name(); }
-  bool lossless() const override { return inner_->lossless(); }
-  KernelClass compress_kernel() const override {
-    return inner_->compress_kernel();
-  }
-  KernelClass decompress_kernel() const override {
-    return inner_->decompress_kernel();
-  }
-  bool uses_context_cache() const override {
-    return inner_->uses_context_cache();
-  }
-  int allocs_per_call() const override { return inner_->allocs_per_call(); }
-  double kernel_derate() const override { return inner_->kernel_derate(); }
-  double contention_exposure(bool compress_dir) const override {
-    return inner_->contention_exposure(compress_dir);
-  }
-  std::vector<std::uint8_t> compress(const Device& dev, const void* data,
-                                     const Shape& shape, DType dtype,
-                                     double param) const override {
-    return inner_->compress(dev, data, shape, dtype, param);
-  }
-  void decompress(const Device& dev, std::span<const std::uint8_t> stream,
-                  void* out, const Shape& shape, DType dtype) const override {
-    inner_->decompress(dev, stream, out, shape, dtype);
-    stage_();
-  }
-
- private:
-  std::shared_ptr<const Compressor> inner_;
-  std::function<void()> stage_;
-};
-
-/// One-shot flag whose wait gives up after 10 s, so a schedule that does
-/// not happen fails the test instead of hanging it.
-struct Flag {
-  std::atomic<bool> on{false};
-  void set() { on.store(true); }
-  void wait() const {
-    const auto end =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!on.load() && std::chrono::steady_clock::now() < end)
-      std::this_thread::yield();
-  }
-};
-
-TEST_F(ParallelEngine, BoundaryChunkScratchSurvivesAReentrantChunk) {
-  // A thread waiting in a nested pool join runs whatever ticket is queued,
-  // including a chunk of another decode. That chunk must not reuse the
-  // pooled scratch still holding the waiting thread's boundary chunk.
-  // Forced schedule on a 2-wide pool (main thread M, worker W):
-  //   M: call 1 decodes its one boundary chunk into scratch; the codec
-  //      stage then runs a nested parallel_for that keeps W inside;
-  //   T: call 2 (two boundary chunks) queues a helper ticket, which M's
-  //      nested join picks up: M decodes a call-2 chunk before call 1
-  //      crops its scratch.
-  auto& pool = ThreadPool::instance();
-  pool.resize(2);
-  const Device dev = Device::serial();
-  const auto opts = small_chunks();
-  const auto a = data::make("nyx", data::Size::Tiny, 1);
-  const auto b = data::make("nyx", data::Size::Tiny, 2);
-  const auto ca = pipeline::compress(dev, *comp(), a.data(), a.shape,
-                                     a.dtype, opts);
-  const auto cb = pipeline::compress(dev, *comp(), b.data(), b.shape,
-                                     b.dtype, opts);
-  const std::size_t rows0 = ca.chunk_rows[0];
-  ASSERT_GE(rows0, 3u);
-  ASSERT_EQ(cb.chunk_rows[0], rows0);
-  ASSERT_GE(cb.chunk_rows[1], 2u);
-  const std::size_t slab = a.size_bytes() / a.shape[0];
-
-  const std::thread::id main_id = std::this_thread::get_id();
-  Flag w_inside, go, m_ran_call2;
-  StagedCodec codec1([&] {
-    pool.parallel_for(2, [&](std::size_t) {
-      if (ThreadPool::worker_id() != 0) {  // W: hold the batch open
-        w_inside.set();
-        m_ran_call2.wait();
-        return;
-      }
-      w_inside.wait();
-      const auto issued = pool.tickets_issued();
-      go.set();
-      const auto end =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (pool.tickets_issued() == issued &&
-             std::chrono::steady_clock::now() < end)
-        std::this_thread::yield();
-    });
-  });
-  StagedCodec codec2([&] {
-    if (std::this_thread::get_id() == main_id)
-      m_ran_call2.set();
-    else
-      m_ran_call2.wait();  // leave one call-2 chunk for M
-  });
-
-  std::vector<std::uint8_t> out1(2 * slab), out2(rows0 * slab);
-  std::thread t([&] {
-    go.wait();
-    pipeline::decompress_rows(dev, codec2, cb.stream, out2.data(), b.shape,
-                              b.dtype, 1, rows0 + 1, opts);
-  });
-  pipeline::decompress_rows(dev, codec1, ca.stream, out1.data(), a.shape,
-                            a.dtype, 1, 3, opts);
-  t.join();
-  ASSERT_TRUE(m_ran_call2.on.load()) << "the re-entrant schedule did not occur";
-
-  std::vector<std::uint8_t> ref_a(a.size_bytes()), ref_b(b.size_bytes());
-  pipeline::decompress(dev, *comp(), ca.stream, ref_a.data(), a.shape,
-                       a.dtype, opts);
-  pipeline::decompress(dev, *comp(), cb.stream, ref_b.data(), b.shape,
-                       b.dtype, opts);
-  EXPECT_EQ(0, std::memcmp(out1.data(), ref_a.data() + slab, out1.size()));
-  EXPECT_EQ(0, std::memcmp(out2.data(), ref_b.data() + slab, out2.size()));
 }
 
 }  // namespace

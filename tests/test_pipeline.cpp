@@ -288,82 +288,6 @@ TEST(Pipeline, CpuDeviceWorksWithZeroTransferTime) {
 }
 
 
-TEST(PartialRead, RowRangeMatchesFullDecompressSlice) {
-  const Device dev = machine::make_device("V100");
-  auto ds = data::make("nyx", data::Size::Small);  // 64 rows
-  Options opts;
-  opts.mode = Mode::Fixed;
-  opts.param = 1e-3;
-  opts.fixed_chunk_bytes = ds.size_bytes() / 8;  // 8 chunks
-  // A CMM codec and a baseline that allocates on every call: a full-range
-  // row read must bill decompress()'s whole DAG, allocs included.
-  for (const char* name : {"mgard-x", "mgard-gpu"}) {
-    SCOPED_TRACE(name);
-    auto comp = make_compressor(name);
-    auto result = compress(dev, *comp, ds.data(), ds.shape, ds.dtype, opts);
-
-    std::vector<float> full(ds.elements());
-    const auto fres = decompress(dev, *comp, result.stream, full.data(),
-                                 ds.shape, ds.dtype, opts);
-    const std::size_t slab = ds.elements() / ds.shape[0];
-    for (auto [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 8},
-                          {5, 13},
-                          {17, 64},
-                          {30, 31},
-                          {0, 64}}) {
-      std::vector<float> part((r1 - r0) * slab);
-      auto dres = decompress_rows(dev, *comp, result.stream, part.data(),
-                                  ds.shape, ds.dtype, r0, r1, opts);
-      for (std::size_t i = 0; i < part.size(); ++i)
-        ASSERT_EQ(part[i], full[r0 * slab + i])
-            << r0 << " " << r1 << " " << i;
-      EXPECT_EQ(dres.raw_bytes, part.size() * sizeof(float));
-      if (r1 - r0 == ds.shape[0]) {
-        EXPECT_EQ(dres.timeline.tasks.size(), fres.timeline.tasks.size());
-        EXPECT_DOUBLE_EQ(dres.model_seconds(), fres.model_seconds());
-      }
-    }
-  }
-}
-
-TEST(PartialRead, OnlyOverlappingChunksAreBilled) {
-  const Device dev = machine::make_device("V100");
-  auto comp = make_compressor("zfp-x");
-  auto ds = data::make("nyx", data::Size::Small);
-  Options opts;
-  opts.mode = Mode::Fixed;
-  opts.param = 1e-2;
-  opts.fixed_chunk_bytes = ds.size_bytes() / 8;
-  auto result = compress(dev, *comp, ds.data(), ds.shape, ds.dtype, opts);
-  ASSERT_GE(result.chunk_rows.size(), 8u);
-  const std::size_t slab = ds.elements() / ds.shape[0];
-  std::vector<float> part(8 * slab);
-  auto narrow = decompress_rows(dev, *comp, result.stream, part.data(),
-                                ds.shape, ds.dtype, 0, 8, opts);
-  std::vector<float> all(ds.elements());
-  auto full = decompress(dev, *comp, result.stream, all.data(), ds.shape,
-                         ds.dtype, opts);
-  // One chunk's worth of work vs eight.
-  EXPECT_LT(narrow.timeline.tasks.size(), full.timeline.tasks.size() / 4);
-  EXPECT_LT(narrow.model_seconds(), full.model_seconds());
-}
-
-TEST(PartialRead, InvalidRangesThrow) {
-  const Device dev = Device::serial();
-  auto comp = make_compressor("zfp-x");
-  auto ds = data::make("nyx", data::Size::Tiny);
-  Options opts;
-  opts.param = 1e-2;
-  auto result = compress(dev, *comp, ds.data(), ds.shape, ds.dtype, opts);
-  std::vector<float> out(ds.elements());
-  EXPECT_THROW(decompress_rows(dev, *comp, result.stream, out.data(),
-                               ds.shape, ds.dtype, 5, 5, opts),
-               Error);
-  EXPECT_THROW(decompress_rows(dev, *comp, result.stream, out.data(),
-                               ds.shape, ds.dtype, 0, ds.shape[0] + 1, opts),
-               Error);
-}
-
 TEST(Compressors, AllRegisteredNamesRoundTrip) {
   const Device dev = machine::make_device("V100");
   auto ds = data::make("nyx", data::Size::Tiny);

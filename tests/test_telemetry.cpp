@@ -18,7 +18,6 @@
 #include "data/generators.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
-#include "io/fs_model.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/progressive.hpp"
 #include "runtime/hdem.hpp"
@@ -434,8 +433,8 @@ TEST(TelemetryManifest, ManifestIncludesRegistryMetrics) {
 TEST(TelemetryFaults, FaultFreeRunReportsAllZeroFaultMetrics) {
   fault::Injector::instance().disarm();
   telemetry::MetricsRegistry::instance().reset();
-  // Exercise the layers that own fault sites: pipeline round trip, fs-model
-  // resilient timing, and the retry helper on a clean operation.
+  // Exercise the layers that own fault sites: pipeline round trip and the
+  // retry helper on a clean operation.
   const Device dev = Device::serial();
   auto comp = make_compressor("zfp-x");
   auto ds = data::make("nyx", data::Size::Tiny);
@@ -449,8 +448,6 @@ TEST(TelemetryFaults, FaultFreeRunReportsAllZeroFaultMetrics) {
   auto dres = pipeline::decompress(dev, *comp, cres.stream, out.data(),
                                    ds.shape, ds.dtype, opts);
   EXPECT_FALSE(dres.partial());
-  io::gpfs_summit().write_seconds_resilient(1 << 20, 4,
-                                            fault::RetryPolicy{});
   fault::with_retry(fault::RetryPolicy{}, [] { return 1; });
 
   const Value snap = telemetry::MetricsRegistry::instance().snapshot();
@@ -583,7 +580,7 @@ TEST(TelemetryLatency, RegistryAccessorReturnsSameInstrument) {
 TEST(TelemetryNaming, ValidatorAcceptsConventionAndRejectsJunk) {
   using telemetry::valid_metric_name;
   EXPECT_TRUE(valid_metric_name("svc.request.latency"));
-  EXPECT_TRUE(valid_metric_name("io.bplite.put.seconds"));
+  EXPECT_TRUE(valid_metric_name("svc.queue_wait.seconds"));
   EXPECT_TRUE(valid_metric_name("codec.zfp-x.compress.seconds"));
   EXPECT_TRUE(valid_metric_name("fault.fires"));
   EXPECT_TRUE(valid_metric_name("pool.tasks_executed"));
