@@ -624,7 +624,8 @@ int main(int argc, char** argv) {
     // on that stream vs the pre-optimization per-symbol LUT path with its
     // byte-at-a-time reader and per-decode table rebuild, over the same
     // codes concatenated into one payload — the stream's own payload, as
-    // its chunks are laid end to end.
+    // its chunks are laid end to end. Both sides fill a preallocated
+    // buffer, so neither times an allocation.
     std::vector<std::uint64_t> freq(alphabet, 0);
     for (auto s : symbols) ++freq[s];
     const huffman::Codebook cb = huffman::build_codebook(freq);
@@ -635,9 +636,9 @@ int main(int argc, char** argv) {
     HPDR_EXPECT_TRUE(blob.size() >= payload.size() &&
                      std::equal(payload.begin(), payload.end(),
                                 blob.end() - payload.size()));
-    std::vector<std::uint32_t> out_fast, out_ref(n);
+    std::vector<std::uint32_t> out_fast(n), out_ref(n);
     const auto [sf, sr] = best_of_pair(
-        reps, [&] { out_fast = huffman::decode_u32(dev, blob); },
+        reps, [&] { huffman::decode_u32(dev, blob, out_fast); },
         [&] {
           const huffman::DecodeTable table = huffman::DecodeTable::build(cb);
           RefBitReader r(payload, payload_bits);

@@ -132,15 +132,6 @@ Codebook build_codebook(std::span<const std::uint64_t> freq) {
   return cb;
 }
 
-std::uint64_t Codebook::encoded_bits(
-    std::span<const std::uint64_t> freq) const {
-  HPDR_ASSERT(freq.size() == lengths.size());
-  std::uint64_t bits = 0;
-  for (std::size_t s = 0; s < freq.size(); ++s)
-    bits += freq[s] * lengths[s];
-  return bits;
-}
-
 void Codebook::serialize(ByteWriter& out) const {
   out.put_varint(lengths.size());
   // Run-length encode the (mostly zero) length table.
@@ -284,19 +275,6 @@ std::shared_ptr<const DecodeTable> DecodeTable::cached(const Codebook& cb) {
       telemetry::counter("codec.huffman.lut_cache.miss").add();
   }
   return table;
-}
-
-std::uint32_t DecodeTable::decode_one_lut(BitReader& reader) const {
-  if (reader.remaining() >= kLutBits) {
-    const std::uint64_t entry = lut[reader.peek(kLutBits)];
-    if (entry != 0) {
-      reader.skip(
-          static_cast<unsigned>((entry >> kEntryLen0Shift) & kEntryLenMask));
-      return static_cast<std::uint32_t>((entry >> kEntrySym0Shift) &
-                                        kEntrySymMask);
-    }
-  }
-  return decode_one(reader);
 }
 
 template <class T>

@@ -29,10 +29,6 @@ struct Codebook {
 
   std::size_t num_symbols() const { return lengths.size(); }
 
-  /// Expected encoded size in bits for the frequency distribution used to
-  /// build this codebook.
-  std::uint64_t encoded_bits(std::span<const std::uint64_t> freq) const;
-
   /// Header serialization: lengths only (canonical codes are recomputed on
   /// load — smaller headers, identical codes everywhere).
   void serialize(ByteWriter& out) const;
@@ -49,14 +45,13 @@ std::vector<std::uint8_t> minimum_redundancy_lengths(
 /// Symbols with zero frequency get no code.
 Codebook build_codebook(std::span<const std::uint64_t> freq);
 
-/// Canonical decoding tables derived from a codebook. Three paths:
+/// Canonical decoding tables derived from a codebook. Two paths:
 ///  * the canonical bit-serial path (decode_one), always available;
-///  * a lookup-table fast path (decode_one_lut) resolving codes of up to
-///    kLutBits bits in a single table probe — the standard technique the
-///    GPU Huffman decoders the paper builds on use per thread;
-///  * the batch path (decode_run): multi-symbol LUT entries resolve up to
-///    two complete codewords per probe, the decoder's dominant case for
-///    the short center codes of quantization alphabets.
+///  * the batch path (decode_run): a lookup table keyed by the next
+///    kLutBits bits — the standard technique the GPU Huffman decoders the
+///    paper builds on use per thread — whose multi-symbol entries resolve
+///    up to two complete codewords per probe, the decoder's dominant case
+///    for the short center codes of quantization alphabets.
 struct DecodeTable {
   /// Prefix width of the fast-path table (2^12 entries × 8 B = 32 KiB —
   /// sized to stay shared-memory/L1 resident).
@@ -106,10 +101,6 @@ struct DecodeTable {
 
   /// Decode one symbol by consuming bits from `reader` (bit-serial).
   std::uint32_t decode_one(BitReader& reader) const;
-
-  /// Decode one symbol via the LUT, falling back to the serial path for
-  /// long codes. Produces identical output to decode_one.
-  std::uint32_t decode_one_lut(BitReader& reader) const;
 
   /// Decode exactly `count` symbols into `out`, taking multi-symbol LUT
   /// entries where the stream allows. Identical output to `count` calls of

@@ -422,6 +422,16 @@ void decode_into(const Device& dev, const Parsed& p, T* out) {
     if (e) std::rethrow_exception(e);
 }
 
+/// Decodes a parsed stream into `out`, which must hold exactly p.n symbols;
+/// any other length throws before a symbol is written.
+template <class T>
+void decode(const Device& dev, const Parsed& p, std::span<T> out) {
+  HPDR_REQUIRE(p.n == out.size(), "Huffman stream holds "
+                                      << p.n << " symbols, output has "
+                                      << out.size());
+  decode_into(dev, p, out.data());
+}
+
 constexpr std::size_t kByteAlphabet = 256;
 /// DecodeTable packs symbols into 24 bits.
 constexpr std::size_t kMaxAlphabet = std::size_t{1} << 24;
@@ -440,12 +450,9 @@ std::vector<std::uint8_t> encode_u32(const Device& dev,
   return encode(dev, symbols, alphabet_size);
 }
 
-std::vector<std::uint32_t> decode_u32(const Device& dev,
-                                      std::span<const std::uint8_t> stream) {
-  const Parsed p = parse(stream, kMaxAlphabet);
-  std::vector<std::uint32_t> out(p.n);
-  decode_into(dev, p, out.data());
-  return out;
+void decode_u32(const Device& dev, std::span<const std::uint8_t> stream,
+                std::span<std::uint32_t> out) {
+  decode(dev, parse(stream, kMaxAlphabet), out);
 }
 
 std::vector<std::uint8_t> compress_bytes(const Device& dev,
@@ -455,11 +462,7 @@ std::vector<std::uint8_t> compress_bytes(const Device& dev,
 
 void decompress_bytes(const Device& dev, std::span<const std::uint8_t> stream,
                       std::span<std::uint8_t> out) {
-  const Parsed p = parse(stream, kByteAlphabet);
-  HPDR_REQUIRE(p.n == out.size(), "Huffman stream holds "
-                                      << p.n << " bytes, output has "
-                                      << out.size());
-  decode_into(dev, p, out.data());
+  decode(dev, parse(stream, kByteAlphabet), out);
 }
 
 }  // namespace hpdr::huffman

@@ -43,9 +43,11 @@ std::vector<std::uint8_t> encode_u32(const Device& dev,
                                      std::span<const std::uint32_t> symbols,
                                      std::size_t alphabet_size);
 
-/// Inverse of encode_u32.
-std::vector<std::uint32_t> decode_u32(const Device& dev,
-                                      std::span<const std::uint8_t> stream);
+/// Inverse of encode_u32, straight into `out`, which must hold exactly as
+/// many symbols as the stream says; a stream of any other length throws
+/// before a symbol is written.
+void decode_u32(const Device& dev, std::span<const std::uint8_t> stream,
+                std::span<std::uint32_t> out);
 
 /// Huffman-X as a standalone byte-lossless compressor (alphabet = 256);
 /// this is the configuration benchmarked in Fig. 12.

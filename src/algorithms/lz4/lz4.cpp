@@ -393,24 +393,22 @@ std::vector<std::uint8_t> compress(const Device& dev,
   return out.take();
 }
 
-std::vector<std::uint8_t> decompress(const Device& dev,
-                                     std::span<const std::uint8_t> frame) {
+void decompress(const Device& dev, std::span<const std::uint8_t> frame,
+                std::span<std::uint8_t> out) {
   ByteReader in(frame);
   const std::size_t raw_size = in.get_varint();
+  HPDR_REQUIRE(raw_size == out.size(), "LZ4 frame holds "
+                                           << raw_size << " bytes, output has "
+                                           << out.size());
   const std::size_t nblocks = in.get_varint();
   HPDR_REQUIRE(nblocks == (raw_size + kBlockSize - 1) / kBlockSize,
                "LZ4 frame block count mismatch");
-  // An LZ4 sequence encodes at most ~255× expansion per byte; anything
-  // beyond that is a hostile header.
-  HPDR_REQUIRE(raw_size <= frame.size() * 256 + kBlockSize,
-               "implausible LZ4 raw size");
   std::vector<std::size_t> sizes(nblocks), offsets(nblocks + 1, 0);
   for (std::size_t i = 0; i < nblocks; ++i) {
     sizes[i] = in.get_varint();
     offsets[i + 1] = offsets[i] + sizes[i];
   }
   auto payload = in.get_bytes(offsets[nblocks]);
-  std::vector<std::uint8_t> out(raw_size);
   global_stage(dev, nblocks, [&](std::size_t i) {
     const std::size_t dst_begin = i * kBlockSize;
     const std::size_t dst_len = std::min(kBlockSize, raw_size - dst_begin);
@@ -426,7 +424,6 @@ std::vector<std::uint8_t> decompress(const Device& dev,
       decompress_block(body, dst);
     }
   });
-  return out;
 }
 
 }  // namespace hpdr::lz4

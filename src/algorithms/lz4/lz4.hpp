@@ -29,10 +29,11 @@ inline constexpr std::size_t kBlockSize = 256u * 1024;
 std::vector<std::uint8_t> compress(const Device& dev,
                                    std::span<const std::uint8_t> data);
 
-/// Decompress a frame produced by compress(). Throws hpdr::Error on a
-/// corrupt stream.
-std::vector<std::uint8_t> decompress(const Device& dev,
-                                     std::span<const std::uint8_t> frame);
+/// Decompress a frame produced by compress() straight into `out`, which
+/// must be exactly as long as the frame says; a frame of any other length
+/// throws before a byte is written. Throws hpdr::Error on a corrupt stream.
+void decompress(const Device& dev, std::span<const std::uint8_t> frame,
+                std::span<std::uint8_t> out);
 
 /// Single-block primitives (exposed for tests).
 std::vector<std::uint8_t> compress_block(std::span<const std::uint8_t> src);

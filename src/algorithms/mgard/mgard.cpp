@@ -170,8 +170,8 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
 }
 
 template <class T>
-NDArray<T> decompress_impl(const Device& dev,
-                           std::span<const std::uint8_t> stream) {
+void decompress_impl(const Device& dev, std::span<const std::uint8_t> stream,
+                     NDView<T> out) {
   ByteReader in(stream);
   HPDR_REQUIRE(in.get_u8() == kMagic, "not an MGARD stream");
   HPDR_REQUIRE(in.get_u8() == kVersion, "MGARD stream version mismatch");
@@ -180,17 +180,18 @@ NDArray<T> decompress_impl(const Device& dev,
   HPDR_REQUIRE(rank >= 1 && rank <= kMaxRank, "corrupt MGARD rank");
   Shape orig = Shape::of_rank(rank);
   for (std::size_t d = 0; d < rank; ++d) orig[d] = in.get_varint();
-  HPDR_REQUIRE(orig.size() > 0 && orig.size() <= (std::size_t{1} << 40),
-               "implausible MGARD tensor size");
-  NDArray<T> result(orig);
+  HPDR_REQUIRE(orig.size() > 0, "MGARD stream has empty shape");
+  HPDR_REQUIRE(orig == out.shape(), "MGARD stream shape "
+                                        << orig.to_string() << " != output "
+                                        << out.shape().to_string());
 
   const std::uint8_t mode = in.get_u8();
   if (mode == kModeRaw) {
     const std::size_t nbytes = in.get_varint();
-    HPDR_REQUIRE(nbytes == result.size_bytes(), "raw payload size mismatch");
+    HPDR_REQUIRE(nbytes == out.size_bytes(), "raw payload size mismatch");
     auto bytes = in.get_bytes(nbytes);
-    std::memcpy(result.data(), bytes.data(), nbytes);
-    return result;
+    std::memcpy(out.data(), bytes.data(), nbytes);
+    return;
   }
   HPDR_REQUIRE(mode == kModeLossy, "corrupt MGARD mode byte");
   const double abs_eb = in.get_f64();
@@ -214,17 +215,18 @@ NDArray<T> decompress_impl(const Device& dev,
   }
 
   const std::size_t blob_size = in.get_varint();
-  const auto symbols = huffman::decode_u32(dev, in.get_bytes(blob_size));
-  HPDR_REQUIRE(symbols.size() == shape.size(),
-               "decoded symbol count mismatch");
+  std::vector<std::uint32_t> symbols(shape.size());
+  huffman::decode_u32(dev, in.get_bytes(blob_size), symbols);
 
-  // Dequantize into decomposition layout.
+  // Dequantize into decomposition layout, in place in `out`: the
+  // normalized shape keeps the row-major layout and `order` is a
+  // permutation, so every element is written.
   const auto& order = h->level_order();
   const auto& subsets = h->level_subsets();
   std::vector<double> bins(L + 1);
   for (std::size_t l = 0; l <= L; ++l)
     bins[l] = level_bin_s(abs_eb, l, L, shape.rank(), snorm);
-  std::vector<T> work(shape.size());
+  T* work = out.data();
   map_and_process(dev, subsets, [&](const Subset& s, std::size_t pos) {
     work[order[pos]] = static_cast<T>(
         static_cast<double>(bin_of(symbols[pos])) * bins[s.id]);
@@ -235,10 +237,7 @@ NDArray<T> decompress_impl(const Device& dev,
     work[order[pos]] = static_cast<T>(static_cast<double>(q) * bins[lvl]);
   }
 
-  recompose(dev, *h, work.data());
-  HPDR_ASSERT(work.size() == result.size());
-  std::memcpy(result.data(), work.data(), result.size_bytes());
-  return result;
+  recompose(dev, *h, work);
 }
 
 }  // namespace
@@ -279,13 +278,13 @@ std::vector<std::uint8_t> compress(const Device& dev,
   return compress_impl(dev, data, rel_eb, s);
 }
 
-NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream) {
-  return decompress_impl<float>(dev, stream);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<float> out) {
+  decompress_impl(dev, stream, out);
 }
-NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(dev, stream);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<double> out) {
+  decompress_impl(dev, stream, out);
 }
 
 }  // namespace hpdr::mgard

@@ -44,10 +44,14 @@ std::vector<std::uint8_t> compress(const Device& dev,
                                    NDView<const double> data, double rel_eb,
                                    double s = 0.0);
 
-NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream);
-NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream);
+/// Decompress straight into `out`, whose shape and element type must be
+/// the stream's: a stream of any other shape or type throws before the
+/// decoder allocates, builds a hierarchy or writes a value. A stream that
+/// fails later may leave `out` partly written.
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<float> out);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<double> out);
 
 /// Shape normalization applied before decomposition: size-1 dimensions are
 /// dropped, dimensions smaller than 3 are merged into a neighbour, and the

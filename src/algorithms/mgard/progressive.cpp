@@ -218,10 +218,10 @@ struct ProgressiveChunkDecoder::Impl {
       if (!raw.empty()) std::memcpy(out, raw.data(), raw.size());
       return;
     }
-    // Replays the v2 decode's float ops exactly (mgard.cpp
-    // decompress_impl): symbol dequantize in level order, outlier
-    // overwrite, recompose. Unreceived planes leave q at its partial
-    // value; a fully-received chunk reproduces the v2 bytes.
+    // Replays the v2 decode's float ops exactly (mgard::decompress):
+    // symbol dequantize in level order, outlier overwrite, recompose.
+    // Unreceived planes leave q at its partial value; a fully-received
+    // chunk reproduces the v2 bytes.
     const auto& order = h->level_order();
     const auto& subsets = h->level_subsets();
     std::vector<T> work(shape.size());

@@ -242,8 +242,8 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
 }
 
 template <class T>
-NDArray<T> decompress_impl(const Device& dev,
-                           std::span<const std::uint8_t> stream) {
+void decompress_impl(const Device& dev, std::span<const std::uint8_t> stream,
+                     NDView<T> out) {
   ByteReader in(stream);
   HPDR_REQUIRE(in.get_u8() == kMagic, "not a dual-quant SZ stream");
   HPDR_REQUIRE(in.get_u8() == kVersion, "dual-quant stream version");
@@ -252,8 +252,10 @@ NDArray<T> decompress_impl(const Device& dev,
   HPDR_REQUIRE(rank0 >= 1 && rank0 <= kMaxRank, "corrupt rank");
   Shape orig = Shape::of_rank(rank0);
   for (std::size_t d = 0; d < rank0; ++d) orig[d] = in.get_varint();
-  HPDR_REQUIRE(orig.size() > 0 && orig.size() <= (std::size_t{1} << 40),
-               "implausible tensor size");
+  HPDR_REQUIRE(orig.size() > 0, "dual-quant stream has empty shape");
+  HPDR_REQUIRE(orig == out.shape(), "dual-quant stream shape "
+                                        << orig.to_string() << " != output "
+                                        << out.shape().to_string());
   const double abs_eb = in.get_f64();
   const double bin = 2.0 * abs_eb;
   const std::size_t n_outliers = in.get_varint();
@@ -268,16 +270,15 @@ NDArray<T> decompress_impl(const Device& dev,
     std::memcpy(&oob_val[pos], &bits, sizeof(T));
   }
   const std::size_t blob_size = in.get_varint();
-  const auto symbols = huffman::decode_u32(dev, in.get_bytes(blob_size));
   const Shape cs = codec_shape(orig);
-  HPDR_REQUIRE(symbols.size() == cs.size(), "symbol count mismatch");
+  std::vector<std::uint32_t> symbols(cs.size());
+  huffman::decode_u32(dev, in.get_bytes(blob_size), symbols);
 
   // Rebuild P with a raster scan: each element's Lorenzo neighbours have
   // strictly smaller raster indices, so one forward pass suffices. The
   // scan is inherently sequential (each element predicts from its left
   // neighbour), but walking it row-wise hoists the neighbour-row pointers
   // and removes the per-element coordinate div/mod of the naive loop.
-  NDArray<T> result(orig);
   std::vector<std::int64_t> P(cs.size());
   const RowGeom g(cs);
   const std::vector<std::int64_t> zeros(g.nk, 0);
@@ -292,7 +293,7 @@ NDArray<T> decompress_impl(const Device& dev,
     const std::int64_t* upback = (g.rank >= 3 && i > 0 && j > 0)
                                      ? cur - g.nj * g.nk - g.nk
                                      : zeros.data();
-    T* res = result.data() + row * g.nk;
+    T* res = out.data() + row * g.nk;
     for (std::size_t k = 0; k < g.nk; ++k) {
       const std::size_t flat = row * g.nk + k;
       const std::uint32_t sym = symbols[flat];
@@ -318,28 +319,25 @@ NDArray<T> decompress_impl(const Device& dev,
       }
     }
   }
-  return result;
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> compress_dualquant(const Device& dev,
-                                             NDView<const float> data,
-                                             double rel_eb) {
+std::vector<std::uint8_t> compress(const Device& dev,
+                                   NDView<const float> data, double rel_eb) {
   return compress_impl(dev, data, rel_eb);
 }
-std::vector<std::uint8_t> compress_dualquant(const Device& dev,
-                                             NDView<const double> data,
-                                             double rel_eb) {
+std::vector<std::uint8_t> compress(const Device& dev,
+                                   NDView<const double> data, double rel_eb) {
   return compress_impl(dev, data, rel_eb);
 }
-NDArray<float> decompress_dualquant_f32(
-    const Device& dev, std::span<const std::uint8_t> stream) {
-  return decompress_impl<float>(dev, stream);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<float> out) {
+  decompress_impl(dev, stream, out);
 }
-NDArray<double> decompress_dualquant_f64(
-    const Device& dev, std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(dev, stream);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<double> out) {
+  decompress_impl(dev, stream, out);
 }
 
 }  // namespace hpdr::sz

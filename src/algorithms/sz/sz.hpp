@@ -24,17 +24,19 @@
 namespace hpdr::sz {
 
 /// Compress with a relative L∞ error bound (relative to the value range).
-std::vector<std::uint8_t> compress_dualquant(const Device& dev,
-                                             NDView<const float> data,
-                                             double rel_eb);
-std::vector<std::uint8_t> compress_dualquant(const Device& dev,
-                                             NDView<const double> data,
-                                             double rel_eb);
+std::vector<std::uint8_t> compress(const Device& dev,
+                                   NDView<const float> data, double rel_eb);
+std::vector<std::uint8_t> compress(const Device& dev,
+                                   NDView<const double> data, double rel_eb);
 
-NDArray<float> decompress_dualquant_f32(const Device& dev,
-                                        std::span<const std::uint8_t> stream);
-NDArray<double> decompress_dualquant_f64(
-    const Device& dev, std::span<const std::uint8_t> stream);
+/// Decompress straight into `out`, whose shape and element type must be
+/// the stream's: a stream of any other shape or type throws before the
+/// decoder allocates or writes a value. A stream that fails later may
+/// leave `out` partly written.
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<float> out);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<double> out);
 
 namespace detail {
 

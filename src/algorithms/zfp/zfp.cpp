@@ -664,8 +664,8 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
 }
 
 template <class T>
-NDArray<T> decompress_impl(const Device& dev,
-                           std::span<const std::uint8_t> stream) {
+void decompress_impl(const Device& dev, std::span<const std::uint8_t> stream,
+                     NDView<T> out) {
   using Tr = Traits<T>;
   ByteReader in(stream);
   HPDR_REQUIRE(in.get_u8() == kMagic, "not a zfp stream");
@@ -675,9 +675,10 @@ NDArray<T> decompress_impl(const Device& dev,
   HPDR_REQUIRE(rank >= 1 && rank <= 4, "corrupt zfp rank");
   Shape orig = Shape::of_rank(rank);
   for (std::size_t d = 0; d < rank; ++d) orig[d] = in.get_varint();
-  HPDR_REQUIRE(orig.size() <= (std::size_t{1} << 40),
-               "implausible zfp tensor size");
   HPDR_REQUIRE(orig.size() > 0, "zfp stream has empty shape");
+  HPDR_REQUIRE(orig == out.shape(), "zfp stream shape "
+                                        << orig.to_string() << " != output "
+                                        << out.shape().to_string());
   HPDR_REQUIRE(in.get_u8() == kModeFixedRate, "corrupt zfp mode byte");
   // Only a rate compress() can write: its clamp range (NaN fails it) and
   // room for the block exponent.
@@ -696,7 +697,6 @@ NDArray<T> decompress_impl(const Device& dev,
   HPDR_REQUIRE(payload.size() * 8 >= grid.total_blocks * maxbits,
                "zfp payload truncated");
 
-  NDArray<T> out(orig);
   locality(dev, Shape{grid.total_blocks}, Shape{1}, [&](const Block& blk) {
     const std::size_t b = blk.origin[0];
     std::size_t bx, by, bz;
@@ -721,7 +721,6 @@ NDArray<T> decompress_impl(const Device& dev,
     }
     scatter(grid, out.data(), bx, by, bz, vals);
   });
-  return out;
 }
 
 }  // namespace
@@ -735,13 +734,13 @@ std::vector<std::uint8_t> compress(const Device& dev,
   return compress_impl(dev, data, rate);
 }
 
-NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream) {
-  return decompress_impl<float>(dev, stream);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<float> out) {
+  decompress_impl(dev, stream, out);
 }
-NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(dev, stream);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<double> out) {
+  decompress_impl(dev, stream, out);
 }
 
 }  // namespace hpdr::zfp

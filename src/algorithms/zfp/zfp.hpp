@@ -46,12 +46,14 @@ std::vector<std::uint8_t> compress(const Device& dev,
 std::vector<std::uint8_t> compress(const Device& dev,
                                    NDView<const double> data, double rate);
 
-/// Decompress; the element type must match the stream's. Throws on corrupt
-/// or type-mismatched input, including a rate compress() cannot write.
-NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream);
-NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream);
+/// Decompress straight into `out`, whose shape and element type must be
+/// the stream's: a stream of any other shape or type throws before a value
+/// is written. Throws on corrupt input, including a rate compress() cannot
+/// write; a stream that fails mid-decode may leave `out` partly written.
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<float> out);
+void decompress(const Device& dev, std::span<const std::uint8_t> stream,
+                NDView<double> out);
 
 /// The achieved rate is exact by construction: bits = rate_bits × 4^d per
 /// block (plus a fixed-size header); exposed for tests.

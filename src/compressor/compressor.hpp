@@ -71,7 +71,11 @@ class Compressor {
                                              const Shape& shape, DType dtype,
                                              double param) const = 0;
 
-  /// `out` must hold shape.size() elements of `dtype`.
+  /// Decodes straight into `out`, which holds shape.size() elements of
+  /// `dtype`. The codec checks the stream's declared shape (lossy codecs)
+  /// or byte length (lossless codecs) against `out` before it allocates
+  /// or writes anything, and throws hpdr::Error on a mismatch. A stream
+  /// that fails later may leave `out` partly written.
   virtual void decompress(const Device& dev,
                           std::span<const std::uint8_t> stream, void* out,
                           const Shape& shape, DType dtype) const = 0;

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstring>
 
 #include "algorithms/huffman/huffman.hpp"
 #include "algorithms/lz4/lz4.hpp"
@@ -163,15 +162,12 @@ class MgardCompressor final : public CompressorBase {
   void do_decompress(const Device& dev, std::span<const std::uint8_t> stream,
                      void* out, const Shape& shape,
                      DType dtype) const override {
-    if (dtype == DType::F32) {
-      auto a = mgard::decompress_f32(dev, stream);
-      HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
-      std::memcpy(out, a.data(), a.size_bytes());
-    } else {
-      auto a = mgard::decompress_f64(dev, stream);
-      HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
-      std::memcpy(out, a.data(), a.size_bytes());
-    }
+    if (dtype == DType::F32)
+      mgard::decompress(dev, stream,
+                        NDView<float>(static_cast<float*>(out), shape));
+    else
+      mgard::decompress(dev, stream,
+                        NDView<double>(static_cast<double*>(out), shape));
   }
 };
 
@@ -199,15 +195,12 @@ class ZfpCompressor final : public CompressorBase {
   void do_decompress(const Device& dev, std::span<const std::uint8_t> stream,
                      void* out, const Shape& shape,
                      DType dtype) const override {
-    if (dtype == DType::F32) {
-      auto a = zfp::decompress_f32(dev, stream);
-      HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
-      std::memcpy(out, a.data(), a.size_bytes());
-    } else {
-      auto a = zfp::decompress_f64(dev, stream);
-      HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
-      std::memcpy(out, a.data(), a.size_bytes());
-    }
+    if (dtype == DType::F32)
+      zfp::decompress(dev, stream,
+                      NDView<float>(static_cast<float*>(out), shape));
+    else
+      zfp::decompress(dev, stream,
+                      NDView<double>(static_cast<double*>(out), shape));
   }
 };
 
@@ -225,10 +218,10 @@ class SzCompressor final : public CompressorBase {
                                         const Shape& shape, DType dtype,
                                         double eb) const override {
     if (dtype == DType::F32)
-      return sz::compress_dualquant(
+      return sz::compress(
           dev, NDView<const float>(static_cast<const float*>(data), shape),
           eb);
-    return sz::compress_dualquant(
+    return sz::compress(
         dev, NDView<const double>(static_cast<const double*>(data), shape),
         eb);
   }
@@ -236,15 +229,12 @@ class SzCompressor final : public CompressorBase {
   void do_decompress(const Device& dev, std::span<const std::uint8_t> stream,
                      void* out, const Shape& shape,
                      DType dtype) const override {
-    if (dtype == DType::F32) {
-      auto a = sz::decompress_dualquant_f32(dev, stream);
-      HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
-      std::memcpy(out, a.data(), a.size_bytes());
-    } else {
-      auto a = sz::decompress_dualquant_f64(dev, stream);
-      HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
-      std::memcpy(out, a.data(), a.size_bytes());
-    }
+    if (dtype == DType::F32)
+      sz::decompress(dev, stream,
+                     NDView<float>(static_cast<float*>(out), shape));
+    else
+      sz::decompress(dev, stream,
+                     NDView<double>(static_cast<double*>(out), shape));
   }
 };
 
@@ -267,10 +257,9 @@ class Lz4Compressor final : public CompressorBase {
   void do_decompress(const Device& dev, std::span<const std::uint8_t> stream,
                      void* out, const Shape& shape,
                      DType dtype) const override {
-    auto bytes = lz4::decompress(dev, stream);
-    HPDR_REQUIRE(bytes.size() == shape.size() * dtype_size(dtype),
-                 "lz4 payload size mismatch");
-    std::memcpy(out, bytes.data(), bytes.size());
+    lz4::decompress(
+        dev, stream,
+        {static_cast<std::uint8_t*>(out), shape.size() * dtype_size(dtype)});
   }
 };
 

@@ -4,10 +4,11 @@
 /// \file cancel.hpp
 /// Cooperative cancellation (DESIGN.md §13). A CancelToken is a handle to a
 /// small shared state cell — a sticky reason flag plus an optional deadline
-/// on the steady clock. Producers (Session::cancel, the service watchdog,
-/// the deadline itself) fire the token; consumers poll it at natural work
-/// boundaries (pipeline chunk loops, codec block loops, retry backoff) and
-/// abort by throwing an Error whose kind carries the reason.
+/// on the steady clock. Producers (Session::cancel and the deadline itself)
+/// fire the token; consumers poll it at natural work boundaries (pipeline
+/// chunk loops, codec block loops, retry backoff) and abort by throwing an
+/// Error whose kind carries the reason. An elapsed deadline fires on the
+/// first poll after it passes.
 ///
 /// Tokens travel two ways:
 ///   * explicitly — captured by value and checked via token.check(); and
@@ -30,7 +31,7 @@ namespace hpdr::fault {
 
 enum class CancelReason : std::uint8_t {
   None = 0,
-  Deadline = 1,   ///< deadline expired (lazy or watchdog-detected)
+  Deadline = 1,   ///< deadline expired (promoted on poll)
   Cancelled = 2,  ///< explicit cancel() from the caller
 };
 
@@ -51,8 +52,8 @@ class CancelToken {
   /// an already-fired token is a no-op.
   void cancel() noexcept;
 
-  /// Mark the deadline as expired (used by the watchdog so stalled runners
-  /// that never poll the clock still observe Deadline, not Cancelled).
+  /// Mark the deadline as expired now, so the token reports Deadline, not
+  /// Cancelled (what a non-positive set_deadline_after does).
   void expire() noexcept;
 
   /// Arm a deadline `seconds` from now on the steady clock. Non-positive

@@ -33,39 +33,22 @@ struct RetryPolicy {
   double backoff_s(int attempt) const;
 };
 
-/// Outcome accounting for one retried operation.
-struct RetryStats {
-  int attempts = 0;        ///< attempts actually made
-  double backoff_s = 0.0;  ///< cumulative simulated backoff
-  bool recovered = false;  ///< success needed more than one attempt
-};
-
 /// Run `fn` under `policy`. Retries on hpdr::Error until success, attempt
 /// exhaustion, or the backoff deadline; rethrows the last error when
 /// retries run out. All attempts/recoveries/exhaustions land in the
 /// telemetry registry (`fault.retry.*`).
 template <class Fn>
-auto with_retry(const RetryPolicy& policy, Fn&& fn,
-                RetryStats* stats = nullptr) {
-  RetryStats local;
-  RetryStats& st = stats ? *stats : local;
-  st = RetryStats{};
+auto with_retry(const RetryPolicy& policy, Fn&& fn) {
+  double waited_s = 0.0;  // cumulative simulated backoff
   for (int attempt = 1;; ++attempt) {
-    ++st.attempts;
     try {
       if constexpr (std::is_void_v<decltype(fn())>) {
         fn();
-        if (attempt > 1) {
-          st.recovered = true;
-          telemetry::counter("fault.retry.recovered").add();
-        }
+        if (attempt > 1) telemetry::counter("fault.retry.recovered").add();
         return;
       } else {
         auto result = fn();
-        if (attempt > 1) {
-          st.recovered = true;
-          telemetry::counter("fault.retry.recovered").add();
-        }
+        if (attempt > 1) telemetry::counter("fault.retry.recovered").add();
         return result;
       }
     } catch (const Error& e) {
@@ -75,12 +58,12 @@ auto with_retry(const RetryPolicy& policy, Fn&& fn,
       if (cancel_pending()) {
         telemetry::counter("fault.retry.aborted.cancel").add();
         telemetry::flight_event(telemetry::EventKind::Retry, "aborted.cancel",
-                                static_cast<std::uint64_t>(st.attempts));
+                                static_cast<std::uint64_t>(attempt));
         poll_cancel();  // throws Error(Deadline|Cancelled)
       }
       const double wait = policy.backoff_s(attempt);
       const bool out_of_attempts = attempt >= policy.max_attempts;
-      if (out_of_attempts || st.backoff_s + wait > policy.deadline_s) {
+      if (out_of_attempts || waited_s + wait > policy.deadline_s) {
         // Attempt- and deadline-exhaustion are different capacity signals
         // (too flaky vs too slow); count them apart, keep the legacy total.
         telemetry::counter("fault.retry.exhausted").add();
@@ -90,10 +73,10 @@ auto with_retry(const RetryPolicy& policy, Fn&& fn,
         telemetry::flight_event(telemetry::EventKind::Retry,
                                 out_of_attempts ? "exhausted.attempts"
                                                 : "exhausted.deadline",
-                                static_cast<std::uint64_t>(st.attempts));
+                                static_cast<std::uint64_t>(attempt));
         throw;
       }
-      st.backoff_s += wait;
+      waited_s += wait;
       telemetry::counter("fault.retry.attempts").add();
       telemetry::gauge("fault.retry.backoff_seconds").add(wait);
       telemetry::flight_event(telemetry::EventKind::Retry, "attempt",

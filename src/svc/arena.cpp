@@ -103,9 +103,9 @@ void ArenaBudget::acquire(std::size_t bytes, double timeout_s) {
     }
     // Backpressure: every byte is leased out to running jobs; queue until
     // one returns. Waiting happens in bounded slices so the caller's
-    // cancel token (deadline expiry, explicit cancel, watchdog) is polled
-    // even while blocked; the timeout turns a wedged service into a loud
-    // Overload error instead of a hang.
+    // cancel token (deadline expiry, explicit cancel) is polled even while
+    // blocked; the timeout turns a wedged service into a loud Overload
+    // error instead of a hang.
     fault::poll_cancel();
     const auto slice = std::chrono::steady_clock::now() +
                        std::chrono::duration<double>(0.05);

@@ -26,8 +26,6 @@ struct SvcInstruments {
   telemetry::Counter& completed = telemetry::counter("svc.jobs.completed");
   telemetry::Counter& failed = telemetry::counter("svc.jobs.failed");
   telemetry::Counter& shed = telemetry::counter("svc.jobs.shed");
-  telemetry::Counter& watchdog_fired =
-      telemetry::counter("svc.watchdog.fired");
   telemetry::Gauge& running = telemetry::gauge("svc.jobs.running");
   // 1 ms … ~17 min in powers of four.
   telemetry::Histogram& job_seconds = telemetry::histogram(
@@ -153,13 +151,11 @@ Service::Service(Config cfg)
       breakers_(cfg.breaker),
       life_(std::make_shared<Session::Life>()) {
   cfg_.max_concurrent_jobs = std::max(1u, cfg_.max_concurrent_jobs);
-  cfg_.watchdog_interval_s = std::max(1e-4, cfg_.watchdog_interval_s);
   life_->svc = this;
   default_session_ = open_session();
   runners_.reserve(cfg_.max_concurrent_jobs);
   for (unsigned r = 0; r < cfg_.max_concurrent_jobs; ++r)
     runners_.emplace_back([this] { runner_loop(); });
-  watchdog_ = std::thread([this] { watchdog_loop(); });
   if (cfg_.stats_interval_s > 0)
     publisher_ = std::thread([this] { publisher_loop(); });
 }
@@ -172,10 +168,8 @@ Service::~Service() {
   }
   work_cv_.notify_all();
   publisher_cv_.notify_all();
-  watchdog_cv_.notify_all();
   for (auto& t : runners_)
     if (t.joinable()) t.join();
-  if (watchdog_.joinable()) watchdog_.join();
   if (publisher_.joinable()) publisher_.join();
   // Sever surviving Session handles last: a submit that raced past the
   // liveness check is serialized by Life::mu against this store, so it
@@ -353,7 +347,7 @@ bool Service::cancel(std::uint64_t job_id) {
       if (it != running_jobs_.end()) {
         // Running: fire the token; the runner observes it at the next
         // chunk boundary / arena-wait slice and resolves the job itself.
-        it->second.token.cancel();
+        it->second.cancel();
         telemetry::flight_event(telemetry::EventKind::Cancel,
                                 "cancel.running", job_id);
         found = true;
@@ -378,7 +372,7 @@ void Service::runner_loop() {
       queue_.pop_front();
       ++running_;
       SvcInstruments::get().running.set(static_cast<double>(running_));
-      running_jobs_.emplace(job.id, RunningJob{job.token, false});
+      running_jobs_.emplace(job.id, job.token);
     }
     JobResult result = run_job(job);
     // Drop the staging-arena reference before any completion signal: a
@@ -400,31 +394,6 @@ void Service::runner_loop() {
     }
     idle_cv_.notify_all();
     job.promise.set_value(std::move(result));
-  }
-}
-
-void Service::watchdog_loop() {
-  const auto interval =
-      std::chrono::duration<double>(cfg_.watchdog_interval_s);
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_) {
-    watchdog_cv_.wait_for(lk, interval, [&] { return stop_; });
-    if (stop_) return;
-    for (auto& [id, rj] : running_jobs_) {
-      if (rj.flagged) continue;
-      // fired() promotes an elapsed deadline to the sticky Deadline
-      // reason, so even a runner that never consults the clock (stuck in
-      // an arena wait, a straggling kernel) sees the expiry on its next
-      // flag poll.
-      const auto reason = rj.token.fired();
-      if (reason == fault::CancelReason::None) continue;
-      rj.flagged = true;
-      if (reason == fault::CancelReason::Deadline) {
-        SvcInstruments::get().watchdog_fired.add();
-        telemetry::flight_event(telemetry::EventKind::Cancel,
-                                "watchdog.deadline", id);
-      }
-    }
   }
 }
 

@@ -149,8 +149,6 @@ class Service {
     /// Estimated-wait shedding: reject non-High jobs with a deadline when
     /// the queue_wait p90 already exceeds it (needs a warm histogram).
     bool shed_enabled = true;
-    /// Watchdog scan period for runners exceeding their job deadline.
-    double watchdog_interval_s = 0.01;
     /// Per-codec circuit breaker policy (breaker.hpp).
     BreakerPolicy breaker;
     /// Stats publisher period; 0 (default) disables the publisher thread.
@@ -239,17 +237,11 @@ class Service {
     std::uint64_t trace = 0;  ///< minted at admission
     std::chrono::steady_clock::time_point enqueued;
   };
-  /// Watchdog view of one running job.
-  struct RunningJob {
-    fault::CancelToken token;
-    bool flagged = false;  ///< watchdog already reported the expiry
-  };
 
   std::future<JobResult> enqueue(JobSpec spec, std::uint64_t session,
                                  std::shared_ptr<SessionArena> arena);
   void runner_loop();
   void publisher_loop();
-  void watchdog_loop();
   JobResult run_job(Pending& job);
   /// Skeleton JobResult for jobs that never run (shed / queued-cancel).
   static JobResult stillborn(const Pending& job, ErrorKind kind,
@@ -270,9 +262,9 @@ class Service {
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::condition_variable publisher_cv_;  ///< interval sleep + stop wake
-  std::condition_variable watchdog_cv_;   ///< scan sleep + stop wake
   std::deque<Pending> queue_;  ///< High priority at the front
-  std::map<std::uint64_t, RunningJob> running_jobs_;
+  /// Cancel tokens of the running jobs, for cancel().
+  std::map<std::uint64_t, fault::CancelToken> running_jobs_;
   /// Session-held progressive reconstruction state (DESIGN.md §15): the
   /// staged v3 stream (an arena lease the session keeps across jobs) plus
   /// the incremental reader. Keyed by session id; guarded by mu_ for map
@@ -289,7 +281,6 @@ class Service {
   std::array<std::uint64_t, 5> failed_by_kind_{};  ///< indexed by ErrorKind
   std::vector<std::thread> runners_;
   std::thread publisher_;
-  std::thread watchdog_;
 };
 
 }  // namespace hpdr::svc

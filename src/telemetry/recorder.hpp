@@ -46,7 +46,7 @@ enum class EventKind : std::uint8_t {
   Retry,
   Eviction,
   BackpressureStall,
-  Cancel,          ///< token fired: explicit cancel / deadline / watchdog
+  Cancel,          ///< token fired: explicit cancel / deadline
   Shed,            ///< admission control rejected a job before staging
   BreakerTrip,     ///< per-codec circuit breaker closed -> open
   BreakerProbe,    ///< half-open probe dispatched

@@ -159,25 +159,25 @@ TEST(RetryCancel, CancelledTokenAbortsBackoffAfterOneAttempt) {
   tok.cancel();
   const auto aborted0 =
       telemetry::counter("fault.retry.aborted.cancel").get();
+  const auto attempts0 = telemetry::counter("fault.retry.attempts").get();
+  const double backoff0 =
+      telemetry::gauge("fault.retry.backoff_seconds").get();
   fault::RetryPolicy policy;
   policy.max_attempts = 5;
   int calls = 0;
-  fault::RetryStats st;
   try {
-    fault::with_retry(
-        policy,
-        [&] {
-          ++calls;
-          throw Error(ErrorKind::Internal, "transient");
-        },
-        &st);
+    fault::with_retry(policy, [&] {
+      ++calls;
+      throw Error(ErrorKind::Internal, "transient");
+    });
     FAIL() << "must rethrow as cancellation";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Cancelled);
   }
   // Cancellation beats the retry budget: one attempt, zero backoff.
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(st.backoff_s, 0.0);
+  EXPECT_EQ(telemetry::counter("fault.retry.attempts").get(), attempts0);
+  EXPECT_EQ(telemetry::gauge("fault.retry.backoff_seconds").get(), backoff0);
   EXPECT_EQ(telemetry::counter("fault.retry.aborted.cancel").get(),
             aborted0 + 1);
 }

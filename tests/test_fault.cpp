@@ -264,32 +264,37 @@ TEST_F(FaultTest, WithRetryRecoversFromTransientFailures) {
   fault::RetryPolicy p;
   p.max_attempts = 4;
   int calls = 0;
-  fault::RetryStats stats;
-  const int v = fault::with_retry(
-      p,
-      [&] {
-        if (++calls < 3) throw Error("transient");
-        return 42;
-      },
-      &stats);
+  auto& recovered = telemetry::counter("fault.retry.recovered");
+  auto& attempts = telemetry::counter("fault.retry.attempts");
+  auto& backoff = telemetry::gauge("fault.retry.backoff_seconds");
+  const auto recovered0 = recovered.get();
+  const auto attempts0 = attempts.get();
+  const double backoff0 = backoff.get();
+  const int v = fault::with_retry(p, [&] {
+    if (++calls < 3) throw Error("transient");
+    return 42;
+  });
   EXPECT_EQ(v, 42);
-  EXPECT_EQ(stats.attempts, 3);
-  EXPECT_TRUE(stats.recovered);
-  EXPECT_GT(stats.backoff_s, 0.0);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(recovered.get(), recovered0 + 1);
+  EXPECT_EQ(attempts.get(), attempts0 + 2);  // two failures backed off
+  EXPECT_GT(backoff.get(), backoff0);
 }
 
 TEST_F(FaultTest, WithRetryExhaustsAndRethrows) {
   fault::RetryPolicy p;
   p.max_attempts = 3;
   int calls = 0;
-  fault::RetryStats stats;
+  auto& recovered = telemetry::counter("fault.retry.recovered");
+  auto& attempts = telemetry::counter("fault.retry.attempts");
+  const auto recovered0 = recovered.get();
+  const auto attempts0 = attempts.get();
   EXPECT_THROW(fault::with_retry(
-                   p, [&]() -> void { ++calls; throw Error("permanent"); },
-                   &stats),
+                   p, [&]() -> void { ++calls; throw Error("permanent"); }),
                Error);
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(stats.attempts, 3);
-  EXPECT_FALSE(stats.recovered);
+  EXPECT_EQ(recovered.get(), recovered0);
+  EXPECT_EQ(attempts.get(), attempts0 + 2);  // the third failure rethrows
 }
 
 TEST_F(FaultTest, WithRetryHonorsDeadline) {

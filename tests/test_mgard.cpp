@@ -16,6 +16,15 @@
 namespace hpdr::mgard {
 namespace {
 
+/// Decompresses `stream` into a fresh tensor of `shape`.
+template <class T>
+NDArray<T> decode(const Device& dev, std::span<const std::uint8_t> stream,
+                  const Shape& shape) {
+  NDArray<T> out(shape);
+  decompress(dev, stream, out.view());
+  return out;
+}
+
 TEST(Hierarchy, LevelDimsFollowCoarsening) {
   Hierarchy h(Shape{9, 9, 9});
   EXPECT_EQ(h.num_levels(), 3u);  // floor(log2(8)) = 3
@@ -252,7 +261,7 @@ TEST_P(MgardErrorBound, RandomFieldsRespectBound) {
   NDArray<float> a(Shape{31, 17, 23});
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = d(rng);
   auto stream = compress(dev, a.view(), rel_eb);
-  auto back = decompress_f32(dev, stream);
+  auto back = decode<float>(dev, stream, a.shape());
   auto stats = compute_error_stats(a.span(), back.span());
   EXPECT_LE(stats.max_rel_error, rel_eb * 1.0001)
       << "eb=" << rel_eb << " seed=" << seed;
@@ -302,8 +311,8 @@ TEST(Mgard, RatioGrowsAsBoundLoosens) {
     const double ratio = compression_ratio(a.size_bytes(), stream.size());
     EXPECT_GT(ratio, prev_ratio);
     prev_ratio = ratio;
-    auto stats =
-        compute_error_stats(a.span(), decompress_f32(dev, stream).span());
+    auto stats = compute_error_stats(
+        a.span(), decode<float>(dev, stream, a.shape()).span());
     EXPECT_LE(stats.max_rel_error, eb);
   }
 }
@@ -315,8 +324,7 @@ TEST(Mgard, DoublePrecision4D) {
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = std::sin(0.01 * double(i)) + 1e3;
   auto stream = compress(dev, a.view(), 1e-4);
-  auto back = decompress_f64(dev, stream);
-  EXPECT_EQ(back.shape(), a.shape());
+  auto back = decode<double>(dev, stream, a.shape());
   auto stats = compute_error_stats(a.span(), back.span());
   EXPECT_LE(stats.max_rel_error, 1e-4);
 }
@@ -325,7 +333,7 @@ TEST(Mgard, ConstantFieldIsExactAndTiny) {
   const Device dev = Device::serial();
   NDArray<float> a(Shape{17, 17, 17}, 42.0f);
   auto stream = compress(dev, a.view(), 1e-3);
-  auto back = decompress_f32(dev, stream);
+  auto back = decode<float>(dev, stream, a.shape());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_NEAR(back[i], 42.0f, 42.0f * 1e-3f);
   EXPECT_LT(stream.size(), a.size_bytes() / 20);
@@ -335,7 +343,7 @@ TEST(Mgard, TinyInputsStoredRaw) {
   const Device dev = Device::serial();
   NDArray<float> a(Shape{2, 2}, 1.5f);
   auto stream = compress(dev, a.view(), 1e-2);
-  auto back = decompress_f32(dev, stream);
+  auto back = decode<float>(dev, stream, a.shape());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(back[i], 1.5f);
 }
 
@@ -346,8 +354,7 @@ TEST(Mgard, ThinDimensionsAreNormalized) {
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = std::sin(0.01f * float(i));
   auto stream = compress(dev, a.view(), 1e-3);
-  auto back = decompress_f32(dev, stream);
-  EXPECT_EQ(back.shape(), a.shape());
+  auto back = decode<float>(dev, stream, a.shape());
   auto stats = compute_error_stats(a.span(), back.span());
   EXPECT_LE(stats.max_rel_error, 1e-3);
 }
@@ -397,7 +404,7 @@ TEST(MgardSnorm, AveragesPreservedWhilePointwiseRelaxes) {
     a[i] = std::sin(0.002f * float(i)) + 0.2f * d(rng);
   const double eb = 1e-3;
   auto stream = compress(dev, a.view(), eb, /*s=*/1.0);
-  auto back = decompress_f32(dev, stream);
+  auto back = decode<float>(dev, stream, a.shape());
   double sum_a = 0, sum_b = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     sum_a += a[i];
@@ -438,8 +445,8 @@ TEST(Mgard, RecompressionOfReconstructionIsNearIdempotent) {
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = std::sin(0.04f * float(i));
   const double eb = 1e-3;
-  auto once = decompress_f32(dev, compress(dev, a.view(), eb));
-  auto twice = decompress_f32(dev, compress(dev, once.view(), eb));
+  auto once = decode<float>(dev, compress(dev, a.view(), eb), a.shape());
+  auto twice = decode<float>(dev, compress(dev, once.view(), eb), a.shape());
   auto stats = compute_error_stats(a.span(), twice.span());
   EXPECT_LE(stats.max_rel_error, 2.1 * eb);
 }
@@ -453,8 +460,8 @@ TEST(Mgard, PortableAcrossAdapters) {
   auto sg = compress(gpu, a.view(), 1e-3);
   auto sc = compress(cpu, a.view(), 1e-3);
   EXPECT_EQ(sg, sc);
-  auto bg = decompress_f32(cpu, sg);
-  auto bc = decompress_f32(gpu, sc);
+  auto bg = decode<float>(cpu, sg, a.shape());
+  auto bc = decode<float>(gpu, sc, a.shape());
   for (std::size_t i = 0; i < bg.size(); ++i) EXPECT_EQ(bg[i], bc[i]);
 }
 
@@ -463,7 +470,7 @@ TEST(Mgard, CorruptStreamThrows) {
   NDArray<float> a(Shape{9, 9, 9}, 1.0f);
   auto stream = compress(dev, a.view(), 1e-2);
   stream.resize(stream.size() - 5);
-  EXPECT_THROW(decompress_f32(dev, stream), Error);
+  EXPECT_THROW(decode<float>(dev, stream, a.shape()), Error);
 }
 
 TEST(Mgard, NonUniformGridStreamsAreRejected) {
@@ -480,7 +487,7 @@ TEST(Mgard, NonUniformGridStreamsAreRejected) {
   ASSERT_EQ(stream[24], 0u);
   stream[24] = 1;
   stream.insert(stream.begin() + 25, {0, 0, 0});
-  EXPECT_THROW(decompress_f32(dev, stream), Error);
+  EXPECT_THROW(decode<float>(dev, stream, a.shape()), Error);
 }
 
 }  // namespace

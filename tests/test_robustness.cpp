@@ -4,13 +4,14 @@
 // reduction framework needs before its streams cross facility boundaries.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
-#include "algorithms/mgard/mgard.hpp"
-#include "core/bitstream.hpp"
 #include "compressor/compressor.hpp"
+#include "core/bitstream.hpp"
 #include "core/stats.hpp"
 #include "data/generators.hpp"
+#include "machine/context_memory.hpp"
 #include "machine/device_registry.hpp"
 #include "pipeline/pipeline.hpp"
 #include "runtime/trace.hpp"
@@ -112,23 +113,84 @@ TEST(CorruptStreamsExtra, EmptyAndGarbageInputsThrow) {
   }
 }
 
+/// A 16³ f32 field every codec compresses.
+std::vector<float> cube16() {
+  std::vector<float> v(16 * 16 * 16);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = std::sin(0.01f * static_cast<float>(i));
+  return v;
+}
+
 TEST(CorruptStreamsExtra, HostileHeaderSizesAreRejectedBeforeAllocation) {
-  // A forged container claiming a petabyte tensor must be rejected by the
-  // sanity checks, not by the allocator.
+  // Current-format mgard-x and cusz headers that declare 2^16 + 1
+  // elements (a shape no other test decodes), decoded into a 16³ tensor:
+  // the shape check must reject them before the decoder allocates for, or
+  // builds a hierarchy of, the declared shape.
   const Device dev = Device::serial();
-  ByteWriter w;
-  w.put_u8(0x47);  // MGARD magic
-  w.put_u8(1);     // version
-  w.put_u8(0);     // f32
-  w.put_u8(3);     // rank
-  w.put_varint(std::size_t{1} << 20);
-  w.put_varint(std::size_t{1} << 20);
-  w.put_varint(std::size_t{1} << 20);  // 2^60 elements
-  w.put_u8(1);     // lossy mode
-  w.put_f64(1e-3);
-  w.put_varint(0);
-  auto forged = w.take();
-  EXPECT_THROW(mgard::decompress_f32(dev, forged), Error);
+  const Shape cube{16, 16, 16};
+  const std::size_t declared = (std::size_t{1} << 16) + 1;
+  ByteWriter mgard;
+  mgard.put_u8(0x47);  // MGARD magic
+  mgard.put_u8(2);     // version
+  mgard.put_u8(0);     // f32
+  mgard.put_u8(1);     // rank
+  mgard.put_varint(declared);
+  mgard.put_u8(1);      // lossy mode
+  mgard.put_f64(1e-3);  // abs_eb
+  mgard.put_f64(0.0);   // s
+  mgard.put_u8(0);      // uniform grid
+  ByteWriter cusz;
+  cusz.put_u8(0x44);  // dual-quant magic
+  cusz.put_u8(1);     // version
+  cusz.put_u8(0);     // f32
+  cusz.put_u8(1);     // rank
+  cusz.put_varint(declared);
+  cusz.put_f64(1e-3);  // abs_eb
+  cusz.put_varint(0);  // outliers
+  const std::pair<const char*, std::vector<std::uint8_t>> forged[] = {
+      {"mgard-x", mgard.take()}, {"cusz", cusz.take()}};
+  const auto src = cube16();
+  std::vector<float> out(src.size());
+  for (const auto& [name, blob] : forged) {
+    auto comp = make_compressor(name);
+    // A forged header with a stale magic or version would fail that check
+    // first and prove nothing about the shape check.
+    const auto real = comp->compress(dev, src.data(), cube, DType::F32, 1e-3);
+    ASSERT_EQ(real[0], blob[0]) << name;
+    ASSERT_EQ(real[1], blob[1]) << name;
+    const std::size_t contexts = ContextCache::instance().size();
+    EXPECT_THROW(comp->decompress(dev, blob, out.data(), cube, DType::F32),
+                 Error)
+        << name;
+    EXPECT_EQ(ContextCache::instance().size(), contexts) << name;
+  }
+}
+
+TEST(CorruptStreamsExtra, CodecBlobOfAnotherShapeThrowsBeforeWriting) {
+  // Every codec checks the stream's shape (lossy) or byte length
+  // (lossless) against the caller's tensor before it writes: a valid blob
+  // decoded into a tensor of another shape throws and leaves it untouched.
+  // A lossless stream records only its length, so only the lossy codecs
+  // can tell a 16x256 tensor from the 16³ one.
+  const Device dev = Device::serial();
+  const Shape cube{16, 16, 16};
+  const auto src = cube16();
+  for (const auto& name : compressor_names()) {
+    auto comp = make_compressor(name);
+    const auto blob = comp->compress(dev, src.data(), cube, DType::F32, 1e-3);
+    std::vector<Shape> others{Shape{16, 16, 15}, Shape{16, 16, 17}};
+    if (!comp->lossless()) others.push_back(Shape{16, 256});
+    for (const Shape& other : others) {
+      std::vector<float> out(other.size(), 7.0f);
+      EXPECT_THROW(comp->decompress(dev, blob, out.data(), other, DType::F32),
+                   Error)
+          << name << " into " << other.to_string();
+      EXPECT_EQ(out, std::vector<float>(other.size(), 7.0f)) << name;
+    }
+    std::vector<float> out(src.size());
+    EXPECT_NO_THROW(comp->decompress(dev, blob, out.data(), cube, DType::F32))
+        << name;
+  }
 }
 
 /// `stream` (a framed v2/v4 pipeline container) with every chunk's row count

@@ -11,6 +11,15 @@
 namespace hpdr::sz {
 namespace {
 
+/// Decompresses `stream` into a fresh tensor of `shape`.
+template <class T>
+NDArray<T> decode(const Device& dev, std::span<const std::uint8_t> stream,
+                  const Shape& shape) {
+  NDArray<T> out(shape);
+  decompress(dev, stream, out.view());
+  return out;
+}
+
 class DualQuantBound
     : public ::testing::TestWithParam<std::tuple<double, int>> {};
 
@@ -24,8 +33,7 @@ TEST_P(DualQuantBound, RandomFieldsRespectBound) {
   std::mt19937_64 rng(static_cast<unsigned>(rank * 7));
   std::normal_distribution<float> d(0.f, 2.f);
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = d(rng);
-  auto back =
-      decompress_dualquant_f32(dev, compress_dualquant(dev, a.view(), rel_eb));
+  auto back = decode<float>(dev, compress(dev, a.view(), rel_eb), shape);
   auto stats = compute_error_stats(a.span(), back.span());
   EXPECT_LE(stats.max_rel_error, rel_eb * 1.0001);
 }
@@ -43,10 +51,10 @@ TEST(DualQuant, SmoothDataCompressesWell) {
       for (std::size_t k = 0; k < 64; ++k)
         a.at(i, j, k) =
             std::sin(0.1f * float(i)) + std::cos(0.05f * float(j + k));
-  auto stream = compress_dualquant(dev, a.view(), 1e-3);
+  auto stream = compress(dev, a.view(), 1e-3);
   EXPECT_GT(compression_ratio(a.size_bytes(), stream.size()), 8.0);
   auto stats = compute_error_stats(
-      a.span(), decompress_dualquant_f32(dev, stream).span());
+      a.span(), decode<float>(dev, stream, a.shape()).span());
   EXPECT_LE(stats.max_rel_error, 1e-3);
 }
 
@@ -55,17 +63,15 @@ TEST(DualQuant, DoubleAnd4D) {
   NDArray<double> a(Shape{3, 5, 40, 9});
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = 1e4 * std::sin(0.001 * double(i));
-  auto back =
-      decompress_dualquant_f64(dev, compress_dualquant(dev, a.view(), 1e-4));
-  EXPECT_EQ(back.shape(), a.shape());
+  auto back = decode<double>(dev, compress(dev, a.view(), 1e-4), a.shape());
   EXPECT_LE(compute_error_stats(a.span(), back.span()).max_rel_error, 1e-4);
 }
 
 TEST(DualQuant, ConstantField) {
   const Device dev = Device::serial();
   NDArray<float> a(Shape{30, 30}, -7.5f);
-  auto stream = compress_dualquant(dev, a.view(), 1e-3);
-  auto back = decompress_dualquant_f32(dev, stream);
+  auto stream = compress(dev, a.view(), 1e-3);
+  auto back = decode<float>(dev, stream, a.shape());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_NEAR(back[i], -7.5f, 7.5f * 2e-3f);
   EXPECT_LT(stream.size(), a.size_bytes() / 10);
@@ -78,7 +84,7 @@ TEST(DualQuant, TinyBoundForcesOutliersButStaysCorrect) {
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = (rng() % 89 == 0) ? 3e7f : 0.001f * float(rng() % 100);
   const double eb = 1e-9;  // absurdly tight → huge prequants → outliers
-  auto back = decompress_dualquant_f32(dev, compress_dualquant(dev, a.view(), eb));
+  auto back = decode<float>(dev, compress(dev, a.view(), eb), a.shape());
   auto stats = compute_error_stats(a.span(), back.span());
   EXPECT_LE(stats.max_rel_error, eb * 1.0001);
 }
@@ -91,8 +97,7 @@ TEST(DualQuant, PortableAndDeterministic) {
   const Device par = Device::openmp();
   // The parallel prequantization must produce identical streams to serial
   // execution — that's the whole point of dual quantization.
-  EXPECT_EQ(compress_dualquant(cpu, a.view(), 1e-3),
-            compress_dualquant(par, a.view(), 1e-3));
+  EXPECT_EQ(compress(cpu, a.view(), 1e-3), compress(par, a.view(), 1e-3));
 }
 
 // lorenzo_residuals against its definition: per element, the 7-term
@@ -156,9 +161,9 @@ TEST(DualQuant, LorenzoResidualsMatchPerElementStencil) {
 TEST(DualQuant, CorruptStreamThrows) {
   const Device dev = Device::serial();
   NDArray<float> a(Shape{16, 16}, 1.0f);
-  auto stream = compress_dualquant(dev, a.view(), 1e-2);
+  auto stream = compress(dev, a.view(), 1e-2);
   stream.resize(stream.size() / 2);
-  EXPECT_THROW(decompress_dualquant_f32(dev, stream), Error);
+  EXPECT_THROW(decode<float>(dev, stream, a.shape()), Error);
 }
 
 }  // namespace

@@ -20,6 +20,15 @@
 namespace hpdr::zfp {
 namespace {
 
+/// Decompresses `stream` into a fresh tensor of `shape`.
+template <class T>
+NDArray<T> decode(const Device& dev, std::span<const std::uint8_t> stream,
+                  const Shape& shape) {
+  NDArray<T> out(shape);
+  decompress(dev, stream, out.view());
+  return out;
+}
+
 TEST(ZfpLift, ForwardInverseIsExactIdentity) {
   std::mt19937_64 rng(3);
   for (int trial = 0; trial < 1000; ++trial) {
@@ -254,7 +263,7 @@ TEST_P(ZfpRoundTrip, Smooth3DAccuracyImprovesWithRate) {
   double prev_err = 1e30;
   for (double rate : {4.0, 8.0, 12.0, 16.0}) {
     auto stream = compress(dev_, data.view(), rate);
-    auto back = decompress_f32(dev_, stream);
+    auto back = decode<float>(dev_, stream, data.shape());
     auto stats = compute_error_stats(data.span(), back.span());
     EXPECT_LT(stats.max_rel_error, prev_err + 1e-12) << "rate " << rate;
     prev_err = stats.max_rel_error;
@@ -279,8 +288,7 @@ TEST_P(ZfpRoundTrip, PartialBlocksAtBoundaries) {
   std::mt19937_64 rng(9);
   std::normal_distribution<float> d(0.f, 1.f);
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = d(rng);
-  auto back = decompress_f32(dev_, compress(dev_, a.view(), 24.0));
-  ASSERT_EQ(back.shape(), a.shape());
+  auto back = decode<float>(dev_, compress(dev_, a.view(), 24.0), a.shape());
   auto stats = compute_error_stats(a.span(), back.span());
   EXPECT_LT(stats.max_rel_error, 2e-2);  // random data, high rate
 }
@@ -289,7 +297,8 @@ TEST_P(ZfpRoundTrip, DoublePrecisionHighRateIsVeryAccurate) {
   NDArray<double> a(Shape{12, 12, 12});
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = std::sin(0.01 * double(i)) * 1e6;
-  auto back = decompress_f64(dev_, compress(dev_, a.view(), 40.0));
+  auto back =
+      decode<double>(dev_, compress(dev_, a.view(), 40.0), a.shape());
   auto stats = compute_error_stats(a.span(), back.span());
   EXPECT_LT(stats.max_rel_error, 1e-7);
 }
@@ -298,13 +307,13 @@ TEST_P(ZfpRoundTrip, Rank1And2) {
   NDArray<float> v(Shape{1000});
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = std::cos(0.01f * float(i));
-  auto b1 = decompress_f32(dev_, compress(dev_, v.view(), 12.0));
+  auto b1 = decode<float>(dev_, compress(dev_, v.view(), 12.0), v.shape());
   EXPECT_LT(compute_error_stats(v.span(), b1.span()).max_rel_error, 1e-2);
 
   NDArray<float> m(Shape{33, 47});
   for (std::size_t i = 0; i < m.size(); ++i)
     m[i] = float(i % 100) * 0.01f;
-  auto b2 = decompress_f32(dev_, compress(dev_, m.view(), 16.0));
+  auto b2 = decode<float>(dev_, compress(dev_, m.view(), 16.0), m.shape());
   EXPECT_LT(compute_error_stats(m.span(), b2.span()).max_rel_error, 1e-2);
 }
 
@@ -313,18 +322,18 @@ TEST_P(ZfpRoundTrip, Rank4FoldsAndRestoresShape) {
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = std::sin(0.05f * float(i));
   auto stream = compress(dev_, a.view(), 16.0);
-  auto back = decompress_f32(dev_, stream);
-  EXPECT_EQ(back.shape(), a.shape());
+  auto back = decode<float>(dev_, stream, a.shape());
   EXPECT_LT(compute_error_stats(a.span(), back.span()).max_rel_error, 1e-2);
 }
 
 TEST_P(ZfpRoundTrip, ZeroBlocksAndConstants) {
   NDArray<float> a(Shape{8, 8, 8}, 0.0f);
-  auto back = decompress_f32(dev_, compress(dev_, a.view(), 8.0));
+  auto back = decode<float>(dev_, compress(dev_, a.view(), 8.0), a.shape());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(back[i], 0.0f);
 
   NDArray<float> c(Shape{8, 8, 8}, 3.75f);
-  auto backc = decompress_f32(dev_, compress(dev_, c.view(), 12.0));
+  auto backc =
+      decode<float>(dev_, compress(dev_, c.view(), 12.0), c.shape());
   for (std::size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(backc[i], 3.75f, 1e-2f);
 }
@@ -336,7 +345,7 @@ TEST_P(ZfpRoundTrip, LargeDynamicRange) {
     const int mag = static_cast<int>(rng() % 60) - 30;
     a[i] = std::ldexp(1.0f + 0.5f * float(rng() % 100) / 100.f, mag);
   }
-  auto back = decompress_f32(dev_, compress(dev_, a.view(), 20.0));
+  auto back = decode<float>(dev_, compress(dev_, a.view(), 20.0), a.shape());
   // Block floating point: error is relative to each block's max.
   auto stats = compute_error_stats(a.span(), back.span());
   EXPECT_LT(stats.max_rel_error, 1e-2);
@@ -353,8 +362,8 @@ TEST(Zfp, PortableAcrossAdapters) {
   auto sg = compress(gpu, data.view(), 12.0);
   auto sc = compress(cpu, data.view(), 12.0);
   EXPECT_EQ(sg, sc);  // bitwise-identical streams on all adapters
-  auto bg = decompress_f32(cpu, sg);
-  auto bc = decompress_f32(gpu, sc);
+  auto bg = decode<float>(cpu, sg, data.shape());
+  auto bc = decode<float>(gpu, sc, data.shape());
   for (std::size_t i = 0; i < bg.size(); ++i) EXPECT_EQ(bg[i], bc[i]);
 }
 
@@ -362,7 +371,7 @@ TEST(Zfp, DtypeMismatchThrows) {
   const Device dev = Device::serial();
   NDArray<float> a(Shape{8, 8, 8}, 1.0f);
   auto stream = compress(dev, a.view(), 8.0);
-  EXPECT_THROW(decompress_f64(dev, stream), Error);
+  EXPECT_THROW(decode<double>(dev, stream, a.shape()), Error);
 }
 
 TEST(Zfp, CorruptStreamThrows) {
@@ -370,7 +379,7 @@ TEST(Zfp, CorruptStreamThrows) {
   NDArray<float> a(Shape{8, 8, 8}, 1.0f);
   auto stream = compress(dev, a.view(), 8.0);
   stream.resize(stream.size() / 2);
-  EXPECT_THROW(decompress_f32(dev, stream), Error);
+  EXPECT_THROW(decode<float>(dev, stream, a.shape()), Error);
 }
 
 
@@ -392,12 +401,14 @@ TEST(Zfp, CorruptRateOrModeThrows) {
     const auto bytes = w.take();
     auto patched = stream;
     std::copy(bytes.begin(), bytes.end(), patched.begin() + kRateAt);
-    EXPECT_THROW(decompress_f32(dev, patched), Error) << "rate " << rate;
+    EXPECT_THROW(decode<float>(dev, patched, a.shape()), Error)
+        << "rate " << rate;
   }
   for (const std::uint8_t mode : {1, 2, 255}) {
     auto patched = stream;
     patched[kModeAt] = mode;
-    EXPECT_THROW(decompress_f32(dev, patched), Error) << "mode " << +mode;
+    EXPECT_THROW(decode<float>(dev, patched, a.shape()), Error)
+        << "mode " << +mode;
   }
 }
 
@@ -412,8 +423,9 @@ TEST(Zfp, NanBlockStoredLikeInfBlock) {
   with_inf.at(1, 2, 3) = std::numeric_limits<float>::infinity();
   const auto stream = compress(dev, with_nan.view(), 8.0);
   EXPECT_EQ(stream, compress(dev, with_inf.view(), 8.0));
-  const auto back = decompress_f32(dev, stream);
-  const auto ref = decompress_f32(dev, compress(dev, clean.view(), 8.0));
+  const auto back = decode<float>(dev, stream, clean.shape());
+  const auto ref =
+      decode<float>(dev, compress(dev, clean.view(), 8.0), clean.shape());
   for (std::size_t i = 0; i < 8; ++i)
     for (std::size_t j = 0; j < 8; ++j)
       for (std::size_t k = 0; k < 8; ++k)
