@@ -21,6 +21,7 @@
 #include <functional>
 #include <random>
 #include <thread>
+#include <tuple>
 
 #include "algorithms/huffman/codebook.hpp"
 #include "algorithms/mgard/quantize.hpp"
@@ -628,9 +629,10 @@ int main(int argc, char** argv) {
     // buffer, so neither times an allocation.
     std::vector<std::uint64_t> freq(alphabet, 0);
     for (auto s : symbols) ++freq[s];
-    const huffman::Codebook cb = huffman::build_codebook(freq);
+    const huffman::Codebook cb = huffman::reference::codebook(freq);
+    const auto dense = huffman::reference::dense_codebook(freq);
     BitWriter w;
-    for (auto s : symbols) w.put(cb.codes_reversed[s], cb.lengths[s]);
+    for (auto s : symbols) w.put(dense.codes_reversed[s], dense.lengths[s]);
     const auto payload = w.to_bytes();
     const std::size_t payload_bits = w.bit_size();
     HPDR_EXPECT_TRUE(blob.size() >= payload.size() &&
@@ -652,6 +654,83 @@ int main(int argc, char** argv) {
     kd.ref_gbps = in_bytes / 1e9 / sr;
     kd.speedup = sr / sf;
     record("huffman_decode", kd, 2.0);
+  }
+
+  // ---- Huffman cost by alphabet: one symbol, and a 4,096-symbol
+  // MGARD-shaped chunk (the two-sided geometric above, around the zero
+  // bin's symbol alphabet / 2), each coded at alphabet 65,538 (MGARD-X and
+  // cuSZ) and at 4,096 in this binary, on the same offsets. Gate: in each
+  // direction the 65,538 call takes at most 2x the 4,096 call, on the
+  // median of 101 interleaved calls. The coder must cost what it codes,
+  // not what the alphabet could hold.
+  {
+    constexpr int kCalls = 101;
+    constexpr double kGate = 2.0;
+    constexpr std::size_t kWide = mgard::kQuantAlphabet, kNarrow = 4096;
+    std::vector<int> chunk(4096);
+    {
+      // Its own generator, so the rows after it see the inputs they had.
+      std::mt19937_64 arng(20261020);
+      std::geometric_distribution<int> mag(0.18);
+      for (int& o : chunk) {
+        const int m = std::min(mag(arng), 1000);
+        o = (arng() & 1) ? m : -m;
+      }
+    }
+    const std::pair<const char*, std::vector<int>> inputs[] = {
+        {"one", {0}}, {"chunk", chunk}};
+    auto median_us = [](std::vector<double> t) {
+      std::nth_element(t.begin(), t.begin() + t.size() / 2, t.end());
+      return t[t.size() / 2] * 1e6;
+    };
+    auto seconds = [](const std::function<void()>& fn) {
+      const auto t0 = std::chrono::steady_clock::now();
+      fn();
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+          .count();
+    };
+    bench::Table ta({"huffman_alphabet", "65,538 us", "4,096 us", "ratio",
+                     "gate"});
+    telemetry::Value row = telemetry::Value::object();
+    for (const auto& [name, offsets] : inputs) {
+      std::vector<std::uint32_t> wide(offsets.size()), narrow(offsets.size());
+      for (std::size_t i = 0; i < offsets.size(); ++i) {
+        wide[i] = static_cast<std::uint32_t>(int{kWide / 2} + offsets[i]);
+        narrow[i] = static_cast<std::uint32_t>(int{kNarrow / 2} + offsets[i]);
+      }
+      std::vector<std::uint8_t> blob_w, blob_n;
+      std::vector<std::uint32_t> out_w(wide.size()), out_n(wide.size());
+      std::vector<double> enc_w, enc_n, dec_w, dec_n;
+      for (int r = 0; r < kCalls; ++r) {
+        enc_w.push_back(seconds(
+            [&] { blob_w = huffman::encode_u32(dev, wide, kWide); }));
+        enc_n.push_back(seconds(
+            [&] { blob_n = huffman::encode_u32(dev, narrow, kNarrow); }));
+        dec_w.push_back(
+            seconds([&] { huffman::decode_u32(dev, blob_w, out_w); }));
+        dec_n.push_back(
+            seconds([&] { huffman::decode_u32(dev, blob_n, out_n); }));
+      }
+      HPDR_EXPECT_TRUE(out_w == wide && out_n == narrow);
+      for (const auto& [dir, tw, tn] :
+           {std::tuple{"encode", median_us(enc_w), median_us(enc_n)},
+            std::tuple{"decode", median_us(dec_w), median_us(dec_n)}}) {
+        const std::string key = std::string(dir) + "_" + name;
+        ta.row({key, bench::fmt(tw, 1), bench::fmt(tn, 1),
+                bench::fmt(tw / tn, 2), "<=" + bench::fmt(kGate, 1)});
+        telemetry::Value v = telemetry::Value::object();
+        v.set("us_65538", telemetry::Value(tw));
+        v.set("us_4096", telemetry::Value(tn));
+        v.set("ratio", telemetry::Value(tw / tn));
+        row.set(key, std::move(v));
+        HPDR_EXPECT_LE(tw / tn, kGate);
+      }
+    }
+    row.set("gate", telemetry::Value(kGate));
+    row.set("calls", telemetry::Value(kCalls));
+    ta.print();
+    kernels.set("huffman_alphabet", std::move(row));
   }
 
   // ---- Huffman-X byte path in the codec's own units: GB/s of raw XGC f64

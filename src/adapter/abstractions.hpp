@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
 #include <span>
 #include <utility>
 #include <vector>
@@ -108,12 +109,22 @@ void run_indexed(const Device& dev, std::size_t n, F&& f) {
     }
     case DeviceKind::OpenMP:
     case DeviceKind::SimGpu: {
-      // No polls inside the region: throwing across an OpenMP parallel
-      // boundary is undefined; the pre-launch poll above and the caller's
-      // chunk-boundary polls bound the overrun to one stage.
+      // A throw must not cross the OpenMP region (that aborts the
+      // process): each iteration catches its own, the first one caught is
+      // rethrown after the region. No polls inside: the pre-launch poll
+      // above and the caller's chunk-boundary polls bound the overrun to
+      // one stage.
+      std::exception_ptr error;
 #pragma omp parallel for schedule(static)
-      for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i)
-        f(static_cast<std::size_t>(i));
+      for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
+        try {
+          f(static_cast<std::size_t>(i));
+        } catch (...) {
+#pragma omp critical(hpdr_run_indexed_error)
+          if (!error) error = std::current_exception();
+        }
+      }
+      if (error) std::rethrow_exception(error);
       break;
     }
   }

@@ -1,13 +1,9 @@
 #include "algorithms/huffman/codebook.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <numeric>
-#include <unordered_map>
-#include <utility>
 
 #include "core/error.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace hpdr::huffman {
 
@@ -81,82 +77,109 @@ std::uint64_t reverse_bits(std::uint64_t v, unsigned nbits) {
   return r;
 }
 
-/// Assign canonical codes given per-symbol lengths; fills codes_reversed.
+/// Assigns canonical codes over (length, symbol) among the live symbols;
+/// fills codes_reversed and max_length.
 void assign_canonical(Codebook& cb) {
-  const std::size_t n = cb.lengths.size();
   cb.max_length = 0;
   for (std::uint8_t l : cb.lengths) cb.max_length = std::max(cb.max_length, l);
-  cb.codes_reversed.assign(n, 0);
+  cb.codes_reversed.assign(cb.lengths.size(), 0);
   if (cb.max_length == 0) return;
   // Count codewords per length and compute the first canonical code of each
   // length (Kraft ordering).
   std::vector<std::uint32_t> count(cb.max_length + 1, 0);
-  for (std::uint8_t l : cb.lengths)
-    if (l) ++count[l];
+  for (std::uint8_t l : cb.lengths) ++count[l];
   std::vector<std::uint64_t> next_code(cb.max_length + 2, 0);
   std::uint64_t code = 0;
   for (unsigned l = 1; l <= cb.max_length; ++l) {
     code = (code + count[l - 1]) << 1;
     next_code[l] = code;
   }
-  // Canonical order is (length, symbol); iterating symbols in ascending
-  // order per length yields it directly.
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint8_t l = cb.lengths[s];
-    if (!l) continue;
-    cb.codes_reversed[s] = reverse_bits(next_code[l]++, l);
-  }
+  // The live symbols are ascending, so visiting them in order assigns each
+  // length's codes in symbol order: canonical order.
+  for (std::size_t i = 0; i < cb.lengths.size(); ++i)
+    cb.codes_reversed[i] = reverse_bits(next_code[cb.lengths[i]]++,
+                                        cb.lengths[i]);
 }
+
+/// The longest run one header entry records.
+constexpr std::size_t kMaxRun = 0x0FFFFFFF;
 
 }  // namespace
 
-Codebook build_codebook(std::span<const std::uint64_t> freq) {
+Codebook build_codebook(std::size_t alphabet,
+                        std::span<const std::uint32_t> symbols,
+                        std::span<const std::uint64_t> freq) {
+  HPDR_ASSERT(symbols.size() == freq.size());
   Codebook cb;
-  cb.lengths.assign(freq.size(), 0);
-  // Filter non-zero symbols (Alg. 2 line 3) and sort by frequency.
-  std::vector<std::uint32_t> live;
-  live.reserve(freq.size());
-  for (std::uint32_t s = 0; s < freq.size(); ++s)
-    if (freq[s] > 0) live.push_back(s);
-  if (live.empty()) return cb;
-  std::sort(live.begin(), live.end(), [&](std::uint32_t a, std::uint32_t b) {
+  cb.alphabet = alphabet;
+  cb.symbols.assign(symbols.begin(), symbols.end());
+  cb.lengths.assign(symbols.size(), 0);
+  if (symbols.empty()) return cb;
+  // Sort the live symbols (Alg. 2 line 3 already filtered the absent ones)
+  // by frequency. Index order is symbol order, so ties break by symbol:
+  // deterministic, hence portable, codebooks.
+  std::vector<std::uint32_t> order(symbols.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
     if (freq[a] != freq[b]) return freq[a] < freq[b];
-    return a < b;  // deterministic tie-break → portable codebooks
+    return a < b;
   });
-  std::vector<std::uint64_t> sorted_freq(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) sorted_freq[i] = freq[live[i]];
+  std::vector<std::uint64_t> sorted_freq(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    sorted_freq[i] = freq[order[i]];
   const std::vector<std::uint8_t> lens =
       minimum_redundancy_lengths(sorted_freq);
-  for (std::size_t i = 0; i < live.size(); ++i) cb.lengths[live[i]] = lens[i];
+  for (std::size_t i = 0; i < order.size(); ++i) cb.lengths[order[i]] = lens[i];
   assign_canonical(cb);
   return cb;
 }
 
 void Codebook::serialize(ByteWriter& out) const {
-  out.put_varint(lengths.size());
-  // Run-length encode the (mostly zero) length table.
-  std::size_t i = 0;
-  while (i < lengths.size()) {
+  out.put_varint(alphabet);
+  // Run-length code the length of every symbol of the alphabet: a run of
+  // zeros for each gap between live symbols, and one run for consecutive
+  // live symbols of equal length.
+  std::size_t pos = 0;
+  for (std::size_t i = 0; pos < alphabet;) {
+    const std::size_t next = i < symbols.size() ? symbols[i] : alphabet;
+    std::uint8_t len = 0;
     std::size_t run = 1;
-    while (i + run < lengths.size() && lengths[i + run] == lengths[i] &&
-           run < 0x0FFFFFFF)
-      ++run;
-    out.put_u8(lengths[i]);
+    if (pos < next) {
+      run = std::min(next - pos, kMaxRun);
+    } else {
+      len = lengths[i];
+      while (i + run < symbols.size() && symbols[i + run] == pos + run &&
+             lengths[i + run] == len && run < kMaxRun)
+        ++run;
+      i += run;
+    }
+    out.put_u8(len);
     out.put_varint(run);
-    i += run;
+    pos += run;
   }
 }
 
-Codebook Codebook::deserialize(ByteReader& in) {
+Codebook Codebook::deserialize(ByteReader& in, std::size_t alphabet,
+                               std::size_t max_live) {
   Codebook cb;
-  const std::size_t n = in.get_varint();
-  HPDR_REQUIRE(n <= (std::size_t{1} << 24), "implausible codebook size");
-  cb.lengths.reserve(n);
-  while (cb.lengths.size() < n) {
+  cb.alphabet = in.get_varint();
+  HPDR_REQUIRE(cb.alphabet == alphabet, "codebook of "
+                                            << cb.alphabet
+                                            << " symbols for an alphabet of "
+                                            << alphabet);
+  for (std::size_t pos = 0; pos < alphabet;) {
     const std::uint8_t len = in.get_u8();
     const std::size_t run = in.get_varint();
-    HPDR_REQUIRE(cb.lengths.size() + run <= n, "corrupt codebook RLE");
-    cb.lengths.insert(cb.lengths.end(), run, len);
+    HPDR_REQUIRE(run > 0 && run <= alphabet - pos, "corrupt codebook RLE");
+    if (len) {
+      HPDR_REQUIRE(run <= max_live - cb.symbols.size(),
+                   "codebook has more live symbols than the stream's "
+                       << max_live << " symbols");
+      for (std::size_t s = pos; s < pos + run; ++s)
+        cb.symbols.push_back(static_cast<std::uint32_t>(s));
+      cb.lengths.insert(cb.lengths.end(), run, len);
+    }
+    pos += run;
   }
   assign_canonical(cb);
   return cb;
@@ -168,8 +191,7 @@ DecodeTable DecodeTable::build(const Codebook& cb) {
   t.first_code.assign(t.max_length + 1, 0);
   t.offset.assign(t.max_length + 1, 0);
   t.count.assign(t.max_length + 1, 0);
-  for (std::uint8_t l : cb.lengths)
-    if (l) ++t.count[l];
+  for (std::uint8_t l : cb.lengths) ++t.count[l];
   // Canonical symbol order: (length, symbol).
   std::uint64_t code = 0;
   std::uint32_t off = 0;
@@ -182,10 +204,9 @@ DecodeTable DecodeTable::build(const Codebook& cb) {
   }
   t.symbols.resize(off);
   std::vector<std::uint32_t> fill(t.max_length + 1, 0);
-  for (std::uint32_t s = 0; s < cb.lengths.size(); ++s) {
-    const std::uint8_t l = cb.lengths[s];
-    if (!l) continue;
-    t.symbols[t.offset[l] + fill[l]++] = s;
+  for (std::size_t i = 0; i < cb.symbols.size(); ++i) {
+    const std::uint8_t l = cb.lengths[i];
+    t.symbols[t.offset[l] + fill[l]++] = cb.symbols[i];
   }
   // Fast path: resolve every bit pattern whose leading code is ≤ kLutBits
   // long with a single probe. The table is keyed by the next kLutBits
@@ -193,31 +214,32 @@ DecodeTable DecodeTable::build(const Codebook& cb) {
   // bit-reversed canonical code (exactly codes_reversed), so each short
   // code claims 2^(kLutBits−l) filler patterns above it.
   t.lut.assign(std::size_t{1} << kLutBits, 0);
-  for (std::uint32_t s = 0; s < cb.lengths.size(); ++s) {
-    const std::uint8_t l = cb.lengths[s];
-    if (!l || l > kLutBits) continue;
-    const std::uint64_t base = cb.codes_reversed[s];
+  for (std::size_t i = 0; i < cb.symbols.size(); ++i) {
+    const std::uint8_t l = cb.lengths[i];
+    if (l > kLutBits) continue;
+    const std::uint64_t base = cb.codes_reversed[i];
     const std::uint64_t entry =
         (std::uint64_t{1} << kEntryCountShift) |
         (static_cast<std::uint64_t>(l) << kEntryLen0Shift) |
         (static_cast<std::uint64_t>(l) << kEntryTotalShift) |
-        (static_cast<std::uint64_t>(s) << kEntrySym0Shift);
+        (static_cast<std::uint64_t>(cb.symbols[i]) << kEntrySym0Shift);
     for (std::uint64_t f = 0; f < (std::uint64_t{1} << (kLutBits - l));
          ++f)
       t.lut[base | (f << l)] = entry;
   }
   // Multi-symbol pass: where a second complete codeword fits in the probe
-  // window after the first, pack both. `single[p >> l0]` identifies the
+  // window after the first, pack both. `lut[p >> l0]` identifies the
   // following code because filler replication made every entry independent
   // of bits above its own code — the second lookup is only trusted when
-  // that code fits inside the window's remaining kLutBits − l0 bits.
-  const std::vector<std::uint64_t> single = t.lut;
-  for (std::size_t p = 0; p < single.size(); ++p) {
-    const std::uint64_t e0 = single[p];
+  // that code fits inside the window's remaining kLutBits − l0 bits. The
+  // pass runs from the top down, so p >> l0 (below p, or p itself at 0)
+  // still holds its one-symbol entry.
+  for (std::size_t p = t.lut.size(); p-- > 0;) {
+    const std::uint64_t e0 = t.lut[p];
     if (!e0) continue;
     const unsigned l0 =
         static_cast<unsigned>((e0 >> kEntryLen0Shift) & kEntryLenMask);
-    const std::uint64_t e1 = single[p >> l0];
+    const std::uint64_t e1 = t.lut[p >> l0];
     if (!e1) continue;
     const unsigned l1 =
         static_cast<unsigned>((e1 >> kEntryLen0Shift) & kEntryLenMask);
@@ -230,51 +252,6 @@ DecodeTable DecodeTable::build(const Codebook& cb) {
                (s0 << kEntrySym0Shift) | (s1 << kEntrySym1Shift);
   }
   return t;
-}
-
-std::shared_ptr<const DecodeTable> DecodeTable::cached(const Codebook& cb) {
-  // Keyed by the full length vector (the codebook's identity: canonical
-  // codes are a pure function of lengths). FNV-1a narrows the search; the
-  // stored key vector settles collisions exactly.
-  struct Entry {
-    std::vector<std::uint8_t> lengths;
-    std::shared_ptr<const DecodeTable> table;
-  };
-  static std::mutex mu;
-  static std::unordered_map<std::uint64_t, std::vector<Entry>> cache;
-  static std::size_t cache_count = 0;
-  constexpr std::size_t kCacheCap = 256;
-
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::uint8_t l : cb.lengths) h = (h ^ l) * 1099511628211ull;
-  h = (h ^ cb.lengths.size()) * 1099511628211ull;
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = cache.find(h);
-    if (it != cache.end())
-      for (const Entry& e : it->second)
-        if (e.lengths == cb.lengths) {
-          if (telemetry::enabled())
-            telemetry::counter("codec.huffman.lut_cache.hit").add();
-          return e.table;
-        }
-  }
-  // Build outside the lock: LUT construction is the expensive part and
-  // concurrent workers decoding distinct codebooks must not serialize.
-  auto table = std::make_shared<const DecodeTable>(build(cb));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (cache_count >= kCacheCap) {  // rare; shared_ptr keeps users safe
-      cache.clear();
-      cache_count = 0;
-    }
-    cache[h].push_back(Entry{cb.lengths, table});
-    ++cache_count;
-    if (telemetry::enabled())
-      telemetry::counter("codec.huffman.lut_cache.miss").add();
-  }
-  return table;
 }
 
 template <class T>

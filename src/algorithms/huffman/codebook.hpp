@@ -11,7 +11,6 @@
 /// encoded on a GPU decodes on a CPU (the paper's portability requirement).
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -19,20 +18,31 @@
 
 namespace hpdr::huffman {
 
-/// Canonical Huffman codebook over symbols [0, num_symbols).
+/// Canonical Huffman codebook over symbols [0, alphabet), kept sparse: only
+/// the live symbols (nonzero frequency), in ascending order. Every step that
+/// builds, writes, reads or inverts it costs in proportion to the live
+/// symbols, not the alphabet (MGARD's and SZ's 65,538-symbol quantization
+/// alphabets typically leave a few hundred live).
 struct Codebook {
-  std::vector<std::uint8_t> lengths;  ///< code length per symbol; 0 = absent
-  /// Canonical code per symbol, bit-reversed so the encoder can emit it with
-  /// a single BitWriter::put and the bit-serial decoder sees MSB first.
+  std::size_t alphabet = 0;
+  std::vector<std::uint32_t> symbols;  ///< live symbols, ascending
+  std::vector<std::uint8_t> lengths;   ///< code length of symbols[i]
+  /// Canonical code of symbols[i], bit-reversed so the encoder can emit it
+  /// with a single store and the bit-serial decoder sees MSB first.
   std::vector<std::uint64_t> codes_reversed;
   std::uint8_t max_length = 0;
 
-  std::size_t num_symbols() const { return lengths.size(); }
-
-  /// Header serialization: lengths only (canonical codes are recomputed on
-  /// load — smaller headers, identical codes everywhere).
+  /// Header serialization: the alphabet size, then the per-symbol lengths
+  /// run-length coded (zero-length gaps and runs of equal lengths). The
+  /// canonical codes are recomputed on load — smaller headers, identical
+  /// codes everywhere.
   void serialize(ByteWriter& out) const;
-  static Codebook deserialize(ByteReader& in);
+  /// Inverse of serialize. Throws before reading a run unless the header's
+  /// alphabet equals `alphabet`, and as soon as the live symbols would
+  /// exceed `max_live` (a stream of n symbols has at most n live), so a
+  /// hostile header allocates no more than `max_live` entries.
+  static Codebook deserialize(ByteReader& in, std::size_t alphabet,
+                              std::size_t max_live);
 };
 
 /// Phase 1: Moffat–Katajainen in-place minimum-redundancy code lengths.
@@ -41,9 +51,11 @@ struct Codebook {
 std::vector<std::uint8_t> minimum_redundancy_lengths(
     std::span<const std::uint64_t> sorted_freq);
 
-/// Build the full canonical codebook from (unsorted) symbol frequencies.
-/// Symbols with zero frequency get no code.
-Codebook build_codebook(std::span<const std::uint64_t> freq);
+/// Build the canonical codebook over [0, alphabet) from the live symbols
+/// (ascending, each below `alphabet`) and their nonzero frequencies.
+Codebook build_codebook(std::size_t alphabet,
+                        std::span<const std::uint32_t> symbols,
+                        std::span<const std::uint64_t> freq);
 
 /// Canonical decoding tables derived from a codebook. Two paths:
 ///  * the canonical bit-serial path (decode_one), always available;
@@ -85,13 +97,8 @@ struct DecodeTable {
   /// BitReader); entries pack up to two symbols (layout above).
   std::vector<std::uint64_t> lut;
 
+  /// Walks the live symbols and the fixed-size LUT, never the alphabet.
   static DecodeTable build(const Codebook& cb);
-
-  /// Memoized build: returns a shared table for this codebook's length
-  /// vector, constructing it at most once per distinct codebook
-  /// process-wide (thread-safe). The chunk-parallel decode workers and the
-  /// serving layer hit this cache instead of rebuilding the LUT per chunk.
-  static std::shared_ptr<const DecodeTable> cached(const Codebook& cb);
 
   /// True when the code lengths form a complete prefix code (Kraft sum 1)
   /// or a single one-bit code: the only codebooks build_codebook makes for

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <exception>
 #include <memory>
 
 #include "algorithms/huffman/codebook.hpp"
@@ -19,82 +18,98 @@ constexpr std::uint8_t kFormatVersion = 1;
 /// each chunk's serial codeword dependency hides behind the other three.
 constexpr unsigned kInterleave = 4;
 
-/// Alphabets up to this size count one table per chunk when encoding. Such
-/// a table is small next to its chunk's symbols, and a chunk's bit count is
-/// then its table dotted with the code lengths, with no second pass over
-/// the input. Larger alphabets (the MGARD and SZ quantization codes) count
-/// one table per worker and sum code lengths chunk by chunk, since zeroing,
-/// merging and dotting an alphabet-sized table per chunk would cost about
-/// as much as the chunk itself. Each way is the faster one on its side
-/// (measured in DESIGN.md §16.3): the length-sum pass makes a byte chunk's
-/// encode 1.2-1.4x slower, and tables per chunk make an MGARD chunk's
-/// 1.1-1.6x slower.
-constexpr std::size_t kChunkTableAlphabet = kEncodeChunk / 16;
+/// Alphabets up to this size count each chunk in a zeroed table over the
+/// whole alphabet and then walk it for the live symbols; the walk is at
+/// most a sixteenth of the chunk's own symbols. Larger alphabets (the MGARD
+/// and SZ quantization codes) count in a table written only where the
+/// chunk has symbols, so no step of a call zeroes or walks the alphabet.
+constexpr std::size_t kDenseAlphabet = kEncodeChunk / 16;
 
-constexpr std::uint64_t kAllValid = ~std::uint64_t{0};
+/// One slice's symbol counts, sparse: the symbols it holds, ascending, and
+/// how often each occurs (never zero). Counts are 64-bit at every size.
+struct Counts {
+  std::vector<std::uint32_t> symbols;
+  std::vector<std::uint64_t> counts;
+};
 
-/// Counts `symbols` into `hist`. Returns the first symbol outside the
-/// alphabet (counting stops there), or kAllValid.
 template <class T>
-std::uint64_t count_slice(std::span<const T> symbols, std::uint64_t* hist,
-                          std::size_t alphabet_size) {
-  if (sizeof(T) == 1 && alphabet_size >= 256) {  // every byte is a symbol
-    for (const T s : symbols) ++hist[s];
-    return kAllValid;
+Counts count_slice(std::span<const T> slice, std::size_t alphabet) {
+  Counts out;
+  if (alphabet <= kDenseAlphabet) {
+    std::vector<std::uint64_t> table(alphabet, 0);
+    if (sizeof(T) == 1 && alphabet >= 256) {  // every byte is a symbol
+      for (const T s : slice) ++table[s];
+    } else {
+      for (const T s : slice) {
+        HPDR_REQUIRE(s < alphabet, "symbol " << std::uint64_t{s}
+                                             << " outside alphabet of "
+                                             << alphabet);
+        ++table[s];
+      }
+    }
+    for (std::size_t s = 0; s < alphabet; ++s) {
+      if (!table[s]) continue;
+      out.symbols.push_back(static_cast<std::uint32_t>(s));
+      out.counts.push_back(table[s]);
+    }
+    return out;
   }
-  for (const T s : symbols) {
-    if (s >= alphabet_size) return s;
-    ++hist[s];
+  // The first pass checks each symbol and clears its counter; the second
+  // counts, listing each symbol at its first occurrence. No counter is read
+  // before the first pass wrote it.
+  const auto table = std::make_unique_for_overwrite<std::uint64_t[]>(alphabet);
+  for (const T s : slice) {
+    HPDR_REQUIRE(s < alphabet, "symbol " << std::uint64_t{s}
+                                         << " outside alphabet of "
+                                         << alphabet);
+    table[s] = 0;
   }
-  return kAllValid;
+  for (const T s : slice)
+    if (table[s]++ == 0) out.symbols.push_back(s);
+  std::sort(out.symbols.begin(), out.symbols.end());
+  out.counts.resize(out.symbols.size());
+  for (std::size_t i = 0; i < out.symbols.size(); ++i)
+    out.counts[i] = table[out.symbols[i]];
+  return out;
 }
 
-/// Counts consecutive slices of `per` symbols, one table of `alphabet_size`
-/// counters per slice, each zeroed and filled by its own worker (Global
-/// abstraction; the r-per-block replication strategy of the GPU histogram
-/// in [43]). A symbol outside the alphabet ends its slice; the throw waits
-/// until after the stage, because it must not cross an OpenMP region.
+/// Stage 1, the histogram (Global abstraction): each chunk of kEncodeChunk
+/// symbols is counted by its own worker (the r-per-block replication
+/// strategy of the GPU histogram in [43]), as a sparse list.
 template <class T>
-std::vector<std::vector<std::uint64_t>> count_slices(
-    const Device& dev, std::span<const T> symbols, std::size_t alphabet_size,
-    std::size_t per) {
+std::vector<Counts> count_chunks(const Device& dev, std::span<const T> symbols,
+                                 std::size_t alphabet) {
   const std::size_t n = symbols.size();
-  const std::size_t parts = std::max<std::size_t>(1, (n + per - 1) / per);
-  std::vector<std::vector<std::uint64_t>> table(parts);
-  std::vector<std::uint64_t> bad(parts, kAllValid);
-  global_stage(dev, parts, [&](std::size_t p) {
-    table[p].assign(alphabet_size, 0);
-    const std::size_t begin = std::min(n, p * per);
-    bad[p] = count_slice(symbols.subspan(begin, std::min(per, n - begin)),
-                         table[p].data(), alphabet_size);
+  std::vector<Counts> part((n + kEncodeChunk - 1) / kEncodeChunk);
+  global_stage(dev, part.size(), [&](std::size_t c) {
+    const std::size_t begin = c * kEncodeChunk;
+    part[c] = count_slice(
+        symbols.subspan(begin, std::min(kEncodeChunk, n - begin)), alphabet);
   });
-  for (const std::uint64_t s : bad)
-    HPDR_REQUIRE(s == kAllValid,
-                 "symbol " << s << " outside alphabet of " << alphabet_size);
-  return table;
+  return part;
 }
 
-template <class T>
-std::vector<std::uint64_t> histogram(const Device& dev,
-                                     std::span<const T> symbols,
-                                     std::size_t alphabet_size) {
-  // All threads cooperatively build the frequency counters and the tables
-  // merge — identical result on every adapter. The table count follows the
-  // device's parallel width, capped at one table per kEncodeChunk symbols,
-  // so a Serial call zeroes one alphabet-sized table and merges nothing.
-  const std::size_t n = symbols.size();
-  const std::size_t parts = std::clamp<std::size_t>(
-      dev.parallel_width(), 1,
-      std::max<std::size_t>(1, (n + kEncodeChunk - 1) / kEncodeChunk));
-  const std::size_t per = std::max<std::size_t>(1, (n + parts - 1) / parts);
-  std::vector<std::vector<std::uint64_t>> partial =
-      count_slices(dev, symbols, alphabet_size, per);
-  std::vector<std::uint64_t>& hist = partial[0];
-  if (partial.size() > 1)  // merge parallelized over the alphabet
-    global_stage(dev, alphabet_size, [&](std::size_t s) {
-      for (std::size_t p = 1; p < partial.size(); ++p) hist[s] += partial[p][s];
-    });
-  return std::move(hist);
+/// The sum of sparse counts, merged in symbol order: a walk over the live
+/// symbols of each part, never the alphabet.
+Counts total(const std::vector<Counts>& part) {
+  Counts sum;
+  for (const Counts& p : part) {
+    Counts merged;
+    const std::size_t na = sum.symbols.size(), nb = p.symbols.size();
+    merged.symbols.reserve(na + nb);
+    merged.counts.reserve(na + nb);
+    std::size_t a = 0, b = 0;
+    while (a < na || b < nb) {
+      const std::uint32_t sa = a < na ? sum.symbols[a] : ~std::uint32_t{0};
+      const std::uint32_t sb = b < nb ? p.symbols[b] : ~std::uint32_t{0};
+      const bool take_a = a < na && sa <= sb, take_b = b < nb && sb <= sa;
+      merged.symbols.push_back(take_a ? sa : sb);
+      merged.counts.push_back((take_a ? sum.counts[a++] : 0) +
+                              (take_b ? p.counts[b++] : 0));
+    }
+    sum = std::move(merged);
+  }
+  return sum;
 }
 
 /// The payload is little-endian on every host (core/bitstream.hpp).
@@ -129,11 +144,10 @@ inline std::uint64_t load_le64(const std::uint8_t* p) {
 /// `end`. The last bytes, and codes longer than 56 bits (S = 0), go one
 /// byte at a time.
 template <unsigned S, class T>
-std::uint8_t encode_chunk(const T* sym, std::size_t m, const Codebook& cb,
+std::uint8_t encode_chunk(const T* sym, std::size_t m,
+                          const std::uint64_t* code, const std::uint8_t* len,
                           unsigned lead, std::uint8_t* dst,
                           const std::uint8_t* end) {
-  const std::uint64_t* code = cb.codes_reversed.data();
-  const std::uint8_t* len = cb.lengths.data();
   std::uint64_t acc = 0;
   unsigned nbits = lead;
   std::size_t i = 0;
@@ -164,9 +178,10 @@ std::uint8_t encode_chunk(const T* sym, std::size_t m, const Codebook& cb,
 }
 
 template <class T>
-using ChunkEncoder = std::uint8_t (*)(const T*, std::size_t, const Codebook&,
-                                      unsigned, std::uint8_t*,
-                                      const std::uint8_t*);
+using ChunkEncoder = std::uint8_t (*)(const T*, std::size_t,
+                                      const std::uint64_t*,
+                                      const std::uint8_t*, unsigned,
+                                      std::uint8_t*, const std::uint8_t*);
 
 template <class T>
 ChunkEncoder<T> chunk_encoder(unsigned max_length) {
@@ -184,34 +199,26 @@ std::vector<std::uint8_t> encode(const Device& dev, std::span<const T> symbols,
   const std::size_t nchunks = (n + kEncodeChunk - 1) / kEncodeChunk;
   const Shape domain{n}, chunk{kEncodeChunk};
 
-  // Stages 1-3, then each chunk's bit count: histogram → codebook (sort +
-  // filter live inside build_codebook; their cost is O(alphabet)).
-  std::vector<std::size_t> offset(nchunks + 1, 0);
-  Codebook cb;
-  if (alphabet_size <= kChunkTableAlphabet) {
-    const std::vector<std::vector<std::uint64_t>> table =
-        count_slices(dev, symbols, alphabet_size, kEncodeChunk);
-    std::vector<std::uint64_t> freq(alphabet_size, 0);
-    global_stage(dev, alphabet_size, [&](std::size_t s) {
-      for (const std::vector<std::uint64_t>& t : table) freq[s] += t[s];
-    });
-    cb = build_codebook(freq);
-    global_stage(dev, nchunks, [&](std::size_t c) {
-      std::size_t bits = 0;
-      for (std::size_t s = 0; s < alphabet_size; ++s)
-        bits += table[c][s] * cb.lengths[s];
-      offset[c + 1] = bits;
-    });
-  } else {
-    cb = build_codebook(histogram(dev, symbols, alphabet_size));
-    locality(dev, domain, chunk, [&](const Block& b) {
-      const T* sym = symbols.data() + b.origin[0];
-      std::size_t bits = 0;
-      for (std::size_t i = 0; i < b.extent[0]; ++i)
-        bits += cb.lengths[sym[i]];
-      offset[b.index + 1] = bits;
-    });
+  // Stages 1-3: count each chunk, sum the counts, and build the codebook
+  // over the live symbols (Alg. 2 line 3 filters the rest).
+  const std::vector<Counts> part = count_chunks(dev, symbols, alphabet_size);
+  const Counts freq = total(part);
+  const Codebook cb =
+      build_codebook(alphabet_size, freq.symbols, freq.counts);
+  // The encoder's direct-index code table, written only at the live
+  // symbols: the only ones it looks up, so it is never zeroed or walked.
+  const auto code =
+      std::make_unique_for_overwrite<std::uint64_t[]>(alphabet_size);
+  const auto len = std::make_unique_for_overwrite<std::uint8_t[]>(alphabet_size);
+  for (std::size_t i = 0; i < cb.symbols.size(); ++i) {
+    code[cb.symbols[i]] = cb.codes_reversed[i];
+    len[cb.symbols[i]] = cb.lengths[i];
   }
+  // Each chunk's bit count: its counts dotted with their code lengths.
+  std::vector<std::size_t> offset(nchunks + 1, 0);
+  for (std::size_t c = 0; c < nchunks; ++c)
+    for (std::size_t i = 0; i < part[c].symbols.size(); ++i)
+      offset[c + 1] += part[c].counts[i] * len[part[c].symbols[i]];
 
   // Stage 5, compact serialization: the prefix sum over the bit counts is
   // every chunk's final bit offset. The header records the counts (the
@@ -242,8 +249,8 @@ std::vector<std::uint8_t> encode(const Device& dev, std::span<const T> symbols,
   const ChunkEncoder<T> write = chunk_encoder<T>(cb.max_length);
   locality(dev, domain, chunk, [&](const Block& b) {
     const std::size_t c = b.index;
-    tail[c] = write(symbols.data() + b.origin[0], b.extent[0], cb,
-                    static_cast<unsigned>(offset[c] % 8),
+    tail[c] = write(symbols.data() + b.origin[0], b.extent[0], code.get(),
+                    len.get(), static_cast<unsigned>(offset[c] % 8),
                     payload + offset[c] / 8, payload + offset[c + 1] / 8);
   });
   for (std::size_t c = 0; c < nchunks; ++c)
@@ -255,27 +262,33 @@ std::vector<std::uint8_t> encode(const Device& dev, std::span<const T> symbols,
 /// `n` symbols and reads only inside `payload`.
 struct Parsed {
   std::size_t n = 0;
-  std::shared_ptr<const DecodeTable> table;
+  DecodeTable table;
   std::vector<std::size_t> offset;  ///< nchunks + 1 payload bit offsets
   std::span<const std::uint8_t> payload;
 };
 
-Parsed parse(std::span<const std::uint8_t> stream, std::size_t max_alphabet) {
+/// Parses a stream bound for an output of `n` symbols. A stream of any
+/// other length throws before its codebook is read, and the codebook may
+/// hold at most that many live symbols, so the caller's span bounds what a
+/// hostile header can make it allocate.
+Parsed parse(std::span<const std::uint8_t> stream, std::size_t max_alphabet,
+             std::size_t n) {
   ByteReader in(stream);
   const std::uint8_t version = in.get_u8();
   HPDR_REQUIRE(version == kFormatVersion,
                "unsupported Huffman stream version " << int(version));
   Parsed p;
   p.n = in.get_varint();
+  HPDR_REQUIRE(p.n == n, "Huffman stream holds " << p.n
+                                                 << " symbols, output has "
+                                                 << n);
   const std::size_t alphabet = in.get_varint();
   // Sanity limits: every symbol costs at least one payload bit and the
-  // alphabet must fit the output type (and the LUT's 24-bit symbols) —
-  // these bounds reject hostile headers before any allocation.
+  // alphabet must fit the output type (and the LUT's 24-bit symbols).
   HPDR_REQUIRE(p.n <= stream.size() * std::size_t{64} + 64,
                "implausible Huffman symbol count");
   HPDR_REQUIRE(alphabet <= max_alphabet, "implausible Huffman alphabet");
-  const Codebook cb = Codebook::deserialize(in);
-  HPDR_REQUIRE(cb.num_symbols() == alphabet, "codebook/alphabet mismatch");
+  const Codebook cb = Codebook::deserialize(in, alphabet, p.n);
   const std::size_t nchunks = in.get_varint();
   HPDR_REQUIRE(nchunks == (p.n + kEncodeChunk - 1) / kEncodeChunk,
                "Huffman chunk table does not cover " << p.n << " symbols");
@@ -292,11 +305,9 @@ Parsed parse(std::span<const std::uint8_t> stream, std::size_t max_alphabet) {
   // Every code is at least one bit long.
   HPDR_REQUIRE(p.n <= p.offset[nchunks],
                "Huffman chunk bits cannot hold " << p.n << " symbols");
-  // One table per distinct codebook process-wide: chunk-parallel workers
-  // and repeated decodes of same-codebook streams (the serving layer's
-  // steady state) share it instead of rebuilding the LUT.
-  p.table = DecodeTable::cached(cb);
-  HPDR_REQUIRE(p.n == 0 || p.table->complete(), "incomplete Huffman codebook");
+  // Built per decode: it walks the live symbols and the fixed-size LUT.
+  p.table = DecodeTable::build(cb);
+  HPDR_REQUIRE(p.n == 0 || p.table.complete(), "incomplete Huffman codebook");
   return p;
 }
 
@@ -396,40 +407,22 @@ void decode_group(const DecodeTable& t, std::span<const std::uint8_t> payload,
 
 /// Decodes a parsed stream into `out` (p.n symbols). Each group takes
 /// kInterleave consecutive chunks, each starting at its recorded bit
-/// offset. A corrupt chunk's error is caught in its group and rethrown
-/// after the stage, so no throw crosses an OpenMP region.
+/// offset.
 template <class T>
 void decode_into(const Device& dev, const Parsed& p, T* out) {
   const std::size_t nchunks = p.offset.size() - 1;
   const std::size_t groups = (nchunks + kInterleave - 1) / kInterleave;
-  std::vector<std::exception_ptr> failed(groups);
   global_stage(dev, groups, [&](std::size_t g) {
-    try {
-      Cursor<T> c[kInterleave];  // chunks past the end stay empty
-      for (unsigned k = 0; k < kInterleave; ++k) {
-        const std::size_t ch = g * kInterleave + k;
-        if (ch >= nchunks) break;
-        const std::size_t begin = ch * kEncodeChunk;
-        c[k] = {p.offset[ch], p.offset[ch + 1], out + begin,
-                out + std::min(p.n, begin + kEncodeChunk)};
-      }
-      decode_group<kInterleave>(*p.table, p.payload, c);
-    } catch (...) {
-      failed[g] = std::current_exception();
+    Cursor<T> c[kInterleave];  // chunks past the end stay empty
+    for (unsigned k = 0; k < kInterleave; ++k) {
+      const std::size_t ch = g * kInterleave + k;
+      if (ch >= nchunks) break;
+      const std::size_t begin = ch * kEncodeChunk;
+      c[k] = {p.offset[ch], p.offset[ch + 1], out + begin,
+              out + std::min(p.n, begin + kEncodeChunk)};
     }
+    decode_group<kInterleave>(p.table, p.payload, c);
   });
-  for (const std::exception_ptr& e : failed)
-    if (e) std::rethrow_exception(e);
-}
-
-/// Decodes a parsed stream into `out`, which must hold exactly p.n symbols;
-/// any other length throws before a symbol is written.
-template <class T>
-void decode(const Device& dev, const Parsed& p, std::span<T> out) {
-  HPDR_REQUIRE(p.n == out.size(), "Huffman stream holds "
-                                      << p.n << " symbols, output has "
-                                      << out.size());
-  decode_into(dev, p, out.data());
 }
 
 constexpr std::size_t kByteAlphabet = 256;
@@ -441,7 +434,11 @@ constexpr std::size_t kMaxAlphabet = std::size_t{1} << 24;
 std::vector<std::uint64_t> histogram_u32(
     const Device& dev, std::span<const std::uint32_t> symbols,
     std::size_t alphabet_size) {
-  return histogram(dev, symbols, alphabet_size);
+  const Counts freq = total(count_chunks(dev, symbols, alphabet_size));
+  std::vector<std::uint64_t> hist(alphabet_size, 0);
+  for (std::size_t i = 0; i < freq.symbols.size(); ++i)
+    hist[freq.symbols[i]] = freq.counts[i];
+  return hist;
 }
 
 std::vector<std::uint8_t> encode_u32(const Device& dev,
@@ -452,7 +449,7 @@ std::vector<std::uint8_t> encode_u32(const Device& dev,
 
 void decode_u32(const Device& dev, std::span<const std::uint8_t> stream,
                 std::span<std::uint32_t> out) {
-  decode(dev, parse(stream, kMaxAlphabet), out);
+  decode_into(dev, parse(stream, kMaxAlphabet, out.size()), out.data());
 }
 
 std::vector<std::uint8_t> compress_bytes(const Device& dev,
@@ -462,7 +459,7 @@ std::vector<std::uint8_t> compress_bytes(const Device& dev,
 
 void decompress_bytes(const Device& dev, std::span<const std::uint8_t> stream,
                       std::span<std::uint8_t> out) {
-  decode(dev, parse(stream, kByteAlphabet), out);
+  decode_into(dev, parse(stream, kByteAlphabet, out.size()), out.data());
 }
 
 }  // namespace hpdr::huffman

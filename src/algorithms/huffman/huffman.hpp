@@ -5,11 +5,12 @@
 /// Huffman-X: the paper's Huffman lossless pipeline (Alg. 2, Fig. 6) built
 /// on the HPDR abstractions:
 ///
-///   1. Histogram            — Global abstraction (all threads cooperate on
-///                             frequency counters; per-thread privatization
-///                             as in the optimized GPU histogram of [43]).
-///   2. Sort + filter        — frequencies sorted, zero-frequency keys
-///                             dropped (host-side, negligible cost).
+///   1. Histogram            — Global abstraction (each chunk counted by
+///                             its own worker, privatized as in the
+///                             optimized GPU histogram of [43], as a sparse
+///                             list of the symbols it holds).
+///   2. Sort + filter        — only live symbols are kept and sorted by
+///                             frequency (host-side, negligible cost).
 ///   3. Codebook             — two-phase treeless generation (codebook.hpp).
 ///   4. Encode               — Locality abstraction: chunks of symbols are
 ///                             encoded independently by groups.
@@ -60,8 +61,9 @@ std::vector<std::uint8_t> compress_bytes(const Device& dev,
 void decompress_bytes(const Device& dev, std::span<const std::uint8_t> stream,
                       std::span<std::uint8_t> out);
 
-/// Step 1 of the pipeline, exposed for reuse and tests: cooperative
-/// histogram over the whole domain (Global abstraction).
+/// Step 1 of the pipeline, exposed for reuse and tests: the encoder's
+/// counts (one sparse list per chunk, Global abstraction, then summed),
+/// expanded to one counter per symbol of the alphabet.
 std::vector<std::uint64_t> histogram_u32(const Device& dev,
                                          std::span<const std::uint32_t> symbols,
                                          std::size_t alphabet_size);

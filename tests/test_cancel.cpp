@@ -29,18 +29,26 @@ pipeline::Options fixed_opts() {
 }
 
 /// Big enough that a fixed-chunk encode takes well past the deadlines the
-/// tests arm (tens of ms at least), so cancellation lands mid-encode.
+/// tests arm, so cancellation lands mid-encode: six stacked copies of one
+/// 160x96x96 nyx field (35 MiB of f32). A 4-thread mgard-x encode of one
+/// copy takes 8-28 ms on a shared 4-vCPU x86 host, too close to a 20 ms
+/// deadline; the stack takes several times that. Copies keep generation
+/// at one field's cost.
 data::Dataset slow_dataset() {
-  Shape big = Shape::of_rank(3);
-  big[0] = 160;
-  big[1] = big[2] = 96;
+  constexpr std::size_t kCopies = 6;
+  Shape one = Shape::of_rank(3);
+  one[0] = 160;
+  one[1] = one[2] = 96;
+  const auto field = data::nyx_density(one, 7);
+  const std::size_t copy_bytes = field.size() * sizeof(float);
   data::Dataset ds;
   ds.name = "blocker";
-  ds.shape = big;
+  ds.shape = one;
+  ds.shape[0] *= kCopies;
   ds.dtype = DType::F32;
-  const auto field = data::nyx_density(big, 7);
-  ds.bytes.resize(field.size() * sizeof(float));
-  std::memcpy(ds.bytes.data(), field.data(), ds.bytes.size());
+  ds.bytes.resize(kCopies * copy_bytes);
+  for (std::size_t c = 0; c < kCopies; ++c)
+    std::memcpy(ds.bytes.data() + c * copy_bytes, field.data(), copy_bytes);
   return ds;
 }
 

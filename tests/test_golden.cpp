@@ -203,6 +203,40 @@ TEST(Golden, V4FramesCarryTheV2Payloads) {
   }
 }
 
+// mgard-x and cusz Huffman-code their quantization codes over a 65,538
+// symbol alphabet, so these two streams pin that coder's bytes: its
+// codebook header and payload. v3_mgard.raw is the mgard-x decode of this
+// raster (V3FullRefineMatchesOneShotV2MgardDecode); cusz has no recorded
+// decode, so its decode is held to the error bound instead.
+TEST(Golden, QuantCodecStreamsDecode) {
+  const auto input = slurp("input.raw");
+  const Device dev = machine::make_device("serial");
+  std::vector<std::uint8_t> out(input.size());
+  auto mg = make_compressor("mgard-x");
+  pipeline::decompress(dev, *mg, slurp("v4_mgard.hpdr"), out.data(),
+                       golden_shape(), DType::F32, {});
+  EXPECT_EQ(out, slurp("v3_mgard.raw"));
+  auto cusz = make_compressor("cusz");
+  pipeline::decompress(dev, *cusz, slurp("v4_cusz.hpdr"), out.data(),
+                       golden_shape(), DType::F32, {});
+  const auto stats = compute_error_stats(
+      {reinterpret_cast<const float*>(input.data()), input.size() / 4},
+      {reinterpret_cast<const float*>(out.data()), out.size() / 4});
+  EXPECT_LE(stats.max_rel_error, 1e-3 * (1 + 1e-6));
+}
+
+TEST(Golden, QuantCodecWritersAreByteStable) {
+  const auto input = slurp("input.raw");
+  const Device dev = machine::make_device("serial");
+  for (const std::string codec : {"mgard", "cusz"}) {
+    auto comp = make_compressor(codec == "mgard" ? "mgard-x" : "cusz");
+    const auto again = pipeline::compress(dev, *comp, input.data(),
+                                          golden_shape(), DType::F32,
+                                          golden_opts());
+    EXPECT_EQ(again.stream, slurp("v4_" + codec + ".hpdr")) << codec;
+  }
+}
+
 TEST(Golden, V4StreamDecodesToRecordedBytes) {
   const auto stream = slurp("v4_zfp.hpdr");
   const auto expected = slurp("v2_zfp.raw");

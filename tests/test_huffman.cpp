@@ -10,6 +10,7 @@
 
 #include "algorithms/huffman/codebook.hpp"
 #include "algorithms/huffman/huffman.hpp"
+#include "algorithms/mgard/quantize.hpp"
 #include "core/error.hpp"
 #include "huffman_reference.hpp"
 #include "machine/device_registry.hpp"
@@ -59,7 +60,7 @@ TEST(Codebook, EncodedSizeWithinOneBitOfEntropyPerSymbol) {
   std::mt19937_64 rng(11);
   std::vector<std::uint64_t> freq(64);
   for (auto& f : freq) f = 1 + rng() % 5000;
-  auto cb = build_codebook(freq);
+  auto cb = reference::codebook(freq);
   const std::uint64_t total =
       std::accumulate(freq.begin(), freq.end(), std::uint64_t{0});
   double entropy_bits = 0;
@@ -68,7 +69,8 @@ TEST(Codebook, EncodedSizeWithinOneBitOfEntropyPerSymbol) {
     entropy_bits -= double(f) * std::log2(p);
   }
   std::uint64_t bits = 0;
-  for (std::size_t s = 0; s < freq.size(); ++s) bits += freq[s] * cb.lengths[s];
+  for (std::size_t i = 0; i < cb.symbols.size(); ++i)
+    bits += freq[cb.symbols[i]] * cb.lengths[i];
   const double coded = static_cast<double>(bits);
   EXPECT_GE(coded + 1e-9, entropy_bits);             // Shannon bound
   EXPECT_LE(coded, entropy_bits + double(total));    // redundancy < 1 bit/sym
@@ -79,12 +81,16 @@ TEST(Codebook, SerializationPreservesCodes) {
   freq[3] = 5;
   freq[50] = 100;
   freq[99] = 1;
-  auto cb = build_codebook(freq);
+  auto cb = reference::codebook(freq);
   ByteWriter w;
   cb.serialize(w);
   auto buf = w.take();
   ByteReader r(buf);
-  auto cb2 = Codebook::deserialize(r);
+  auto cb2 = Codebook::deserialize(r, freq.size(), 3);
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(cb2.alphabet, 100u);
+  EXPECT_EQ(cb.symbols, (std::vector<std::uint32_t>{3, 50, 99}));
+  EXPECT_EQ(cb.symbols, cb2.symbols);
   EXPECT_EQ(cb.lengths, cb2.lengths);
   EXPECT_EQ(cb.codes_reversed, cb2.codes_reversed);
   EXPECT_EQ(cb.max_length, cb2.max_length);
@@ -95,15 +101,14 @@ TEST(Codebook, DecodeTableInvertsEveryCode) {
   std::vector<std::uint64_t> freq(300);
   for (auto& f : freq) f = rng() % 50;  // some zeros
   freq[0] = 1;                          // ensure at least one symbol
-  auto cb = build_codebook(freq);
+  auto cb = reference::codebook(freq);
   auto table = DecodeTable::build(cb);
-  for (std::uint32_t s = 0; s < freq.size(); ++s) {
-    if (!cb.lengths[s]) continue;
+  for (std::size_t i = 0; i < cb.symbols.size(); ++i) {
     BitWriter w;
-    w.put(cb.codes_reversed[s], cb.lengths[s]);
+    w.put(cb.codes_reversed[i], cb.lengths[i]);
     auto bytes = w.to_bytes();
-    BitReader r(bytes, cb.lengths[s]);
-    EXPECT_EQ(table.decode_one(r), s);
+    BitReader r(bytes, cb.lengths[i]);
+    EXPECT_EQ(table.decode_one(r), cb.symbols[i]);
   }
 }
 
@@ -116,7 +121,9 @@ TEST(Codebook, DecodeRunMatchesSerialDecode) {
   std::vector<std::uint64_t> freq(500);
   for (std::size_t i = 0; i < freq.size(); ++i)
     freq[i] = 1 + (std::uint64_t{1} << std::min<std::size_t>(i / 10, 40));
-  auto cb = build_codebook(freq);
+  auto cb = reference::codebook(freq);
+  // Every symbol is live, so entry s of the codebook is symbol s.
+  ASSERT_EQ(cb.symbols.size(), freq.size());
   EXPECT_GT(cb.max_length, DecodeTable::kLutBits);  // long codes exist
   auto table = DecodeTable::build(cb);
   // Short codes exist too, so two-symbol entries are actually exercised.
@@ -139,17 +146,6 @@ TEST(Codebook, DecodeRunMatchesSerialDecode) {
       ASSERT_EQ(table.decode_one(serial), got[i]) << "count=" << count;
     EXPECT_EQ(serial.position(), batch.position()) << "count=" << count;
   }
-}
-
-TEST(Codebook, CachedTableIsSharedPerCodebook) {
-  std::vector<std::uint64_t> freq{5, 9, 1, 0, 22, 7};
-  auto cb = build_codebook(freq);
-  auto a = DecodeTable::cached(cb);
-  auto b = DecodeTable::cached(cb);
-  EXPECT_EQ(a.get(), b.get());  // same codebook → same shared table
-  std::vector<std::uint64_t> freq2{5, 9, 1, 3, 22, 7};
-  auto c = DecodeTable::cached(build_codebook(freq2));
-  EXPECT_NE(a.get(), c.get());  // different lengths → distinct table
 }
 
 /// Decodes a u32 stream into `n` symbols.
@@ -293,7 +289,10 @@ StreamParts split(std::span<const std::uint8_t> stream) {
   p.version = in.get_u8();
   p.n = in.get_varint();
   p.alphabet = in.get_varint();
-  p.lengths = Codebook::deserialize(in).lengths;
+  const Codebook cb = Codebook::deserialize(in, p.alphabet, p.n);
+  p.lengths.assign(p.alphabet, 0);
+  for (std::size_t i = 0; i < cb.symbols.size(); ++i)
+    p.lengths[cb.symbols[i]] = cb.lengths[i];
   p.bits.resize(in.get_varint());
   for (std::size_t& b : p.bits) b = in.get_varint();
   const auto payload = in.get_bytes(in.get_varint());
@@ -306,9 +305,7 @@ std::vector<std::uint8_t> join(const StreamParts& p) {
   w.put_u8(p.version);
   w.put_varint(p.n);
   w.put_varint(p.alphabet);
-  Codebook cb;
-  cb.lengths = p.lengths;
-  cb.serialize(w);
+  reference::write_codebook(w, p.lengths);
   w.put_varint(p.bits.size());
   for (const std::size_t b : p.bits) w.put_varint(b);
   w.put_varint(p.payload.size());
@@ -389,7 +386,7 @@ TEST(Huffman, LongCodesMatchReference) {
   std::shuffle(symbols.begin(), symbols.end(), std::mt19937_64(9));
   std::vector<std::uint64_t> freq(40, 0);
   for (const auto s : symbols) ++freq[s];
-  ASSERT_GT(build_codebook(freq).max_length, 28);
+  ASSERT_GT(reference::codebook(freq).max_length, 28);
   for (const char* name : {"serial", "stdthread"}) {
     const Device dev = machine::make_device(name);
     const auto blob = encode_u32(dev, symbols, 40);
@@ -400,9 +397,13 @@ TEST(Huffman, LongCodesMatchReference) {
 
 // ---- Property matrix: the in-place coder against the reference ----------
 
-/// The matrix's alphabets: one live symbol; two; 256 uniform; and a skewed
-/// one whose longest codes exceed 12 bits (at the larger sizes).
-enum class Draw { One, Two, Uniform, Skewed };
+/// The matrix's alphabets: one live symbol; two; 256 uniform; a skewed one
+/// whose longest codes exceed 12 bits (at the larger sizes); and (u32 only)
+/// MGARD's and SZ's 65,538-symbol quantization codes.
+enum class Draw { One, Two, Uniform, Skewed, Quant };
+
+constexpr std::size_t kQuantAlphabet = mgard::kQuantAlphabet;
+constexpr int kZeroBin = mgard::kQuantRadius + 1;
 
 template <class T>
 std::vector<T> draw(Draw kind, std::size_t n, std::mt19937_64& rng) {
@@ -414,7 +415,19 @@ std::vector<T> draw(Draw kind, std::size_t n, std::mt19937_64& rng) {
       case Draw::Two: s = (rng() & 1) ? 3 : 200; break;
       case Draw::Uniform: s = static_cast<T>(rng() % 256); break;
       case Draw::Skewed: s = static_cast<T>(std::min(skew(rng), 255)); break;
+      case Draw::Quant: {
+        // Clustered around the zero bin's symbol, as quantization codes are.
+        const int m = std::min(skew(rng), 1000);
+        s = static_cast<T>((rng() & 1) ? kZeroBin + m : kZeroBin - m);
+        break;
+      }
     }
+  }
+  // The escape symbol and the top one, so the codebook header's first and
+  // last runs are live symbols rather than gaps.
+  if (kind == Draw::Quant && n > 0) {
+    out.front() = 0;
+    out.back() = static_cast<T>(kQuantAlphabet - 1);
   }
   return out;
 }
@@ -452,12 +465,21 @@ TEST_P(HuffmanMatrix, StreamsMatchReferenceAndRoundTrip) {
       ByteReader in(wblob);
       in.get_u8();
       in.get_varint();
-      in.get_varint();
-      long_codes |= Codebook::deserialize(in).max_length >
+      in.get_varint();  // the alphabet
+      long_codes |= Codebook::deserialize(in, alphabet, n).max_length >
                     DecodeTable::kLutBits;
     }
   }
   EXPECT_TRUE(long_codes);
+  // The alphabet MGARD-X and cuSZ code with, which the sparse codebook
+  // serves without walking it.
+  for (const std::size_t n : kMatrixSizes) {
+    const auto quant = draw<std::uint32_t>(Draw::Quant, n, rng);
+    const auto qblob = encode_u32(dev_, quant, kQuantAlphabet);
+    ASSERT_EQ(qblob, reference::encode<std::uint32_t>(quant, kQuantAlphabet))
+        << "quant n " << n;
+    ASSERT_EQ(decode_symbols(dev_, qblob, n), quant);
+  }
 }
 
 TEST_P(HuffmanMatrix, IncompleteCodebookThrows) {

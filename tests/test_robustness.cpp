@@ -3,10 +3,12 @@
 // data — no UB, no unbounded allocation, no hang. This is the contract a
 // reduction framework needs before its streams cross facility boundaries.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
 #include <random>
 
+#include "algorithms/huffman/huffman.hpp"
 #include "compressor/compressor.hpp"
 #include "core/bitstream.hpp"
 #include "core/stats.hpp"
@@ -189,6 +191,70 @@ TEST(CorruptStreamsExtra, CodecBlobOfAnotherShapeThrowsBeforeWriting) {
     }
     std::vector<float> out(src.size());
     EXPECT_NO_THROW(comp->decompress(dev, blob, out.data(), cube, DType::F32))
+        << name;
+  }
+}
+
+/// The process's peak resident set, in KiB.
+long max_rss_kib() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_maxrss;
+}
+
+TEST(CorruptStreamsExtra, HostileHuffmanCodebookIsRejectedBeforeAllocation) {
+  // A 4-symbol Huffman stream whose codebook declares 2^24 symbols in one
+  // run of 24-bit codes. Through the byte decoder (alphabet 256) the
+  // codebook's size must match the alphabet before a run is read; through
+  // decode_u32, with the alphabet raised to match, the run's live symbols
+  // must not exceed the 4 the stream holds. Neither may allocate for the
+  // declared codebook (ctest runs each test in its own process, so the
+  // peak RSS starts low).
+  const std::size_t huge = std::size_t{1} << 24;
+  auto blob = [&](std::size_t alphabet) {
+    ByteWriter w;
+    w.put_u8(1);  // version
+    w.put_varint(4);
+    w.put_varint(alphabet);
+    w.put_varint(huge);  // codebook size
+    w.put_u8(24);        // one run of 24-bit codes...
+    w.put_varint(huge);  // ...over every symbol
+    return w.take();
+  };
+  const Device dev = Device::serial();
+  const long before = max_rss_kib();
+  std::vector<std::uint8_t> bytes(4);
+  EXPECT_THROW(huffman::decompress_bytes(dev, blob(256), bytes), Error);
+  std::vector<std::uint32_t> symbols(4);
+  EXPECT_THROW(huffman::decode_u32(dev, blob(256), symbols), Error);
+  EXPECT_THROW(huffman::decode_u32(dev, blob(huge), symbols), Error);
+  EXPECT_LT(max_rss_kib() - before, 16 * 1024);
+}
+
+TEST(CorruptStreamsExtra, CorruptLz4BlockThrowsOnEveryDevice) {
+  // One flipped byte in the nvcomp-lz4 blob of a 256 KiB tensor (one LZ4
+  // block) fails inside the decode stage. On OpenMP and SimGpu that stage
+  // is an OpenMP region, which must hand the error back as hpdr::Error
+  // instead of aborting the process.
+  const Shape shape{64, 32, 32};
+  std::vector<float> src(shape.size());
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = static_cast<float>(i / 16 % 32);  // repetitive: LZ4-coded
+  auto comp = make_compressor("nvcomp-lz4");
+  auto blob = comp->compress(Device::serial(), src.data(), shape, DType::F32,
+                             0.0);
+  ByteReader in(blob);
+  in.get_varint();  // raw size
+  ASSERT_EQ(in.get_varint(), 1u);  // one block
+  in.get_varint();                 // its size
+  const std::size_t body = blob.size() - in.remaining() + 1;  // past flag
+  ASSERT_EQ(blob[body - 1], 1) << "the block must be LZ4-coded";
+  blob[body] ^= 0xFF;  // the first sequence's token
+  for (const char* name : {"serial", "openmp", "V100"}) {
+    std::vector<float> out(src.size());
+    EXPECT_THROW(comp->decompress(machine::make_device(name), blob,
+                                  out.data(), shape, DType::F32),
+                 Error)
         << name;
   }
 }

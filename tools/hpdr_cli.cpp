@@ -72,6 +72,7 @@
 #include <future>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/bitstream.hpp"
@@ -118,14 +119,28 @@ namespace {
 /// sites); --retry raises the attempt budget.
 fault::RetryPolicy g_file_retry;
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first) {
+/// The flags every command takes: resilience, execution, observability.
+constexpr std::string_view kGlobalFlags[] = {
+    "faults", "fault-seed", "retry", "recover", "threads", "metrics", "trace"};
+
+/// Parses the `--name value` pairs from argv[first] on. A name that is
+/// neither one of the command's `names` nor a global flag ends the run with
+/// the usage message, so a misspelled flag cannot leave the command
+/// running on its defaults.
+std::map<std::string, std::string> parse_flags(
+    int argc, char** argv, int first,
+    std::initializer_list<std::string_view> names) {
   std::map<std::string, std::string> flags;
   for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
+    const std::string key = argv[i];
     if (key.rfind("--", 0) != 0) usage("unexpected positional argument");
+    const std::string name = key.substr(2);
+    if (std::find(names.begin(), names.end(), name) == names.end() &&
+        std::find(std::begin(kGlobalFlags), std::end(kGlobalFlags), name) ==
+            std::end(kGlobalFlags))
+      usage(("unknown flag " + key).c_str());
     if (i + 1 >= argc) usage("flag missing value");
-    flags[key.substr(2)] = argv[++i];
+    flags[name] = argv[++i];
   }
   return flags;
 }
@@ -256,7 +271,7 @@ pipeline::Options options_from(const std::map<std::string, std::string>& f) {
 
 int cmd_generate(int argc, char** argv) {
   if (argc < 5) usage("generate needs <dataset> <size> <out.raw>");
-  auto flags = parse_flags(argc, argv, 5);
+  auto flags = parse_flags(argc, argv, 5, {});
   const std::string name = argv[2], size_s = argv[3], out = argv[4];
   data::Size size = data::Size::Small;
   if (size_s == "tiny")
@@ -300,7 +315,9 @@ int cmd_generate(int argc, char** argv) {
 
 int cmd_compress(int argc, char** argv) {
   if (argc < 4) usage("compress needs <in.raw> <out.hpdr>");
-  auto flags = parse_flags(argc, argv, 4);
+  auto flags = parse_flags(argc, argv, 4,
+                           {"shape", "dtype", "algo", "eb", "mode",
+                            "chunk-mb", "progressive", "device"});
   if (!flags.count("shape")) usage("--shape is required");
   const Shape shape = parse_shape(flags.at("shape"));
   const DType dtype =
@@ -373,7 +390,7 @@ int cmd_compress(int argc, char** argv) {
 
 int cmd_decompress(int argc, char** argv) {
   if (argc < 4) usage("decompress needs <in.hpdr> <out.raw>");
-  auto flags = parse_flags(argc, argv, 4);
+  auto flags = parse_flags(argc, argv, 4, {"device"});
   const Device dev = machine::make_device(
       flags.count("device") ? flags.at("device") : "openmp");
   auto stream = read_file(argv[2]);
@@ -415,7 +432,7 @@ int cmd_decompress(int argc, char** argv) {
 /// the forward-only property: bytes_reread() stays 0 across the chain.
 int cmd_retrieve(int argc, char** argv) {
   if (argc < 4) usage("retrieve needs <in.hpdr> <out.raw>");
-  auto flags = parse_flags(argc, argv, 4);
+  auto flags = parse_flags(argc, argv, 4, {"device", "bound", "refine"});
   const Device dev = machine::make_device(
       flags.count("device") ? flags.at("device") : "openmp");
   auto stream = read_file(argv[2]);
@@ -481,7 +498,7 @@ int cmd_retrieve(int argc, char** argv) {
 
 int cmd_info(int argc, char** argv) {
   if (argc < 3) usage("info needs <in.hpdr>");
-  auto flags = parse_flags(argc, argv, 3);
+  auto flags = parse_flags(argc, argv, 3, {});
   auto stream = read_file(argv[2]);
   auto info = pipeline::inspect(stream);
   const std::size_t raw = info.shape.size() * dtype_size(info.dtype);
@@ -511,7 +528,7 @@ int cmd_info(int argc, char** argv) {
 
 int cmd_verify(int argc, char** argv) {
   if (argc < 4) usage("verify needs <a.raw> <b.raw>");
-  auto flags = parse_flags(argc, argv, 4);
+  auto flags = parse_flags(argc, argv, 4, {"dtype"});
   const bool f64 = flags.count("dtype") && flags.at("dtype") == "f64";
   auto a = read_file(argv[2]);
   auto b = read_file(argv[3]);
@@ -541,7 +558,9 @@ int cmd_verify(int argc, char** argv) {
 
 int cmd_trace(int argc, char** argv) {
   if (argc < 4) usage("trace needs <in.raw> <out.json>");
-  auto flags = parse_flags(argc, argv, 4);
+  auto flags = parse_flags(argc, argv, 4,
+                           {"shape", "dtype", "algo", "eb", "mode",
+                            "chunk-mb", "device"});
   if (!flags.count("shape")) usage("--shape is required");
   const Shape shape = parse_shape(flags.at("shape"));
   const DType dtype =
@@ -587,7 +606,7 @@ int cmd_stats(int argc, char** argv) {
     path = argv[2];
     first = 3;
   }
-  auto flags = parse_flags(argc, argv, first);
+  auto flags = parse_flags(argc, argv, first, {"format"});
   const std::string format =
       flags.count("format") ? flags.at("format") : "prom";
   std::string text;
@@ -648,7 +667,11 @@ double percentile(std::vector<double> v, double p) {
 /// concurrently, priorities cycling High/Normal/Low. Prints aggregate
 /// throughput and latency percentiles; --metrics embeds the per-job records.
 int cmd_serve(int argc, char** argv) {
-  auto flags = parse_flags(argc, argv, 2);
+  auto flags = parse_flags(
+      argc, argv, 2,
+      {"jobs", "sessions", "requests", "budget-mb", "algo", "device",
+       "deadline", "queue-limit", "breaker", "cache", "progressive",
+       "stats-file", "stats-interval", "eb", "mode", "chunk-mb"});
   const unsigned jobs =
       flags.count("jobs") ? unsigned(std::stoul(flags.at("jobs"))) : 4;
   const unsigned sessions =
@@ -936,6 +959,7 @@ int cmd_serve(int argc, char** argv) {
 /// against these bytes.
 int cmd_write_golden(int argc, char** argv) {
   if (argc < 3) usage("write-golden needs <dir>");
+  parse_flags(argc, argv, 3, {});
   const std::string dir = argv[2];
   std::filesystem::create_directories(dir);
   const Device dev = machine::make_device("serial");
@@ -1012,6 +1036,16 @@ int cmd_write_golden(int argc, char** argv) {
   write_file(dir + "/v4_huffman.hpdr", v4h.stream);
   write_file(dir + "/v2_huffman.hpdr", legacy(*huff, 2));
 
+  // The two codecs that Huffman-code quantization codes over a 65,538
+  // symbol alphabet: their streams pin that coder's bytes.
+  for (const std::string name : {"mgard-x", "cusz"}) {
+    auto comp = make_compressor(name);
+    const auto v4q =
+        pipeline::compress(dev, *comp, raw.data(), shape, DType::F32, gopts);
+    write_file(dir + "/v4_" + name.substr(0, name.find('-')) + ".hpdr",
+               v4q.stream);
+  }
+
   // Stream-format v3 (DESIGN.md §15): the progressive MGARD refinement
   // container, same raster and chunk split. v3_mgard.raw is the
   // full-refinement decode, which the byte-identity guarantee makes equal
@@ -1025,7 +1059,7 @@ int cmd_write_golden(int argc, char** argv) {
 
   std::printf("golden corpus in %s: input.raw, v1_zfp.hpdr, v2_zfp.hpdr, "
               "v2_zfp.raw, v2_huffman.hpdr, v3_mgard.hpdr, v3_mgard.raw, "
-              "v4_zfp.hpdr, v4_huffman.hpdr\n",
+              "v4_zfp.hpdr, v4_huffman.hpdr, v4_mgard.hpdr, v4_cusz.hpdr\n",
               dir.c_str());
   return 0;
 }
