@@ -655,7 +655,7 @@ double makespan(int depth, int chunks, bool dotted_deps, double h2d_s,
     const auto q = static_cast<std::uint32_t>(c % depth);
     std::vector<std::uint32_t> deps;
     if (dotted_deps && c >= depth - 1 && c >= 2) deps.push_back(ser[c - 2]);
-    sim.submit(q, EngineId::H2D, "h2d", h2d_s, {}, std::move(deps));
+    sim.submit(q, EngineId::H2D, "h2d", h2d_s, std::move(deps));
     sim.submit(q, EngineId::Compute, "k", kern_s);
     sim.submit(q, EngineId::D2H, "d2h", d2h_s);
     ser[c] = sim.submit(q, EngineId::D2H, "ser", d2h_s / 50);

@@ -20,19 +20,6 @@ const char* to_string(DeviceKind k) {
   return "?";
 }
 
-unsigned Device::parallel_width() const {
-  switch (kind()) {
-    case DeviceKind::Serial:
-      return 1;
-    case DeviceKind::StdThread:
-      return ThreadPool::instance().concurrency();
-    case DeviceKind::OpenMP:
-    case DeviceKind::SimGpu:
-      return static_cast<unsigned>(omp_get_max_threads());
-  }
-  return 1;
-}
-
 Device Device::serial() {
   DeviceSpec s;
   s.name = "serial";

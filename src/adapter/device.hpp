@@ -73,11 +73,6 @@ class Device {
   DeviceKind kind() const { return spec_.kind; }
   const std::string& name() const { return spec_.name; }
 
-  /// Host threads one abstraction launch can occupy: 1 for Serial, the
-  /// pool width for StdThread, and OpenMP's team size for OpenMP and for
-  /// SimGpu (whose kernels execute on the host like OpenMP's).
-  unsigned parallel_width() const;
-
   /// Convenience factories for the host backends.
   static Device serial();
   static Device openmp();

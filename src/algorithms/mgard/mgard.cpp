@@ -74,10 +74,8 @@ bool too_small_to_decompose(const Shape& shape) {
 std::shared_ptr<Hierarchy> cached_hierarchy(const Device& dev,
                                             const Shape& shape) {
   ContextKey key{"mgard-hierarchy", shape.hash(), 0, 0.0, dev.name()};
-  return ContextCache::instance().get_or_create<Hierarchy>(key, [&] {
-    AllocationStats::instance().record_alloc(shape.size() * 9);
-    return std::make_shared<Hierarchy>(shape);
-  });
+  return ContextCache::instance().get_or_create<Hierarchy>(
+      key, [&] { return std::make_shared<Hierarchy>(shape); });
 }
 
 namespace {

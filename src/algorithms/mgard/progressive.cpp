@@ -221,10 +221,12 @@ struct ProgressiveChunkDecoder::Impl {
     // Replays the v2 decode's float ops exactly (mgard::decompress):
     // symbol dequantize in level order, outlier overwrite, recompose.
     // Unreceived planes leave q at its partial value; a fully-received
-    // chunk reproduces the v2 bytes.
+    // chunk reproduces the v2 bytes. Like mgard::decompress it works in
+    // place in `out`: the normalized shape keeps the row-major layout and
+    // `order` is a permutation, so every element is written.
+    HPDR_ASSERT(shape.size() == n);
     const auto& order = h->level_order();
     const auto& subsets = h->level_subsets();
-    std::vector<T> work(shape.size());
     for (std::size_t si = 0; si < subsets.size(); ++si) {
       const Subset& s = subsets[si];
       const Level& lv = levels[si];
@@ -233,16 +235,14 @@ struct ProgressiveChunkDecoder::Impl {
                              ? 0.0
                              : static_cast<double>(
                                    zfp::detail::from_negabinary(lv.acc[j]));
-        work[order[s.begin + j]] = static_cast<T>(q * bins[s.id]);
+        out[order[s.begin + j]] = static_cast<T>(q * bins[s.id]);
       }
       for (auto [pos, q] : lv.outliers) {
         const std::size_t flat = order[s.begin + pos];
-        work[flat] = static_cast<T>(static_cast<double>(q) * bins[s.id]);
+        out[flat] = static_cast<T>(static_cast<double>(q) * bins[s.id]);
       }
     }
-    recompose(dev, *h, work.data());
-    HPDR_ASSERT(work.size() == n);
-    std::memcpy(out, work.data(), n * sizeof(T));
+    recompose(dev, *h, out);
   }
 };
 

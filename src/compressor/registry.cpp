@@ -10,7 +10,6 @@
 #include "algorithms/zfp/zfp.hpp"
 #include "core/error.hpp"
 #include "core/ndarray.hpp"
-#include "machine/context_memory.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace hpdr {
@@ -27,11 +26,10 @@ double rate_from_eb(double rel_eb, DType dtype) {
 
 namespace {
 
-/// Shared glue: dispatch on dtype, count simulated device allocations for
-/// non-cached pipelines. Non-virtual interface: compress()/decompress() are
-/// final and handle the cross-cutting accounting (allocation billing,
-/// per-codec telemetry counters); codecs implement do_compress() /
-/// do_decompress() only.
+/// Shared glue: the pipeline's model parameters plus its telemetry.
+/// Non-virtual interface: compress()/decompress() are final and record the
+/// per-codec telemetry counters and host wall time; codecs implement
+/// do_compress() / do_decompress() only.
 class CompressorBase : public Compressor {
  public:
   CompressorBase(std::string name, bool lossless, KernelClass ck,
@@ -73,7 +71,6 @@ class CompressorBase : public Compressor {
                                      const Shape& shape, DType dtype,
                                      double param) const final {
     const std::size_t raw = shape.size() * dtype_size(dtype);
-    bill_allocations(raw);
     const auto t0 = std::chrono::steady_clock::now();
     auto out = do_compress(dev, data, shape, dtype, param);
     if (telemetry::enabled()) {
@@ -90,7 +87,6 @@ class CompressorBase : public Compressor {
   void decompress(const Device& dev, std::span<const std::uint8_t> stream,
                   void* out, const Shape& shape, DType dtype) const final {
     const std::size_t raw = shape.size() * dtype_size(dtype);
-    bill_allocations(raw);
     const auto t0 = std::chrono::steady_clock::now();
     do_decompress(dev, stream, out, shape, dtype);
     if (telemetry::enabled()) {
@@ -114,14 +110,6 @@ class CompressorBase : public Compressor {
                              const Shape& shape, DType dtype) const = 0;
 
  private:
-  /// Non-CMM pipelines allocate their working buffers on every call; the
-  /// AllocationStats feed the multi-GPU contention model.
-  void bill_allocations(std::size_t bytes) const {
-    if (cached_ || allocs_ == 0) return;
-    for (int i = 0; i < allocs_; ++i)
-      AllocationStats::instance().record_alloc(bytes / allocs_ + 1);
-  }
-
   std::string name_;
   bool lossless_;
   KernelClass ck_, dk_;

@@ -292,31 +292,6 @@ bool Injector::should_fire_at(std::string_view site, std::uint64_t index,
   return fired;
 }
 
-bool Injector::corrupt(std::string_view site, std::span<std::uint8_t> bytes) {
-  if (bytes.empty()) return false;
-  std::uint64_t flips = 0;
-  std::uint64_t rng = 0;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    auto it = sites_.find(std::string(site));
-    if (it == sites_.end()) return false;
-    if (!fire_locked(it->second)) return false;
-    flips = std::min<std::uint64_t>(it->second.spec.flip, bytes.size());
-    // Draw the flip positions from the site RNG while holding the lock so
-    // concurrent corruptions stay deterministic per site.
-    rng = it->second.rng;
-    for (std::uint64_t f = 0; f < flips; ++f) splitmix64(it->second.rng);
-  }
-  for (std::uint64_t f = 0; f < flips; ++f) {
-    const std::uint64_t r = splitmix64(rng);
-    bytes[r % bytes.size()] ^=
-        static_cast<std::uint8_t>(1 + (r >> 32) % 255);
-  }
-  note_fire(site);
-  telemetry::counter("fault.bytes_flipped").add(flips);
-  return true;
-}
-
 bool Injector::corrupt_at(std::string_view site, std::uint64_t index,
                           std::span<std::uint8_t> bytes) {
   if (bytes.empty()) return false;

@@ -110,11 +110,9 @@ class Injector {
   /// identical under any thread schedule.
   bool should_fire_at(std::string_view site, std::uint64_t index,
                       std::uint64_t attempt = 0);
-  /// Corruption sites: if the site fires, flip spec.flip bytes of `bytes`
-  /// at deterministic positions and return true.
-  bool corrupt(std::string_view site, std::span<std::uint8_t> bytes);
-  /// Indexed corruption: fire decision and flip positions keyed by `index`
-  /// (order-independent; used by concurrent chunk workers).
+  /// Corruption sites: if the site fires for `index`, flip spec.flip bytes
+  /// of `bytes` at positions keyed by `index` and return true (indexed,
+  /// order-independent; used by concurrent chunk workers).
   bool corrupt_at(std::string_view site, std::uint64_t index,
                   std::span<std::uint8_t> bytes);
   /// Straggle sites: spec.factor if the site fires, 1.0 otherwise.
@@ -154,10 +152,6 @@ inline bool should_fire_at(std::string_view site, std::uint64_t index,
                            std::uint64_t attempt = 0) {
   Injector& in = Injector::instance();
   return in.armed() && in.should_fire_at(site, index, attempt);
-}
-inline bool corrupt(std::string_view site, std::span<std::uint8_t> bytes) {
-  Injector& in = Injector::instance();
-  return in.armed() && in.corrupt(site, bytes);
 }
 inline bool corrupt_at(std::string_view site, std::uint64_t index,
                        std::span<std::uint8_t> bytes) {

@@ -18,7 +18,8 @@
 ///                                    data.shape(), DType::F32, opts);
 ///   // result.stream  — portable compressed bytes
 ///   // result.ratio() — compression ratio
-///   // result.model_gbps() — modeled (HDEM) throughput, not wall time
+///   // result.model_gbps() — modeled (HDEM) throughput of a SimGpu device
+///   //                       such as V100, not wall time; 0 on a host
 ///
 /// Layering (paper Fig. 2, top to bottom):
 ///   svc/        job-level serving: fair-share scheduler, session arenas,
@@ -64,8 +65,6 @@
 #include "pipeline/progressive.hpp"
 #include "runtime/hdem.hpp"
 #include "runtime/perf_model.hpp"
-#include "runtime/profiler.hpp"
-#include "runtime/trace.hpp"
 #include "sim/cluster.hpp"
 #include "sim/multigpu.hpp"
 #include "sim/scaling.hpp"

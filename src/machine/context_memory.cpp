@@ -10,9 +10,6 @@ namespace {
 // Cached references: the registry lookup (map + mutex) happens once; the
 // hot path is a single relaxed atomic add.
 struct CmmInstruments {
-  telemetry::Counter& allocs = telemetry::counter("cmm.alloc.count");
-  telemetry::Counter& alloc_bytes = telemetry::counter("cmm.alloc.bytes");
-  telemetry::Counter& frees = telemetry::counter("cmm.free.count");
   telemetry::Counter& hits = telemetry::counter("cmm.context.hits");
   telemetry::Counter& misses = telemetry::counter("cmm.context.misses");
   telemetry::Gauge& entries = telemetry::gauge("cmm.context.entries");
@@ -27,26 +24,6 @@ struct CmmInstruments {
 };
 
 }  // namespace
-
-AllocationStats& AllocationStats::instance() {
-  static AllocationStats s;
-  return s;
-}
-
-void AllocationStats::record_alloc(std::size_t bytes) {
-  allocs_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    auto& ins = CmmInstruments::get();
-    ins.allocs.add();
-    ins.alloc_bytes.add(bytes);
-  }
-}
-
-void AllocationStats::record_free() {
-  frees_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) CmmInstruments::get().frees.add();
-}
 
 ContextCache& ContextCache::instance() {
   static ContextCache c;

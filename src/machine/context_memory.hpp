@@ -7,12 +7,10 @@
 /// cost can dominate a memory-bound reduction and, on dense multi-GPU nodes,
 /// serializes on the shared runtime and destroys scalability. CMM caches
 /// contexts in a hash map keyed by the data characteristics of the reduction
-/// call so all allocations persist across repeated invocations.
-///
-/// The cache also feeds the evaluation: AllocationStats counts how many
-/// runtime memory operations a pipeline performed, which the multi-GPU
-/// simulator (sim/multigpu.*) turns into shared-runtime contention — this is
-/// the mechanism behind Fig. 16 (96 % vs 46–74 % scalability).
+/// call so all allocations persist across repeated invocations. The
+/// multi-GPU simulator (sim/multigpu.*) bills the pipelines that do not
+/// cache contexts by Compressor::allocs_per_call() — the mechanism behind
+/// Fig. 16 (96 % vs 46–74 % scalability).
 
 #include <atomic>
 #include <cstdint>
@@ -57,31 +55,6 @@ struct ContextKeyHash {
     mix(std::hash<std::string>{}(k.device));
     return h;
   }
-};
-
-/// Process-wide counters for simulated device memory operations. Pipelines
-/// report allocations here; the multi-GPU contention model consumes them.
-class AllocationStats {
- public:
-  static AllocationStats& instance();
-
-  // Out-of-line: besides the local counters these mirror into the telemetry
-  // registry (cmm.alloc.*), which this header must not depend on.
-  void record_alloc(std::size_t bytes);
-  void record_free();
-
-  std::uint64_t allocations() const { return allocs_.load(); }
-  std::uint64_t frees() const { return frees_.load(); }
-  std::uint64_t bytes() const { return bytes_.load(); }
-
-  void reset() {
-    allocs_ = 0;
-    frees_ = 0;
-    bytes_ = 0;
-  }
-
- private:
-  std::atomic<std::uint64_t> allocs_{0}, frees_{0}, bytes_{0};
 };
 
 /// Hash-map cache of type-erased reduction contexts (§III-B). Thread safe;

@@ -520,84 +520,85 @@ CompressResult compress(const Device& dev, const Compressor& comp,
     }
   }
 
-  // Build and run the HDEM task DAG (Fig. 9 top).
-  telemetry::Span span_sim("pipeline.simulate", "pipeline");
-  HdemSimulator sim(3);
-  const bool gpu = dev.spec().is_gpu();
-  const bool pipelined = opts.overlap && opts.mode != Mode::None;
-  std::vector<std::uint32_t> serialize_id(schedule.size());
-  std::vector<std::uint32_t> d2h_id(schedule.size());
-  std::vector<std::uint32_t> h2d_id(schedule.size());
-  std::vector<std::uint32_t> reduce_id(schedule.size());
-  for (std::size_t c = 0; c < schedule.size(); ++c) {
-    const std::uint32_t q =
-        pipelined ? static_cast<std::uint32_t>(c % 3) : 0;
-    // Non-CMM baselines pay device memory management on every invocation.
-    if (!comp.uses_context_cache()) {
-      const double alloc_s =
-          gpu ? comp.allocs_per_call() *
-                    model.alloc_seconds(schedule[c] / std::max(
-                        1, comp.allocs_per_call()))
-              : 0.0;
-      sim.submit(q, EngineId::Compute, "alloc", alloc_s);
-    }
-    // H2D of the input chunk; Fig. 9 dotted edge: the buffer pair frees
-    // when chunk c-2's serialize finishes.
-    std::vector<std::uint32_t> h2d_deps;
-    if (pipelined && c >= 2) h2d_deps.push_back(serialize_id[c - 2]);
-    const double page = pipelined ? 1.0 : kPageablePenalty;
-    h2d_id[c] = sim.submit(q, EngineId::H2D, "h2d",
-                           gpu ? model.h2d().seconds(schedule[c]) / page : 0.0,
-                           {}, std::move(h2d_deps));
-    // Reduction kernel; output buffer frees when chunk c-2's D2H finishes.
-    const double kernel_s =
-        comp.kernel_derate() *
-        model.kernel_seconds(comp.compress_kernel(), schedule[c]);
-    // A retried codec task re-executes on the device: each absorbed retry
-    // bills one extra kernel occurrence before the successful run.
-    for (std::size_t r = 0; r < retries[c]; ++r)
-      sim.submit(q, EngineId::Compute, "reduce-retry", kernel_s);
-    std::vector<std::uint32_t> comp_deps;
-    if (pipelined && c >= 2) comp_deps.push_back(d2h_id[c - 2]);
-    reduce_id[c] = sim.submit(q, EngineId::Compute, "reduce", kernel_s, {},
-                              std::move(comp_deps));
-    // D2H of the compressed output (real size!), then serialization.
-    d2h_id[c] = sim.submit(
-        q, EngineId::D2H, "d2h",
-        gpu ? model.d2h().seconds(blobs[c].size()) / page : 0.0);
-    serialize_id[c] = sim.submit(
-        q, EngineId::D2H, "serialize",
-        gpu ? model.d2h().seconds(static_cast<std::size_t>(kSerializeBytes))
-            : 0.0);
-    // Unoverlapped baselines synchronize the device after every chunk.
-    if (!pipelined && schedule.size() > 1)
-      sim.submit(q, EngineId::Compute, "sync",
-                 gpu ? 4 * dev.spec().kernel_launch_us * 1e-6 : 0.0);
-  }
-
-  result.timeline = sim.run();
   result.raw_bytes = total_bytes;
   result.chunk_rows = chunk_rows;
-  span_sim.end();
-
-  // Per-chunk manifest records: what the Φ/Θ models predicted vs. what the
-  // simulated schedule realized (task ids index the timeline directly).
-  result.decisions.resize(schedule.size());
-  for (std::size_t c = 0; c < schedule.size(); ++c) {
+  result.decisions.resize(nchunks);
+  for (std::size_t c = 0; c < nchunks; ++c) {
     telemetry::ChunkDecision& d = result.decisions[c];
     d.index = c;
     d.bytes = schedule[c];
     d.rows = chunk_rows[c];
     d.stored_bytes = blobs[c].size();
-    d.predicted_compute_s =
-        comp.kernel_derate() *
-        model.kernel_seconds(comp.compress_kernel(), schedule[c]);
-    d.predicted_h2d_s = gpu ? model.h2d().seconds(schedule[c]) : 0.0;
-    d.realized_compute_s = result.timeline.tasks[reduce_id[c]].duration();
-    d.realized_h2d_s = result.timeline.tasks[h2d_id[c]].duration();
     d.fallback = tags[c] == kTagRaw;
     d.retries = retries[c];
     d.worker = workers[c];
+  }
+
+  // A SimGpu call bills the HDEM task DAG (Fig. 9 top) from the device
+  // model and the chunks' real compressed sizes. A host call bills nothing:
+  // its timeline stays empty and its decisions carry no model fields.
+  if (dev.spec().is_gpu()) {
+    telemetry::Span span_sim("pipeline.simulate", "pipeline");
+    HdemSimulator sim(3);
+    const bool pipelined = opts.overlap && opts.mode != Mode::None;
+    const double page = pipelined ? 1.0 : kPageablePenalty;
+    std::vector<std::uint32_t> serialize_id(nchunks);
+    std::vector<std::uint32_t> d2h_id(nchunks);
+    std::vector<std::uint32_t> h2d_id(nchunks);
+    std::vector<std::uint32_t> reduce_id(nchunks);
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      const std::uint32_t q =
+          pipelined ? static_cast<std::uint32_t>(c % 3) : 0;
+      // Non-CMM baselines pay device memory management on every call.
+      if (!comp.uses_context_cache()) {
+        const int allocs = comp.allocs_per_call();
+        sim.submit(q, EngineId::Compute, "alloc",
+                   allocs * model.alloc_seconds(schedule[c] /
+                                                std::max(1, allocs)));
+      }
+      // H2D of the input chunk; Fig. 9 dotted edge: the buffer pair frees
+      // when chunk c-2's serialize finishes.
+      std::vector<std::uint32_t> h2d_deps;
+      if (pipelined && c >= 2) h2d_deps.push_back(serialize_id[c - 2]);
+      h2d_id[c] = sim.submit(q, EngineId::H2D, "h2d",
+                             model.h2d().seconds(schedule[c]) / page,
+                             std::move(h2d_deps));
+      // Reduction kernel; output buffer frees when chunk c-2's D2H
+      // finishes.
+      const double kernel_s =
+          comp.kernel_derate() *
+          model.kernel_seconds(comp.compress_kernel(), schedule[c]);
+      // A retried codec task re-executes on the device: each absorbed
+      // retry bills one extra kernel occurrence before the successful run.
+      for (std::size_t r = 0; r < retries[c]; ++r)
+        sim.submit(q, EngineId::Compute, "reduce-retry", kernel_s);
+      std::vector<std::uint32_t> comp_deps;
+      if (pipelined && c >= 2) comp_deps.push_back(d2h_id[c - 2]);
+      reduce_id[c] = sim.submit(q, EngineId::Compute, "reduce", kernel_s,
+                                std::move(comp_deps));
+      // D2H of the compressed output (real size!), then serialization.
+      d2h_id[c] = sim.submit(q, EngineId::D2H, "d2h",
+                             model.d2h().seconds(blobs[c].size()) / page);
+      serialize_id[c] = sim.submit(
+          q, EngineId::D2H, "serialize",
+          model.d2h().seconds(static_cast<std::size_t>(kSerializeBytes)));
+      // Unoverlapped baselines synchronize the device after every chunk.
+      if (!pipelined && nchunks > 1)
+        sim.submit(q, EngineId::Compute, "sync",
+                   4 * dev.spec().kernel_launch_us * 1e-6);
+      // The chunk's manifest record: what the Φ/Θ models predicted.
+      result.decisions[c].predicted_compute_s = kernel_s;
+      result.decisions[c].predicted_h2d_s = model.h2d().seconds(schedule[c]);
+    }
+    result.timeline = sim.run();
+    // ...and what the simulated schedule realized (task ids index the
+    // timeline directly).
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      result.decisions[c].realized_compute_s =
+          result.timeline.tasks[reduce_id[c]].duration();
+      result.decisions[c].realized_h2d_s =
+          result.timeline.tasks[h2d_id[c]].duration();
+    }
   }
 
   // Container (v4: per-chunk codec tag + XXH64 framing). The header and
@@ -651,8 +652,6 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
   const Header h = parse_header(in);
   check_stream_matches(h, comp, shape, dtype);
   const Slabs slabs(shape, dtype);
-  const GpuPerfModel model(dev.spec());
-  const bool gpu = dev.spec().is_gpu();
   auto* out_bytes = static_cast<std::uint8_t*>(out);
 
   // Serial planning pass over the chunk table: where each chunk's blob sits
@@ -716,58 +715,57 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
     }
   }
 
-  // HDEM reconstruction DAG (Fig. 9 bottom). Launch-order optimization:
-  // chunk c+1's deserialize is issued before chunk c's output copy so both
-  // D2H-engine clients don't serialize behind the (large) output copy.
-  const bool pipelined = opts.overlap;
-  const double page = pipelined ? 1.0 : kPageablePenalty;
-  auto queue = [&](std::size_t c) {
-    return pipelined ? static_cast<std::uint32_t>(c % 3) : 0u;
-  };
-  HdemSimulator sim(3);
-  std::vector<std::uint32_t> comp_id(n);
-  std::vector<std::uint32_t> copyout_id(n);
-  auto submit_copyout = [&](std::size_t c) {
-    copyout_id[c] = sim.submit(
-        queue(c), EngineId::D2H, "copy-out",
-        gpu ? model.d2h().seconds(h.rows[c] * slabs.slab_bytes) / page : 0.0);
-  };
-  for (std::size_t c = 0; c < n; ++c) {
-    const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
-    const std::uint32_t q = queue(c);
-    if (!comp.uses_context_cache()) {
-      const double alloc_s =
-          gpu ? comp.allocs_per_call() *
-                    model.alloc_seconds(chunk_bytes /
-                                        std::max(1, comp.allocs_per_call()))
-              : 0.0;
-      sim.submit(q, EngineId::Compute, "alloc", alloc_s);
+  // HDEM reconstruction DAG (Fig. 9 bottom), SimGpu only, as on compress.
+  // Launch-order optimization: chunk c+1's deserialize is issued before
+  // chunk c's output copy so both D2H-engine clients don't serialize
+  // behind the (large) output copy.
+  if (dev.spec().is_gpu()) {
+    const GpuPerfModel model(dev.spec());
+    const bool pipelined = opts.overlap;
+    const double page = pipelined ? 1.0 : kPageablePenalty;
+    auto queue = [&](std::size_t c) {
+      return pipelined ? static_cast<std::uint32_t>(c % 3) : 0u;
+    };
+    HdemSimulator sim(3);
+    std::vector<std::uint32_t> comp_id(n);
+    std::vector<std::uint32_t> copyout_id(n);
+    auto submit_copyout = [&](std::size_t c) {
+      copyout_id[c] = sim.submit(
+          queue(c), EngineId::D2H, "copy-out",
+          model.d2h().seconds(h.rows[c] * slabs.slab_bytes) / page);
+    };
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
+      const std::uint32_t q = queue(c);
+      if (!comp.uses_context_cache()) {
+        const int allocs = comp.allocs_per_call();
+        sim.submit(q, EngineId::Compute, "alloc",
+                   allocs * model.alloc_seconds(chunk_bytes /
+                                                std::max(1, allocs)));
+      }
+      // Input buffer pair frees once chunk c-2's kernel consumed it.
+      std::vector<std::uint32_t> in_deps;
+      if (pipelined && c >= 2) in_deps.push_back(comp_id[c - 2]);
+      sim.submit(q, EngineId::H2D, "copy-in",
+                 model.h2d().seconds(h.sizes[c]) / page, std::move(in_deps));
+      // Default (unoptimized) order: the previous output copy is issued to
+      // the D2H engine before this chunk's deserialization, delaying it.
+      if (!opts.reorder_launches && c >= 1) submit_copyout(c - 1);
+      sim.submit(
+          q, EngineId::D2H, "deserialize",
+          model.d2h().seconds(static_cast<std::size_t>(kSerializeBytes)));
+      std::vector<std::uint32_t> k_deps;
+      if (pipelined && c >= 2) k_deps.push_back(copyout_id[c - 2]);
+      comp_id[c] = sim.submit(
+          q, EngineId::Compute, "reconstruct",
+          comp.kernel_derate() *
+              model.kernel_seconds(comp.decompress_kernel(), chunk_bytes),
+          std::move(k_deps));
+      if (opts.reorder_launches && c >= 1) submit_copyout(c - 1);
     }
-    // Input buffer pair frees once chunk c-2's kernel consumed it.
-    std::vector<std::uint32_t> in_deps;
-    if (pipelined && c >= 2) in_deps.push_back(comp_id[c - 2]);
-    sim.submit(q, EngineId::H2D, "copy-in",
-               gpu ? model.h2d().seconds(h.sizes[c]) / page : 0.0, {},
-               std::move(in_deps));
-    // Default (unoptimized) order: the previous output copy is issued to
-    // the D2H engine before this chunk's deserialization, delaying it.
-    if (!opts.reorder_launches && c >= 1) submit_copyout(c - 1);
-    sim.submit(q, EngineId::D2H, "deserialize",
-               gpu ? model.d2h().seconds(
-                         static_cast<std::size_t>(kSerializeBytes))
-                   : 0.0);
-    std::vector<std::uint32_t> k_deps;
-    if (pipelined && c >= 2) k_deps.push_back(copyout_id[c - 2]);
-    comp_id[c] = sim.submit(
-        q, EngineId::Compute, "reconstruct",
-        comp.kernel_derate() *
-            model.kernel_seconds(comp.decompress_kernel(), chunk_bytes),
-        {}, std::move(k_deps));
-    if (opts.reorder_launches && c >= 1) submit_copyout(c - 1);
+    submit_copyout(n - 1);  // n >= 1: the chunks cover a non-empty tensor
+    result.timeline = sim.run();
   }
-  submit_copyout(n - 1);  // n >= 1: the chunks cover a non-empty tensor
-
-  result.timeline = sim.run();
   result.raw_bytes = row * slabs.slab_bytes;
   ins.decompress_raw_bytes.add(result.raw_bytes);
   return result;

@@ -20,12 +20,15 @@
 ///              run back-to-back on one queue, whole tensor at once;
 ///   Fixed    — pipelined with a constant chunk size;
 ///   Adaptive — Alg. 4: start small, grow each chunk to what the H2D engine
-///              can ship while the compute engine works (Φ and Θ models).
+///              can ship while the compute engine works (Φ and Θ models);
+///              a host device has no H2D engine, so its chunks never grow.
 ///
 /// Chunks are *real*: every chunk is independently compressed by the actual
 /// codec, so the compression-ratio effects of chunking (Fig. 14) are
-/// genuine measurements, while task durations come from the calibrated
-/// device model (see DESIGN.md §1).
+/// genuine measurements. Only a SimGpu device bills the task DAG, with
+/// durations from the calibrated device model (see DESIGN.md §1); a host
+/// device's result carries no modeled time (an empty timeline), since its
+/// real cost is the host clock the codec.<name>.* histograms record.
 ///
 /// Container format v4 (DESIGN.md §8.2) frames every chunk with a codec tag
 /// and an XXH64 checksum (v2 streams, FNV-1a framed, still decode): a chunk
@@ -121,11 +124,12 @@ struct Options {
 /// Result of a pipelined reduction.
 struct CompressResult {
   std::vector<std::uint8_t> stream;    ///< self-describing chunk container
-  Timeline timeline;                   ///< simulated HDEM schedule
+  Timeline timeline;                   ///< HDEM schedule; empty on hosts
   std::size_t raw_bytes = 0;
   std::vector<std::size_t> chunk_rows; ///< slab count per chunk (tests)
   /// Per-chunk scheduler record: model predictions vs. realized simulated
-  /// durations — the run-manifest payload for Alg. 4 tuning.
+  /// durations — the run-manifest payload for Alg. 4 tuning. The model
+  /// fields are zero on host devices.
   std::vector<telemetry::ChunkDecision> decisions;
   /// Chunks that exhausted codec retries and were stored via the lossless
   /// passthrough fallback (still bit-exact on reconstruction).
@@ -138,7 +142,8 @@ struct CompressResult {
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
 
-  /// Modeled HDEM makespan of the simulated DAG, not host wall time.
+  /// Modeled HDEM makespan of the simulated DAG, not host wall time; 0 on
+  /// host devices, as are model_gbps() and overlap().
   double model_seconds() const { return timeline.makespan(); }
   double model_gbps() const {
     const double s = model_seconds();

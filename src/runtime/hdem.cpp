@@ -1,7 +1,6 @@
 #include "runtime/hdem.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace hpdr {
 
@@ -70,7 +69,6 @@ HdemSimulator::HdemSimulator(int num_queues) : num_queues_(num_queues) {
 
 std::uint32_t HdemSimulator::submit(std::uint32_t queue, EngineId engine,
                                     std::string label, double seconds,
-                                    std::function<void()> work,
                                     std::vector<std::uint32_t> extra_deps) {
   HPDR_REQUIRE(queue < static_cast<std::uint32_t>(num_queues_),
                "queue " << queue << " out of range");
@@ -78,8 +76,7 @@ std::uint32_t HdemSimulator::submit(std::uint32_t queue, EngineId engine,
   const auto id = static_cast<std::uint32_t>(tasks_.size());
   for (std::uint32_t d : extra_deps)
     HPDR_REQUIRE(d < id, "dependency on not-yet-submitted task");
-  Pending p{std::move(label), engine, queue, seconds, std::move(work),
-            std::move(extra_deps)};
+  Pending p{std::move(label), engine, queue, seconds, std::move(extra_deps)};
   if (queue_tail_[queue] >= 0)
     p.deps.push_back(static_cast<std::uint32_t>(queue_tail_[queue]));
   queue_tail_[queue] = id;
@@ -107,20 +104,6 @@ Timeline HdemSimulator::run() {
     r.end = start + p.seconds;
     engine_free[static_cast<int>(p.engine)] = r.end;
   }
-  // Execute side effects in simulated start order; ties broken by
-  // submission id. Dependencies always finish strictly before (or at) the
-  // dependent's start, and equal-time ties can only involve tasks that are
-  // causally ordered by id, so this order is safe.
-  std::vector<std::size_t> order(tasks_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (tl.tasks[a].start != tl.tasks[b].start)
-                       return tl.tasks[a].start < tl.tasks[b].start;
-                     return a < b;
-                   });
-  for (std::size_t i : order)
-    if (tasks_[i].work) tasks_[i].work();
   // Reset for reuse.
   tasks_.clear();
   queue_tail_.assign(static_cast<std::size_t>(num_queues_), -1);

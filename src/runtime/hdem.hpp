@@ -3,7 +3,7 @@
 
 /// \file hdem.hpp
 /// Host–Device Execution Model (paper §V-A, Fig. 8) and the discrete-event
-/// engine that executes task DAGs against it. The abstract device has three
+/// engine that schedules task DAGs against it. The abstract device has three
 /// exclusive engines:
 ///
 ///   * an H2D DMA engine (host→device copies),
@@ -18,13 +18,12 @@
 /// Each engine services its tasks in *submission order* — exactly the
 /// property the paper's launch-order-reversal optimization exploits.
 ///
-/// Every task may carry a host-side `work` callback: the simulator executes
-/// callbacks in simulated start order (which respects all dependencies), so
-/// the pipeline produces bit-real compressed output while the clock models
-/// the GPU. This is the core of the SimGpu substitution (DESIGN.md §1).
+/// The simulator only models time. The pipeline runs the real codecs
+/// eagerly on the host and then bills their DAG here, so its output is
+/// bit-real while the clock models the GPU. This is the core of the SimGpu
+/// substitution (DESIGN.md §1); host devices bill no DAG at all.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -74,23 +73,18 @@ class HdemSimulator {
   /// minimum depth, §V-B); other depths are allowed for ablations.
   explicit HdemSimulator(int num_queues = 3);
 
-  int num_queues() const { return num_queues_; }
-
   /// Submit a task.
   ///   queue      — pipeline queue index (FIFO order within a queue)
   ///   engine     — which exclusive engine the task occupies
   ///   seconds    — simulated duration
-  ///   work       — optional host-side effect, executed during run()
   ///   extra_deps — ids of tasks that must finish first (Fig. 9 edges)
   /// Returns the task id for use in later dependencies.
   std::uint32_t submit(std::uint32_t queue, EngineId engine,
                        std::string label, double seconds,
-                       std::function<void()> work = {},
                        std::vector<std::uint32_t> extra_deps = {});
 
-  /// Schedule all submitted tasks, execute their callbacks in dependency
-  /// order, and return the simulated timeline. The simulator is reusable:
-  /// submissions after run() start a fresh DAG.
+  /// Schedule all submitted tasks and return the simulated timeline. The
+  /// simulator is reusable: submissions after run() start a fresh DAG.
   Timeline run();
 
  private:
@@ -99,7 +93,6 @@ class HdemSimulator {
     EngineId engine;
     std::uint32_t queue;
     double seconds;
-    std::function<void()> work;
     std::vector<std::uint32_t> deps;  // includes same-queue predecessor
   };
   int num_queues_;

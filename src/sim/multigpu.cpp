@@ -60,6 +60,11 @@ MultiGpuResult run_node(const Device& gpu, int ngpus, const Compressor& comp,
                         const pipeline::Options& opts, const void* data,
                         const Shape& shape, DType dtype, bool compress_dir,
                         int timesteps) {
+  // Scalability divides by the modeled makespan, which only a SimGpu
+  // device bills.
+  HPDR_REQUIRE(gpu.spec().is_gpu(), "run_node models GPUs; '"
+                                        << gpu.name()
+                                        << "' is a host device");
   HPDR_REQUIRE(ngpus >= 1, "need at least one GPU");
   HPDR_REQUIRE(timesteps >= 1, "need at least one time step");
   telemetry::Span span("sim.run_node", "sim");

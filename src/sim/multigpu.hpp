@@ -44,7 +44,9 @@ struct MultiGpuResult {
 };
 
 /// Run the weak-scaling node test: `ngpus` GPUs each compress (or
-/// decompress) `timesteps` copies of the given tensor.
+/// decompress) `timesteps` copies of the given tensor. `gpu` must be a
+/// SimGpu device (throws hpdr::Error on a host device, which bills no
+/// modeled time).
 ///
 /// Resilience: each GPU consults the gpu.fail and gpu.straggle fault sites.
 /// A failed GPU dies at its timestep midpoint and its remaining steps are

@@ -6,7 +6,6 @@
 #include "core/error.hpp"
 #include "fault/cancel.hpp"
 #include "fault/fault.hpp"
-#include "machine/context_memory.hpp"
 #include "svc/chunk_cache.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
@@ -217,7 +216,6 @@ bool ArenaBudget::evict_lru_locked() {
   HPDR_ASSERT(victim_bucket <= committed_);
   committed_ -= victim_bucket;
   ++evictions_;
-  AllocationStats::instance().record_free();
   auto& ins = ArenaInstruments::get();
   ins.evictions.add();
   ins.committed.set(static_cast<double>(committed_));
@@ -243,12 +241,7 @@ SessionArena::~SessionArena() {
     std::lock_guard<std::mutex> g(budget_->mu_);
     auto& reg = budget_->arenas_;
     reg.erase(std::remove(reg.begin(), reg.end(), this), reg.end());
-    for (auto& [bucket, parked] : free_) {
-      for (std::size_t i = 0; i < parked.size(); ++i) {
-        freed += bucket;
-        AllocationStats::instance().record_free();
-      }
-    }
+    for (auto& [bucket, parked] : free_) freed += bucket * parked.size();
     free_.clear();
     HPDR_ASSERT(freed <= budget_->committed_);
     budget_->committed_ -= freed;
@@ -311,7 +304,6 @@ SessionArena::Lease SessionArena::lease(std::size_t bytes, double timeout_s) {
     }
   }
   lease.buf_.resize(bucket);
-  AllocationStats::instance().record_alloc(bucket);
   {
     std::lock_guard<std::mutex> g(budget_->mu_);
     ++misses_;

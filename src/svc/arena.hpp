@@ -26,8 +26,6 @@
 /// The cmm.alloc fault site fires here exactly as it does in the
 /// ContextCache: a fresh allocation "fails", one LRU parked buffer is
 /// evicted and the allocation retried once, then Error (DESIGN.md §8).
-/// Every fresh allocation and eviction is billed to AllocationStats, so
-/// the multi-GPU contention model sees serving-layer memory traffic too.
 ///
 /// The dedup ChunkCache (chunk_cache.hpp, DESIGN.md §14) is a second
 /// evictable population under the same budget: its entries are accounted

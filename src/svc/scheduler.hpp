@@ -53,7 +53,6 @@ class Scheduler {
   /// Remove a finished job and re-apportion the survivors.
   void release(const std::shared_ptr<ShareHandle>& h);
 
-  unsigned pool_slots() const { return pool_slots_; }
   std::size_t active_jobs() const;
 
  private:

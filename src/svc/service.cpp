@@ -146,8 +146,7 @@ Service::Service(Config cfg)
     : cfg_(cfg),
       budget_(std::make_shared<ArenaBudget>(cfg.arena_budget_bytes)),
       cache_(std::make_unique<ChunkCache>(budget_)),
-      scheduler_(cfg.pool_slots > 0 ? cfg.pool_slots
-                                    : ThreadPool::instance().concurrency()),
+      scheduler_(ThreadPool::instance().concurrency()),
       breakers_(cfg.breaker),
       life_(std::make_shared<Session::Life>()) {
   cfg_.max_concurrent_jobs = std::max(1u, cfg_.max_concurrent_jobs);
@@ -274,7 +273,7 @@ std::future<JobResult> Service::enqueue(
     const char* shed_reason = nullptr;
     if (cfg_.max_queue_depth > 0 && queue_.size() >= cfg_.max_queue_depth) {
       shed_reason = "queue_full";
-    } else if (cfg_.shed_enabled && p.spec.deadline_s > 0 &&
+    } else if (p.spec.deadline_s > 0 &&
                p.spec.priority != Priority::High &&
                (!queue_.empty() || running_ >= cfg_.max_concurrent_jobs)) {
       const auto& qw = telemetry::latency("svc.request.queue_wait");
@@ -496,7 +495,7 @@ JobResult Service::run_job(Pending& job) {
                          st->stream_bytes == spec.input_bytes;
       if (!reuse) {
         st->reader.reset();  // old reader first: it spans the old lease
-        st->lease = job.arena->lease(spec.input_bytes, cfg_.lease_timeout_s);
+        st->lease = job.arena->lease(spec.input_bytes);
         std::memcpy(st->lease.bytes().data(), spec.input, spec.input_bytes);
         st->stream_hash = h;
         st->stream_bytes = spec.input_bytes;
@@ -526,7 +525,7 @@ JobResult Service::run_job(Pending& job) {
       // layer's pinned-staging model, and the byte pressure the budget
       // meters. One lease per job, taken up front — a single reservation
       // cannot deadlock the backpressure queue.
-      auto lease = job.arena->lease(spec.input_bytes, cfg_.lease_timeout_s);
+      auto lease = job.arena->lease(spec.input_bytes);
       std::memcpy(lease.bytes().data(), spec.input, spec.input_bytes);
       if (spec.kind == JobKind::Compress) {
         HPDR_REQUIRE(spec.input_bytes == r.raw_bytes,

@@ -133,22 +133,20 @@ struct JobResult {
 
 class Service {
  public:
+  /// Fixed policies besides these fields: the fair scheduler divides the
+  /// pool width as it is at construction; a non-High job with a deadline
+  /// is shed when the queue_wait p90 already exceeds it (needs a warm
+  /// histogram); and a job waits at most SessionArena::lease's 120 s for
+  /// arena bytes before it fails loudly.
   struct Config {
     /// Runner threads = maximum simultaneously *running* jobs; further
     /// submissions queue. Clamped to >= 1.
     unsigned max_concurrent_jobs = 4;
     /// Global arena budget shared by all sessions (backpressure bound).
     std::size_t arena_budget_bytes = std::size_t{256} << 20;
-    /// Pool slots the fair scheduler divides; 0 → current pool width.
-    unsigned pool_slots = 0;
-    /// Arena backpressure timeout before a queued job fails loudly.
-    double lease_timeout_s = 120.0;
     /// Admission queue bound; 0 = unbounded. Submissions beyond it are
     /// shed immediately with error_kind = Overload.
     std::size_t max_queue_depth = 0;
-    /// Estimated-wait shedding: reject non-High jobs with a deadline when
-    /// the queue_wait p90 already exceeds it (needs a warm histogram).
-    bool shed_enabled = true;
     /// Per-codec circuit breaker policy (breaker.hpp).
     BreakerPolicy breaker;
     /// Stats publisher period; 0 (default) disables the publisher thread.

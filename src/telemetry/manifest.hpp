@@ -30,6 +30,7 @@ struct ChunkDecision {
   std::size_t bytes = 0;         ///< raw chunk size chosen by the scheduler
   std::size_t rows = 0;          ///< slabs along the slowest dimension
   std::size_t stored_bytes = 0;  ///< compressed output size
+  /// Model fields, billed on SimGpu devices only (0 on host devices).
   double predicted_compute_s = 0.0;  ///< Φ-model kernel time
   double predicted_h2d_s = 0.0;      ///< Θ-model transfer time
   double realized_compute_s = 0.0;   ///< simulated kernel duration

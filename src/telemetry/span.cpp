@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "core/error.hpp"
-#include "runtime/trace.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -130,11 +129,26 @@ std::string merged_chrome_trace(const Timeline* tl,
        R"j("args":{"name":"HDEM device (simulated)"}})j");
   emit(R"j({"name":"process_name","ph":"M","pid":1,"tid":0,)j"
        R"j("args":{"name":"host (wall clock)"}})j");
-  if (tl) {
-    std::ostringstream dev;
-    bool dev_first = true;
-    append_chrome_events(dev, *tl, /*pid=*/0, dev_first);
-    if (!dev_first) emit(dev.str());
+  // Device rows: one per engine, one slice per task. A host run's empty
+  // timeline has none.
+  if (tl != nullptr && !tl->tasks.empty()) {
+    for (int e = 0; e < kNumEngines; ++e) {
+      std::ostringstream m;
+      m << R"({"name":"thread_name","ph":"M","pid":0,"tid":)" << e
+        << R"(,"args":{"name":")"
+        << json_escape(to_string(static_cast<EngineId>(e))) << R"("}})";
+      emit(m.str());
+    }
+    for (const auto& t : tl->tasks) {
+      if (t.duration() <= 0) continue;
+      std::ostringstream e;
+      e << R"({"name":")" << json_escape(t.label) << R"(","cat":"queue)"
+        << t.queue << R"(","ph":"X","pid":0,"tid":)"
+        << static_cast<int>(t.engine) << R"(,"ts":)" << t.start * 1e6
+        << R"(,"dur":)" << t.duration() * 1e6 << R"(,"args":{"queue":)"
+        << t.queue << "}}";
+      emit(e.str());
+    }
   }
   // Host thread-name rows.
   std::uint32_t max_thread = 0;

@@ -90,8 +90,10 @@ std::uint32_t thread_index();
 Value trace_timeline(std::uint64_t trace_id);
 
 /// Chrome-trace JSON combining host spans (pid 1, one row per thread) with
-/// a simulated HDEM timeline (pid 0, one row per engine). Pass nullptr to
-/// emit host spans only. The result parses as a JSON array of events.
+/// a simulated HDEM timeline (pid 0, one row per engine, one slice per
+/// task of nonzero duration, timestamps in simulated microseconds). Pass
+/// nullptr or an empty timeline to emit host spans only. Labels are
+/// JSON-escaped; the result parses as a JSON array of events.
 std::string merged_chrome_trace(const Timeline* tl,
                                 const std::vector<SpanRecord>& spans);
 

@@ -334,17 +334,5 @@ TEST(ContextCache, TypeMismatchThrows) {
                Error);
 }
 
-TEST(AllocationStats, CountsAllocations) {
-  auto& stats = AllocationStats::instance();
-  stats.reset();
-  stats.record_alloc(100);
-  stats.record_alloc(200);
-  stats.record_free();
-  EXPECT_EQ(stats.allocations(), 2u);
-  EXPECT_EQ(stats.bytes(), 300u);
-  EXPECT_EQ(stats.frees(), 1u);
-  stats.reset();
-}
-
 }  // namespace
 }  // namespace hpdr

@@ -151,26 +151,27 @@ TEST_F(FaultTest, CorruptFlipsRequestedBytesDeterministically) {
   const std::vector<std::uint8_t> orig(256, 0xAA);
   inj.configure("chunk.corrupt:nth=1,flip=4", 5);
   auto a = orig;
-  EXPECT_TRUE(inj.corrupt("chunk.corrupt", a));
+  EXPECT_TRUE(inj.corrupt_at("chunk.corrupt", 0, a));
   inj.configure("chunk.corrupt:nth=1,flip=4", 5);
   auto b = orig;
-  EXPECT_TRUE(inj.corrupt("chunk.corrupt", b));
+  EXPECT_TRUE(inj.corrupt_at("chunk.corrupt", 0, b));
   EXPECT_EQ(a, b);  // same seed → same corruption
   EXPECT_NE(a, orig);
   std::size_t changed = 0;
   for (std::size_t i = 0; i < orig.size(); ++i) changed += a[i] != orig[i];
   EXPECT_GE(changed, 1u);
   EXPECT_LE(changed, 4u);
-  // Second call: nth=1 budget spent, no further corruption.
+  // nth=1 selects index 0 only: no other index is corrupted.
   auto c = orig;
-  EXPECT_FALSE(inj.corrupt("chunk.corrupt", c));
+  EXPECT_FALSE(inj.corrupt_at("chunk.corrupt", 1, c));
   EXPECT_EQ(c, orig);
+  EXPECT_EQ(inj.fires("chunk.corrupt"), 1u);
 }
 
 TEST_F(FaultTest, DisarmedHelpersAreInert) {
   std::vector<std::uint8_t> bytes(16, 1);
   EXPECT_FALSE(fault::should_fire("fs.write"));
-  EXPECT_FALSE(fault::corrupt("chunk.corrupt", bytes));
+  EXPECT_FALSE(fault::corrupt_at("chunk.corrupt", 0, bytes));
   EXPECT_DOUBLE_EQ(fault::stretch("gpu.straggle"), 1.0);
   EXPECT_FALSE(fault::Injector::instance().armed());
 }

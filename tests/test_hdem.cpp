@@ -3,16 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "machine/device_registry.hpp"
-#include "algorithms/huffman/huffman.hpp"
-#include "runtime/profiler.hpp"
-#include "runtime/trace.hpp"
 #include "runtime/hdem.hpp"
 #include "runtime/perf_model.hpp"
+#include "telemetry/span.hpp"
 
 namespace hpdr {
 namespace {
-
-std::size_t benchmark_sink_ = 0;
 
 TEST(Hdem, SequentialSameEngineTasksDoNotOverlap) {
   HdemSimulator sim(3);
@@ -43,7 +39,7 @@ TEST(Hdem, QueueOrderIsFifo) {
 TEST(Hdem, ExplicitDependenciesAreHonored) {
   HdemSimulator sim(3);
   auto a = sim.submit(0, EngineId::H2D, "a", 1.0);
-  sim.submit(1, EngineId::Compute, "b", 1.0, {}, {a});
+  sim.submit(1, EngineId::Compute, "b", 1.0, {a});
   auto tl = sim.run();
   EXPECT_DOUBLE_EQ(tl.tasks[1].start, 1.0);
 }
@@ -77,20 +73,6 @@ TEST(Hdem, NoOverlapWithoutPipelining) {
   EXPECT_DOUBLE_EQ(tl.overlap_ratio(), 0.0);
 }
 
-TEST(Hdem, WorkCallbacksRunInDependencyOrder) {
-  HdemSimulator sim(3);
-  std::vector<int> log;
-  auto a = sim.submit(0, EngineId::H2D, "a", 2.0, [&] { log.push_back(1); });
-  sim.submit(1, EngineId::Compute, "b", 1.0, [&] { log.push_back(2); }, {a});
-  sim.submit(2, EngineId::D2H, "c", 0.5, [&] { log.push_back(3); });
-  sim.run();
-  // c (t=0) before a? both start at 0; ties break by submission id: a first.
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0], 1);
-  EXPECT_EQ(log[1], 3);
-  EXPECT_EQ(log[2], 2);
-}
-
 TEST(Hdem, EngineBusyAccounting) {
   HdemSimulator sim(2);
   sim.submit(0, EngineId::H2D, "a", 1.5);
@@ -114,7 +96,7 @@ TEST(Hdem, InvalidSubmissionsThrow) {
   HdemSimulator sim(2);
   EXPECT_THROW(sim.submit(5, EngineId::H2D, "x", 1.0), Error);
   EXPECT_THROW(sim.submit(0, EngineId::H2D, "x", -1.0), Error);
-  EXPECT_THROW(sim.submit(0, EngineId::H2D, "x", 1.0, {}, {42}), Error);
+  EXPECT_THROW(sim.submit(0, EngineId::H2D, "x", 1.0, {42}), Error);
 }
 
 
@@ -125,7 +107,7 @@ TEST(Hdem, EmptyTimelineIsWellDefined) {
   EXPECT_EQ(tl.makespan(), 0.0);
   EXPECT_EQ(tl.overlap_ratio(), 0.0);
   EXPECT_EQ(tl.engine_busy(EngineId::H2D), 0.0);
-  EXPECT_EQ(to_chrome_trace(tl).front(), '[');
+  EXPECT_EQ(telemetry::merged_chrome_trace(&tl, {}).front(), '[');
 }
 
 TEST(Hdem, DefaultConstructedTimelineIsWellDefined) {
@@ -143,44 +125,6 @@ TEST(Hdem, EngineNames) {
   EXPECT_STREQ(to_string(EngineId::H2D), "H2D");
   EXPECT_STREQ(to_string(EngineId::D2H), "D2H");
   EXPECT_STREQ(to_string(EngineId::Compute), "Compute");
-}
-
-TEST(Profiler, MeasuresRealKernelsAndFits) {
-  // Profile a real kernel (byte Huffman) across sizes and fit Φ. On a
-  // host the ramp is flat-ish; the structural contract is what we check:
-  // one point per size, positive throughputs, fit γ within the observed
-  // envelope, and a usable seconds() estimator.
-  const Device dev = Device::openmp();
-  std::vector<std::uint8_t> buffer(1 << 20);
-  for (std::size_t i = 0; i < buffer.size(); ++i)
-    buffer[i] = static_cast<std::uint8_t>(i % 31);
-  auto kernel = [&](std::size_t bytes) {
-    auto blob = huffman::compress_bytes(
-        dev, {buffer.data(), std::min(bytes, buffer.size())});
-    benchmark_sink_ += blob.size();
-  };
-  const std::vector<std::size_t> sizes{64 << 10, 128 << 10, 256 << 10,
-                                       512 << 10, 1 << 20};
-  auto points = profile_kernel(kernel, sizes, 2);
-  ASSERT_EQ(points.size(), sizes.size());
-  double lo = 1e300, hi = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_GT(points[i].gbps, 0.0);
-    EXPECT_NEAR(points[i].chunk_mb,
-                double(sizes[i]) / (1 << 20), 1e-9);
-    lo = std::min(lo, points[i].gbps);
-    hi = std::max(hi, points[i].gbps);
-  }
-  auto model = RooflineModel::fit(points, 0.9);
-  EXPECT_GE(model.gamma, lo * 0.5);
-  EXPECT_LE(model.gamma, hi * 2.0);
-  EXPECT_GT(model.seconds(1 << 20), 0.0);
-}
-
-TEST(Profiler, InvalidInputsThrow) {
-  EXPECT_THROW(profile_kernel([](std::size_t) {}, {}), Error);
-  EXPECT_THROW(profile_kernel([](std::size_t) {}, {0}), Error);
-  EXPECT_THROW(profile_kernel([](std::size_t) {}, {16}, 0), Error);
 }
 
 // ---------------------------------------------------------------------------

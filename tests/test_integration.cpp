@@ -127,8 +127,17 @@ TEST(Integration, TraceOfRealPipelineLoadsRoundTrip) {
   opts.fixed_chunk_bytes = 32 << 10;
   auto result =
       pipeline::compress(v100, *comp, ds.data(), ds.shape, ds.dtype, opts);
-  write_chrome_trace(result.timeline, path);
-  EXPECT_GT(std::filesystem::file_size(path), 100u);
+  telemetry::write_merged_trace(&result.timeline, path);
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const telemetry::Value v = telemetry::parse(json);
+  ASSERT_TRUE(v.is_array());
+  std::size_t device_slices = 0;
+  for (const auto& e : v.as_array())
+    if (e.get("ph")->as_string() == "X" && e.get("pid")->as_int() == 0)
+      ++device_slices;
+  EXPECT_GT(device_slices, 0u);
   std::remove(path.c_str());
 }
 

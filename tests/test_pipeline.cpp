@@ -288,6 +288,51 @@ TEST(Pipeline, CpuDeviceWorksWithZeroTransferTime) {
 }
 
 
+TEST(Pipeline, HostDevicesBillNoModeledTime) {
+  // Only a SimGpu device bills the HDEM DAG. A host call carries no
+  // modeled time: an empty timeline, zero model fields in its chunk
+  // decisions, and the same stream a V100 call writes.
+  auto comp = make_compressor("mgard-x");
+  const auto& ds = nyx_tiny();
+  Options opts;
+  opts.mode = Mode::Fixed;
+  opts.param = 1e-2;
+  opts.fixed_chunk_bytes = std::size_t{256} << 10;
+  const Device v100 = machine::make_device("V100");
+  const auto gpu = compress(v100, *comp, ds.data(), ds.shape, ds.dtype, opts);
+  ASSERT_FALSE(gpu.timeline.tasks.empty());
+  ASSERT_GT(gpu.model_seconds(), 0.0);
+  ASSERT_GT(gpu.decisions.size(), 1u);
+  EXPECT_GT(gpu.decisions[0].predicted_compute_s, 0.0);
+  std::vector<float> out(ds.elements());
+  EXPECT_GT(decompress(v100, *comp, gpu.stream, out.data(), ds.shape,
+                       ds.dtype, opts)
+                .model_seconds(),
+            0.0);
+  for (const Device& host :
+       {Device::serial(), Device::openmp(), Device::std_thread()}) {
+    SCOPED_TRACE(host.name());
+    const auto c = compress(host, *comp, ds.data(), ds.shape, ds.dtype, opts);
+    EXPECT_EQ(c.stream, gpu.stream);
+    EXPECT_TRUE(c.timeline.tasks.empty());
+    EXPECT_EQ(c.model_seconds(), 0.0);
+    EXPECT_EQ(c.model_gbps(), 0.0);
+    EXPECT_EQ(c.overlap(), 0.0);
+    ASSERT_EQ(c.decisions.size(), gpu.decisions.size());
+    for (const auto& d : c.decisions) {
+      EXPECT_EQ(d.predicted_compute_s, 0.0);
+      EXPECT_EQ(d.predicted_h2d_s, 0.0);
+      EXPECT_EQ(d.realized_compute_s, 0.0);
+      EXPECT_EQ(d.realized_h2d_s, 0.0);
+    }
+    const auto d = decompress(host, *comp, c.stream, out.data(), ds.shape,
+                              ds.dtype, opts);
+    EXPECT_TRUE(d.timeline.tasks.empty());
+    EXPECT_EQ(d.model_seconds(), 0.0);
+    EXPECT_EQ(d.model_gbps(), 0.0);
+  }
+}
+
 TEST(Compressors, AllRegisteredNamesRoundTrip) {
   const Device dev = machine::make_device("V100");
   auto ds = data::make("nyx", data::Size::Tiny);

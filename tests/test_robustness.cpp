@@ -16,7 +16,7 @@
 #include "machine/context_memory.hpp"
 #include "machine/device_registry.hpp"
 #include "pipeline/pipeline.hpp"
-#include "runtime/trace.hpp"
+#include "telemetry/span.hpp"
 
 namespace hpdr {
 namespace {
@@ -328,7 +328,8 @@ TEST(Trace, ChromeJsonIsWellFormedEnough) {
   opts.fixed_chunk_bytes = 16 << 10;
   auto result =
       pipeline::compress(dev, *comp, ds.data(), ds.shape, ds.dtype, opts);
-  const std::string json = to_chrome_trace(result.timeline);
+  const std::string json =
+      telemetry::merged_chrome_trace(&result.timeline, {});
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
   // Balanced braces and one slice per nonzero-duration task.

@@ -115,6 +115,16 @@ TEST(MultiGpu, SweepProducesOnePointPerGpuCount) {
   EXPECT_DOUBLE_EQ(sweep.points[0].scalability, 1.0);
 }
 
+TEST(MultiGpu, RunNodeRejectsHostDevice) {
+  // Scalability divides by the modeled makespan, which a host device does
+  // not bill.
+  auto comp = make_compressor("mgard-x");
+  EXPECT_THROW(run_node(Device::serial(), 1, *comp,
+                        small_opts(pipeline::Mode::None), nyx().data(),
+                        nyx().shape, nyx().dtype, true, 1),
+               Error);
+}
+
 TEST(Simulation, DeterministicAcrossRuns) {
   // The whole simulation stack is deterministic: repeated runs produce
   // byte-identical results (required for reproducible experiments).

@@ -21,7 +21,6 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/progressive.hpp"
 #include "runtime/hdem.hpp"
-#include "runtime/trace.hpp"
 #include "svc/chunk_cache.hpp"
 #include "svc/service.hpp"
 #include "telemetry/telemetry.hpp"
@@ -259,7 +258,7 @@ TEST(TelemetryTrace, ChromeTraceIsValidJsonWithEscapedLabels) {
   sim.submit(0, EngineId::H2D, "copy \"in\"", 1.0);
   sim.submit(0, EngineId::Compute, "back\\slash", 2.0);
   auto tl = sim.run();
-  const std::string json = to_chrome_trace(tl);
+  const std::string json = telemetry::merged_chrome_trace(&tl, {});
   Value v = telemetry::parse(json);  // valid JSON despite nasty labels
   ASSERT_TRUE(v.is_array());
   bool saw_quote = false, saw_backslash = false;

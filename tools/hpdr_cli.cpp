@@ -5,7 +5,6 @@
 //   hpdr decompress <in.hpdr> <out.raw> [--device D]
 //   hpdr info <in.hpdr>
 //   hpdr verify <a.raw> <b.raw> --dtype f32|f64       error statistics
-//   hpdr trace <in.raw> <out.json> --shape ... --device V100 [options]
 //   hpdr retrieve <in.hpdr> <out.raw> --bound X [--refine Y,Z] [--device D]
 //              progressive retrieval from a v3 container (DESIGN.md §15):
 //              fetch only the component prefix that meets --bound (relative
@@ -47,9 +46,10 @@
 //   --metrics F      write a JSON run manifest (config, dataset, per-chunk
 //                    scheduler decisions, results, telemetry counters,
 //                    latency quantiles, drained flight recorder) to F
-//   --trace F        write a merged chrome-trace JSON (simulated HDEM device
-//                    + host wall-clock spans, request trace/span ids and
-//                    cross-thread flow arrows) to F; open in ui.perfetto.dev
+//   --trace F        write a merged chrome-trace JSON (the simulated HDEM
+//                    device of a GPU compress/decompress + host wall-clock
+//                    spans, request trace/span ids and cross-thread flow
+//                    arrows) to F; open in ui.perfetto.dev
 //
 // resilience (any command; see DESIGN.md §8):
 //   --faults PLAN    arm the fault injector, e.g.
@@ -96,8 +96,6 @@ namespace {
                "[--metrics F] [--trace F]\n"
                "  hpdr info <in.hpdr>\n"
                "  hpdr verify <a.raw> <b.raw> --dtype f32|f64\n"
-               "  hpdr trace <in.raw> <out.json> --shape AxBxC [--algo NAME] "
-               "[--eb X] [--device D]\n"
                "  hpdr retrieve <in.hpdr> <out.raw> [--bound X] "
                "[--refine Y,Z] [--device D] [--recover strict|skip]\n"
                "  hpdr serve [--jobs N] [--sessions S] [--requests R] "
@@ -377,9 +375,11 @@ int cmd_compress(int argc, char** argv) {
   res.set("stored_bytes", telemetry::Value(result.stream.size()));
   res.set("ratio", telemetry::Value(result.ratio()));
   res.set("chunks", telemetry::Value(result.chunk_rows.size()));
-  res.set("simulated_seconds", telemetry::Value(result.model_seconds()));
-  res.set("simulated_gbps", telemetry::Value(result.model_gbps()));
-  res.set("overlap_ratio", telemetry::Value(result.overlap()));
+  if (dev.spec().is_gpu()) {
+    res.set("simulated_seconds", telemetry::Value(result.model_seconds()));
+    res.set("simulated_gbps", telemetry::Value(result.model_gbps()));
+    res.set("overlap_ratio", telemetry::Value(result.overlap()));
+  }
   emit_observability(flags, "compress", config_json(algo, dev, opts),
                      telemetry::dataset_json(shape, to_string(dtype),
                                              result.raw_bytes),
@@ -414,8 +414,10 @@ int cmd_decompress(int argc, char** argv) {
   telemetry::Value res = telemetry::Value::object();
   res.set("raw_bytes", telemetry::Value(result.raw_bytes));
   res.set("stored_bytes", telemetry::Value(stream.size()));
-  res.set("simulated_seconds", telemetry::Value(result.model_seconds()));
-  res.set("simulated_gbps", telemetry::Value(result.model_gbps()));
+  if (dev.spec().is_gpu()) {
+    res.set("simulated_seconds", telemetry::Value(result.model_seconds()));
+    res.set("simulated_gbps", telemetry::Value(result.model_gbps()));
+  }
   res.set("corrupt_chunks", telemetry::Value(result.corrupt_chunks.size()));
   emit_observability(flags, "decompress",
                      config_json(info.compressor, dev, {}),
@@ -553,43 +555,6 @@ int cmd_verify(int argc, char** argv) {
   res.set("psnr_db", telemetry::Value(stats.psnr_db));
   emit_observability(flags, "verify", telemetry::Value::object(),
                      telemetry::Value::object(), std::move(res));
-  return 0;
-}
-
-int cmd_trace(int argc, char** argv) {
-  if (argc < 4) usage("trace needs <in.raw> <out.json>");
-  auto flags = parse_flags(argc, argv, 4,
-                           {"shape", "dtype", "algo", "eb", "mode",
-                            "chunk-mb", "device"});
-  if (!flags.count("shape")) usage("--shape is required");
-  const Shape shape = parse_shape(flags.at("shape"));
-  const DType dtype =
-      (flags.count("dtype") && flags.at("dtype") == "f64") ? DType::F64
-                                                           : DType::F32;
-  const Device dev = machine::make_device(
-      flags.count("device") ? flags.at("device") : "V100");
-  auto raw = read_file(argv[2]);
-  HPDR_REQUIRE(raw.size() == shape.size() * dtype_size(dtype),
-               "file size does not match --shape/--dtype");
-  auto comp = make_compressor(
-      flags.count("algo") ? flags.at("algo") : "mgard-x");
-  auto result = pipeline::compress(dev, *comp, raw.data(), shape, dtype,
-                                   options_from(flags));
-  write_chrome_trace(result.timeline, argv[3]);
-  std::printf("wrote %s: %zu tasks, makespan %.3f ms, overlap %.0f%%\n",
-              argv[3], result.timeline.tasks.size(),
-              result.model_seconds() * 1e3, 100 * result.overlap());
-  std::printf("open in chrome://tracing or https://ui.perfetto.dev\n");
-  telemetry::Value res = telemetry::Value::object();
-  res.set("tasks", telemetry::Value(result.timeline.tasks.size()));
-  res.set("simulated_seconds", telemetry::Value(result.model_seconds()));
-  res.set("overlap_ratio", telemetry::Value(result.overlap()));
-  emit_observability(flags, "trace",
-                     config_json(comp->name(), dev, options_from(flags)),
-                     telemetry::dataset_json(shape, to_string(dtype),
-                                             result.raw_bytes),
-                     std::move(res), std::move(result.decisions),
-                     &result.timeline);
   return 0;
 }
 
@@ -1097,7 +1062,6 @@ int main(int argc, char** argv) {
     else if (cmd == "decompress") rc = cmd_decompress(argc, argv);
     else if (cmd == "info") rc = cmd_info(argc, argv);
     else if (cmd == "verify") rc = cmd_verify(argc, argv);
-    else if (cmd == "trace") rc = cmd_trace(argc, argv);
     else if (cmd == "retrieve") rc = cmd_retrieve(argc, argv);
     else if (cmd == "serve") rc = cmd_serve(argc, argv);
     else if (cmd == "stats") rc = cmd_stats(argc, argv);
