@@ -4,15 +4,15 @@
 // bytes), the v4 frame checksum (XXH64 against FNV-1a), LZ4 block
 // compress/decompress, the ZFP block
 // transform and bitplane coder, the MGARD level step (decompose and
-// recompose), and SZ dual-quantization. Each optimized
+// recompose) and quantizer, and SZ dual-quantization. Each optimized
 // kernel is raced against an in-binary *reference* implementation — a
 // faithful copy of the pre-optimization code — and the outputs are
 // compared bit-for-bit, so this binary is both a perf gate and a
 // correctness differential. Gates
 // (HPDR_EXPECT_GE on the speedup ratios) trip the exit code for CI; the
 // measured numbers go to BENCH_kernels.json (--out F overrides). The
-// SIMD-dispatched kernels (ZFP transforms, SZ) run the host's instance of
-// their one body (DESIGN.md §16.1).
+// SIMD-dispatched kernels (ZFP transforms, SZ, the MGARD level step and
+// quantizer) run the host's instance of their one body (DESIGN.md §16.1).
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -1006,10 +1006,11 @@ int main(int argc, char** argv) {
     record("zfp_decode_planes", kd, 1.8);
   }
 
-  // ---- MGARD level step: 16 pencils stepped in lockstep per group (the
-  // inner loop over lanes) vs one strided scalar recurrence per pencil, on
-  // one NYX Medium chunk as the pipeline hands it to mgard-x (16×128×128
-  // f32, 1 MiB). Each rep copies the input in both closures.
+  // ---- MGARD level step: 32 pencils stepped in lockstep per group (the
+  // inner loop over lanes, the host's instance of its one body) vs one
+  // strided scalar recurrence per pencil, on one NYX Medium chunk as the
+  // pipeline hands it to mgard-x (16×128×128 f32, 1 MiB). Each rep copies
+  // the input in both closures.
   {
     const auto field =
         data::nyx_density(data::dataset_shape("nyx", data::Size::Medium), 1);
@@ -1057,6 +1058,40 @@ int main(int argc, char** argv) {
     kr.ref_gbps = bytes / 1e9 / srr;
     kr.speedup = srr / sr;
     record("mgard_recompose", kr, 2.0);
+
+    // Quantization of those coefficients, level by level as mgard-x runs
+    // it at rel 1e-2 (level-ordered gather, one bin per level): the host's
+    // instance of the range kernel against the per-element rule
+    // symbol_of(quantize(c, bin)), bit for bit. Informational, no gate.
+    const auto& order = h.level_order();
+    const auto& subsets = h.level_subsets();
+    const std::size_t L = h.num_levels();
+    const double abs_eb =
+        1e-2 * value_range(std::span<const float>(chunk)).extent();
+    std::vector<std::uint32_t> sym(chunk.size()), sym_ref(chunk.size());
+    const auto [sq, sqr] = best_of_pair(
+        reps + 2,
+        [&] {
+          for (const Subset& sub : subsets)
+            mgard::quantize_range(
+                coeffs.data(), order.data() + sub.begin,
+                mgard::level_bin(abs_eb, sub.id, L, cs.rank()),
+                sym.data() + sub.begin, sub.size());
+        },
+        [&] {
+          for (const Subset& sub : subsets) {
+            const double bin = mgard::level_bin(abs_eb, sub.id, L, cs.rank());
+            for (std::size_t pos = sub.begin; pos < sub.end; ++pos)
+              sym_ref[pos] = mgard::symbol_of(mgard::quantize(
+                  static_cast<double>(coeffs[order[pos]]), bin));
+          }
+        });
+    HPDR_EXPECT_TRUE(sym == sym_ref);
+    KernelResult kq;
+    kq.fast_gbps = bytes / 1e9 / sq;
+    kq.ref_gbps = bytes / 1e9 / sqr;
+    kq.speedup = sqr / sq;
+    record("mgard_quantize", kq, 0);
   }
 
   // ---- SZ dual-quantization (prequantize + Lorenzo residuals): row-wise

@@ -29,8 +29,10 @@
 ///     synchronization.
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <exception>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -76,6 +78,10 @@ namespace detail {
 /// enough that a huge single-chunk kernel still honours a deadline, coarse
 /// enough that the poll (a thread-local load) never shows in profiles.
 constexpr std::size_t kCancelStride = 1024;
+
+/// How many workers run_indexed can keep busy at once on `dev`: 1 on
+/// Serial, the pool's width on StdThread, the OpenMP team size otherwise.
+std::size_t worker_slots(const Device& dev);
 
 /// Runs f(i) for i in [0, n) on `dev`, polling for cancellation every
 /// `PollEvery` indices (a power of two) where the adapter allows it.
@@ -179,10 +185,11 @@ struct Subset {
 
 /// Map & Process abstraction (Fig. 3c). The input is mapped to subsets and
 /// each subset is processed with a (potentially) different function: `f`
-/// receives (subset, element_index) and may branch on subset.id. All
-/// subsets execute in the whole domain at once (DEM), dispatched as ranges
-/// of at most kCancelStride elements that never cross a subset boundary:
-/// each range calls `f` in a tight loop and polls for cancellation once.
+/// receives (subset, begin, end), one index range [begin, end) of that
+/// subset, and may branch on subset.id. All subsets execute in the whole
+/// domain at once (DEM), dispatched as ranges of at most kCancelStride
+/// elements that never cross a subset boundary; each range is one call of
+/// `f`, so its loop can be a vector kernel, and polls for cancellation once.
 template <class F>
 void map_and_process(const Device& dev, std::span<const Subset> subsets,
                      F&& f) {
@@ -196,8 +203,7 @@ void map_and_process(const Device& dev, std::span<const Subset> subsets,
       ranges.push_back({&s, b, std::min(b + detail::kCancelStride, s.end)});
   detail::run_indexed<1>(dev, ranges.size(), [&](std::size_t r) {
     const Range& range = ranges[r];
-    for (std::size_t i = range.begin; i < range.end; ++i)
-      f(*range.subset, i);
+    f(*range.subset, range.begin, range.end);
   });
 }
 
@@ -212,9 +218,9 @@ void global_stage(const Device& dev, std::size_t domain_size, F&& f) {
 
 /// Per-group staging memory for GEM kernels — the "ShMem" rows of Table II.
 /// On a GPU this is the thread block's shared memory, persisting across
-/// block-synchronized stages; on CPU adapters it is a group-private arena
-/// that stays cache-resident because the group's stages run back to back
-/// on one core.
+/// block-synchronized stages; on CPU adapters it is the running worker's
+/// arena, private to the group while it runs and cache-resident because
+/// the group's stages run back to back on one core.
 class GroupCtx {
  public:
   explicit GroupCtx(std::span<std::byte> arena) : arena_(arena) {}
@@ -239,24 +245,37 @@ class GroupCtx {
 /// Iterative abstraction (Fig. 3b). `num_vectors` independent sequential
 /// recurrences (e.g., tridiagonal solves) are distributed across threads,
 /// every `group_size` consecutive vectors forming one GEM group so a core
-/// can exploit locality across the vectors it owns. Each group owns
+/// can exploit locality across the vectors it owns. Each group gets
 /// `scratch_bytes` of staging memory shared by its vectors (Table II:
 /// working data staged in cache/shared memory) and receives its whole
 /// vector range, so it can step its vectors in lockstep (MGARD's level step
 /// runs its tridiagonal solves this way). `f` is void(std::size_t begin,
 /// std::size_t end, GroupCtx&) over the group's vectors [begin, end).
+///
+/// The staging memory is one arena per worker per call, not per group: each
+/// worker claims groups one at a time and hands every group it runs the
+/// same arena, allocated (not zeroed) at its first claim. A group must
+/// therefore write its scratch before reading it. Cancellation is polled
+/// as the call starts, so one call is one stage for a deadline.
 template <class F>
 void iterative_staged(const Device& dev, std::size_t num_vectors,
                       std::size_t group_size, std::size_t scratch_bytes,
                       F&& f) {
   HPDR_REQUIRE(group_size > 0, "group_size must be positive");
   const std::size_t groups = (num_vectors + group_size - 1) / group_size;
-  detail::run_indexed(dev, groups, [&](std::size_t g) {
-    std::vector<std::byte> arena(scratch_bytes);
-    GroupCtx ctx(arena);
-    const std::size_t begin = g * group_size;
-    f(begin, std::min(begin + group_size, num_vectors), ctx);
-  });
+  std::atomic<std::size_t> next{0};
+  detail::run_indexed(
+      dev, std::min(groups, detail::worker_slots(dev)), [&](std::size_t) {
+        std::unique_ptr<std::byte[]> arena;
+        for (std::size_t g;
+             (g = next.fetch_add(1, std::memory_order_relaxed)) < groups;) {
+          if (!arena)
+            arena = std::make_unique_for_overwrite<std::byte[]>(scratch_bytes);
+          GroupCtx ctx({arena.get(), scratch_bytes});
+          const std::size_t begin = g * group_size;
+          f(begin, std::min(begin + group_size, num_vectors), ctx);
+        }
+      });
 }
 
 }  // namespace hpdr

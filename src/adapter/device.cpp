@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include "adapter/abstractions.hpp"
 #include "core/thread_pool.hpp"
 
 namespace hpdr {
@@ -42,6 +43,19 @@ Device Device::openmp() {
   s.kind = DeviceKind::OpenMP;
   s.compute_units = omp_get_max_threads();
   return Device(s);
+}
+
+std::size_t detail::worker_slots(const Device& dev) {
+  switch (dev.kind()) {
+    case DeviceKind::Serial:
+      return 1;
+    case DeviceKind::StdThread:
+      return ThreadPool::instance().concurrency();
+    case DeviceKind::OpenMP:
+    case DeviceKind::SimGpu:
+      break;
+  }
+  return static_cast<std::size_t>(omp_get_max_threads());
 }
 
 }  // namespace hpdr

@@ -10,6 +10,7 @@
 #include "algorithms/mgard/transform.hpp"
 #include "core/bitstream.hpp"
 #include "core/error.hpp"
+#include "core/isa.hpp"
 #include "core/stats.hpp"
 #include "machine/context_memory.hpp"
 
@@ -80,6 +81,79 @@ std::shared_ptr<Hierarchy> cached_hierarchy(const Device& dev,
 
 namespace {
 
+// ---------------------------------------------------------------------------
+// The quantizer's range loop, written once (DESIGN.md §16.1). The in-range
+// test needs no early exit: NaN and ±inf fail both comparisons, so they get
+// symbol 0 as quantize() marks them. Under the AVX2 and AVX-512 attributes
+// GCC emits std::nearbyint as vroundpd/vrndscalepd $12 (current rounding
+// mode, no inexact exception), which is nearbyint exactly; the baseline
+// slot keeps the libm call. The level-order gather runs first, a block at a
+// time into a local array of doubles: GCC does not vectorize a loop that
+// gathers f32 through 64-bit indices, and this way the arithmetic
+// vectorizes whatever the gather does.
+// ---------------------------------------------------------------------------
+
+template <class T>
+using QuantizeRangeFn = void (*)(const T*, const std::uint64_t*, double,
+                                 std::uint32_t*, std::size_t);
+
+template <class T>
+[[gnu::always_inline]] inline void quantize_range_body(
+    const T* coef, const std::uint64_t* order, double bin,
+    std::uint32_t* symbols, std::size_t n) {
+  constexpr double kR = static_cast<double>(kQuantRadius);
+  constexpr std::size_t kBlock = 256;
+  double x[kBlock];
+  for (std::size_t b = 0; b < n; b += kBlock) {
+    const std::size_t m = std::min(kBlock, n - b);
+    for (std::size_t i = 0; i < m; ++i)
+      x[i] = static_cast<double>(coef[order[b + i]]);
+#pragma omp simd
+    for (std::size_t i = 0; i < m; ++i) {
+      const double q = std::nearbyint(x[i] / bin);
+      const bool in = q >= -kR && q < kR;
+      // An outlier converts −R − 1, which lands on symbol 0.
+      symbols[b + i] = static_cast<std::uint32_t>(
+          static_cast<std::int32_t>(in ? q : -kR - 1) + (kQuantRadius + 1));
+    }
+  }
+}
+
+template <class T>
+void quantize_range_scalar(const T* coef, const std::uint64_t* order,
+                           double bin, std::uint32_t* symbols, std::size_t n) {
+  quantize_range_body(coef, order, bin, symbols, n);
+}
+
+#if HPDR_ISA_X86
+template <class T>
+HPDR_ISA_TARGET_AVX2 void quantize_range_avx2(const T* coef,
+                                              const std::uint64_t* order,
+                                              double bin,
+                                              std::uint32_t* symbols,
+                                              std::size_t n) {
+  quantize_range_body(coef, order, bin, symbols, n);
+}
+
+template <class T>
+HPDR_ISA_TARGET_AVX512 void quantize_range_avx512(const T* coef,
+                                                  const std::uint64_t* order,
+                                                  double bin,
+                                                  std::uint32_t* symbols,
+                                                  std::size_t n) {
+  quantize_range_body(coef, order, bin, symbols, n);
+}
+
+template <class T>
+const isa::Table<QuantizeRangeFn<T>> kQuantizeRange = {
+    quantize_range_scalar<T>, quantize_range_avx2<T>,
+    quantize_range_avx512<T>};
+#else
+template <class T>
+const isa::Table<QuantizeRangeFn<T>> kQuantizeRange = {
+    quantize_range_scalar<T>};
+#endif
+
 template <class T>
 std::vector<std::uint8_t> compress_impl(const Device& dev,
                                         NDView<const T> data,
@@ -133,10 +207,12 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   std::vector<double> bins(L + 1);
   for (std::size_t l = 0; l <= L; ++l)
     bins[l] = level_bin_s(abs_eb, l, L, shape.rank(), snorm);
-  map_and_process(dev, subsets, [&](const Subset& s, std::size_t pos) {
-    symbols[pos] = symbol_of(
-        quantize(static_cast<double>(work[order[pos]]), bins[s.id]));
-  });
+  map_and_process(dev, subsets,
+                  [&](const Subset& s, std::size_t begin, std::size_t end) {
+                    quantize_range(work.data(), order.data() + begin,
+                                   bins[s.id], symbols.data() + begin,
+                                   end - begin);
+                  });
   // Second pass for outliers (sequential per subset; rare path).
   for (std::size_t si = 0; si < subsets.size(); ++si) {
     const Subset& s = subsets[si];
@@ -225,10 +301,13 @@ void decompress_impl(const Device& dev, std::span<const std::uint8_t> stream,
   for (std::size_t l = 0; l <= L; ++l)
     bins[l] = level_bin_s(abs_eb, l, L, shape.rank(), snorm);
   T* work = out.data();
-  map_and_process(dev, subsets, [&](const Subset& s, std::size_t pos) {
-    work[order[pos]] = static_cast<T>(
-        static_cast<double>(bin_of(symbols[pos])) * bins[s.id]);
-  });
+  map_and_process(dev, subsets,
+                  [&](const Subset& s, std::size_t begin, std::size_t end) {
+                    const double bin = bins[s.id];
+                    for (std::size_t pos = begin; pos < end; ++pos)
+                      work[order[pos]] = static_cast<T>(
+                          static_cast<double>(bin_of(symbols[pos])) * bin);
+                  });
   for (auto [pos, q] : outliers) {
     HPDR_REQUIRE(pos < order.size(), "outlier position out of range");
     const std::uint8_t lvl = h->level_of(order[pos]);
@@ -239,6 +318,17 @@ void decompress_impl(const Device& dev, std::span<const std::uint8_t> stream,
 }
 
 }  // namespace
+
+void quantize_range(const float* coef, const std::uint64_t* order, double bin,
+                    std::uint32_t* symbols, std::size_t n) {
+  static const QuantizeRangeFn<float> fn = kQuantizeRange<float>.get();
+  fn(coef, order, bin, symbols, n);
+}
+void quantize_range(const double* coef, const std::uint64_t* order,
+                    double bin, std::uint32_t* symbols, std::size_t n) {
+  static const QuantizeRangeFn<double> fn = kQuantizeRange<double>.get();
+  fn(coef, order, bin, symbols, n);
+}
 
 double level_bin(double abs_eb, std::size_t l, std::size_t L,
                  std::size_t rank) {

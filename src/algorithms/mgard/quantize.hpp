@@ -46,6 +46,15 @@ inline std::uint32_t symbol_of(Quantized v) {
                    : static_cast<std::uint32_t>(v.q + kQuantRadius + 1);
 }
 
+/// The rule over one Map&Process range, as the v2 codec quantizes:
+/// symbols[i] = symbol_of(quantize(coef[order[i]], bin)) for i in [0, n).
+/// One body, run as the host's ISA instance (DESIGN.md §16.1); an outlier's
+/// bin index is left to quantize().
+void quantize_range(const float* coef, const std::uint64_t* order, double bin,
+                    std::uint32_t* symbols, std::size_t n);
+void quantize_range(const double* coef, const std::uint64_t* order,
+                    double bin, std::uint32_t* symbols, std::size_t n);
+
 /// Bin index a symbol stands for; the outlier marker reads as 0 until the
 /// outlier list overwrites it.
 inline std::int64_t bin_of(std::uint32_t symbol) {

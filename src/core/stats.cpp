@@ -8,15 +8,35 @@
 namespace hpdr {
 namespace {
 
+/// The sequential fold lo = min(lo, x), hi = max(hi, x) from v[0], run as
+/// kLanes independent folds (lane k takes every kLanes-th element) that are
+/// then folded into one, so the loop vectorizes at the baseline target. A
+/// NaN in v[0] seeds every lane and survives; a later NaN compares false and
+/// is skipped, as in the sequential fold. Only a tie between +0 and −0 may
+/// resolve to the other zero.
 template <class T>
 Range<T> range_impl(std::span<const T> v) {
   if (v.empty()) return {};
-  T lo = v[0], hi = v[0];
-  for (T x : v) {
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
+  constexpr std::size_t kLanes = 16;
+  T lo[kLanes], hi[kLanes];
+  std::fill_n(lo, kLanes, v[0]);
+  std::fill_n(hi, kLanes, v[0]);
+  const std::size_t body = v.size() - v.size() % kLanes;
+  for (std::size_t i = 0; i < body; i += kLanes)
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      lo[k] = std::min(lo[k], v[i + k]);
+      hi[k] = std::max(hi[k], v[i + k]);
+    }
+  Range<T> r{v[0], v[0]};
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    r.lo = std::min(r.lo, lo[k]);
+    r.hi = std::max(r.hi, hi[k]);
   }
-  return {lo, hi};
+  for (std::size_t i = body; i < v.size(); ++i) {
+    r.lo = std::min(r.lo, v[i]);
+    r.hi = std::max(r.hi, v[i]);
+  }
+  return r;
 }
 
 template <class T>

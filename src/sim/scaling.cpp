@@ -136,7 +136,6 @@ IoScaleResult scale_io(const ClusterConfig& cluster, int nodes,
                "node count out of range for " << cluster.name);
   const Device gpu = cluster.gpu_device();
   const int g = cluster.node.gpus_per_node;
-  const std::size_t rep_bytes = rep_shape.size() * dtype_size(dtype);
 
   // Real pipeline run on the representative tensor for the compression
   // ratio (the data-dependent quantity); per-GPU times are then evaluated
@@ -144,7 +143,6 @@ IoScaleResult scale_io(const ClusterConfig& cluster, int nodes,
   auto cres =
       pipeline::compress(gpu, comp, rep_data, rep_shape, dtype, opts);
   const double ratio = cres.ratio();
-  (void)rep_bytes;
 
   IoScaleResult r;
   r.nodes = nodes;

@@ -125,13 +125,15 @@ std::string merged_chrome_trace(const Timeline* tl,
     first = false;
     os << event;
   };
-  emit(R"j({"name":"process_name","ph":"M","pid":0,"tid":0,)j"
-       R"j("args":{"name":"HDEM device (simulated)"}})j");
+  // Device rows: one per engine, one slice per task. A host run's empty
+  // timeline has none, and then no pid 0 at all.
+  const bool device_rows = tl != nullptr && !tl->tasks.empty();
+  if (device_rows)
+    emit(R"j({"name":"process_name","ph":"M","pid":0,"tid":0,)j"
+         R"j("args":{"name":"HDEM device (simulated)"}})j");
   emit(R"j({"name":"process_name","ph":"M","pid":1,"tid":0,)j"
        R"j("args":{"name":"host (wall clock)"}})j");
-  // Device rows: one per engine, one slice per task. A host run's empty
-  // timeline has none.
-  if (tl != nullptr && !tl->tasks.empty()) {
+  if (device_rows) {
     for (int e = 0; e < kNumEngines; ++e) {
       std::ostringstream m;
       m << R"({"name":"thread_name","ph":"M","pid":0,"tid":)" << e

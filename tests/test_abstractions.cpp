@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <set>
@@ -62,9 +63,12 @@ TEST_P(AbstractionsOnDevice, LocalityClipsBoundaryBlocks) {
 
 TEST_P(AbstractionsOnDevice, IterativeVisitsEveryVector) {
   // 103 vectors in groups of 8: twelve full groups and one of 7, each
-  // handed its whole range and its own staging arena.
+  // handed its whole range and a staging arena. Arenas belong to workers,
+  // not groups: one call uses at most one per worker.
   const Device dev = device();
   std::vector<std::atomic<int>> visits(103);
+  std::mutex mu;
+  std::set<const std::byte*> arenas;
   iterative_staged(dev, 103, 8, 8 * sizeof(double),
                    [&](std::size_t begin, std::size_t end, GroupCtx& ctx) {
                      EXPECT_EQ(begin % 8, 0u);
@@ -73,19 +77,26 @@ TEST_P(AbstractionsOnDevice, IterativeVisitsEveryVector) {
                      // Repeated views share the group's storage.
                      EXPECT_EQ(ctx.scratch<double>(8).data(),
                                ctx.scratch<double>(4).data());
+                     {
+                       const std::lock_guard<std::mutex> lock(mu);
+                       arenas.insert(ctx.scratch<std::byte>(1).data());
+                     }
                      for (std::size_t v = begin; v < end; ++v)
                        visits[v].fetch_add(1);
                    });
   for (auto& v : visits) EXPECT_EQ(v.load(), 1);
+  EXPECT_LE(arenas.size(), detail::worker_slots(dev));
 }
 
 TEST_P(AbstractionsOnDevice, MapAndProcessRoutesSubsets) {
   const Device dev = device();
   std::vector<Subset> subsets{{0, 0, 5}, {1, 5, 9}, {2, 9, 20}};
   std::vector<std::atomic<int>> level(20);
-  map_and_process(dev, subsets, [&](const Subset& s, std::size_t i) {
-    level[i].store(static_cast<int>(s.id) + 1);
-  });
+  map_and_process(dev, subsets,
+                  [&](const Subset& s, std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i)
+                      level[i].store(static_cast<int>(s.id) + 1);
+                  });
   for (std::size_t i = 0; i < 20; ++i) {
     const int expect = i < 5 ? 1 : i < 9 ? 2 : 3;
     EXPECT_EQ(level[i].load(), expect) << i;
@@ -95,7 +106,8 @@ TEST_P(AbstractionsOnDevice, MapAndProcessRoutesSubsets) {
 TEST_P(AbstractionsOnDevice, MapAndProcessVisitsEveryIndexOnceWithItsSubset) {
   // Ranges are cut at kCancelStride from each subset's start, so a subset
   // longer than the stride, empty subsets, and boundaries off the stride
-  // grid all have to come out right.
+  // grid all have to come out right. Every range is non-empty, at most
+  // kCancelStride long, and inside the subset it is handed with.
   const Device dev = device();
   constexpr std::size_t kStride = detail::kCancelStride;
   const std::vector<std::size_t> sizes{0, 5, 0, 3 * kStride + 7, 1,
@@ -108,10 +120,17 @@ TEST_P(AbstractionsOnDevice, MapAndProcessVisitsEveryIndexOnceWithItsSubset) {
   }
   std::vector<std::atomic<int>> visits(total);
   std::vector<std::atomic<std::size_t>> owner(total);
-  map_and_process(dev, subsets, [&](const Subset& s, std::size_t i) {
-    visits[i].fetch_add(1);
-    owner[i].store(s.id);
-  });
+  map_and_process(dev, subsets,
+                  [&](const Subset& s, std::size_t begin, std::size_t end) {
+                    EXPECT_LT(begin, end);
+                    EXPECT_LE(end - begin, kStride);
+                    EXPECT_LE(s.begin, begin);
+                    EXPECT_LE(end, s.end);
+                    for (std::size_t i = begin; i < end; ++i) {
+                      visits[i].fetch_add(1);
+                      owner[i].store(s.id);
+                    }
+                  });
   for (const Subset& s : subsets)
     for (std::size_t i = s.begin; i < s.end; ++i) {
       EXPECT_EQ(visits[i].load(), 1) << i;
@@ -122,9 +141,10 @@ TEST_P(AbstractionsOnDevice, MapAndProcessVisitsEveryIndexOnceWithItsSubset) {
 TEST_P(AbstractionsOnDevice, MapAndProcessOverEmptySubsetsIsANoOp) {
   const Device dev = device();
   std::vector<Subset> subsets{{0, 0, 0}, {1, 0, 0}};
-  map_and_process(dev, subsets, [&](const Subset&, std::size_t) { FAIL(); });
+  map_and_process(dev, subsets,
+                  [&](const Subset&, std::size_t, std::size_t) { FAIL(); });
   map_and_process(dev, std::span<const Subset>{},
-                  [&](const Subset&, std::size_t) { FAIL(); });
+                  [&](const Subset&, std::size_t, std::size_t) { FAIL(); });
 }
 
 TEST_P(AbstractionsOnDevice, HistogramIsTheSameTableOnEveryAdapter) {
@@ -180,11 +200,9 @@ INSTANTIATE_TEST_SUITE_P(AllAdapters, AbstractionsOnDevice,
 
 
 TEST_P(AbstractionsOnDevice, GroupScratchOverflowThrows) {
+  // Serial reports the error synchronously; the pool rethrows a worker's
+  // first throw, and run_indexed carries one out of the OpenMP region.
   const Device dev = device();
-  // Serial device reports the error synchronously; parallel adapters may
-  // surface it through their exception propagation — either way it throws.
-  if (GetParam() != DeviceKind::Serial && GetParam() != DeviceKind::StdThread)
-    GTEST_SKIP() << "OpenMP cannot propagate exceptions out of a region";
   EXPECT_THROW(iterative_staged(dev, 8, 8, 4,
                                 [&](std::size_t, std::size_t, GroupCtx& ctx) {
                                   ctx.scratch<double>(100);
@@ -202,25 +220,28 @@ TEST(MapAndProcessCancel, FiredTokenStopsSerialRun) {
     auto tok = fault::CancelToken::make();
     const fault::CancelScope scope(tok);
     tok.cancel();
-    std::size_t calls = 0;
+    std::size_t visited = 0;
     EXPECT_THROW(
         map_and_process(dev, subsets,
-                        [&](const Subset&, std::size_t) { ++calls; }),
+                        [&](const Subset&, std::size_t begin,
+                            std::size_t end) { visited += end - begin; }),
         Error);
-    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(visited, 0u);
   }
   {
     // Fired inside the first range (subset 0's 10 elements): the range
     // runs to its end, and the next range's poll throws.
     auto tok = fault::CancelToken::make();
     const fault::CancelScope scope(tok);
-    std::size_t calls = 0;
+    std::size_t visited = 0;
     EXPECT_THROW(map_and_process(dev, subsets,
-                                 [&](const Subset&, std::size_t) {
-                                   if (++calls == 1) tok.cancel();
+                                 [&](const Subset&, std::size_t begin,
+                                     std::size_t end) {
+                                   if (visited == 0) tok.cancel();
+                                   visited += end - begin;
                                  }),
                  Error);
-    EXPECT_EQ(calls, 10u);
+    EXPECT_EQ(visited, 10u);
   }
 }
 

@@ -2,7 +2,9 @@
 // checksums.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string_view>
 
@@ -201,6 +203,88 @@ TEST(Stats, IdenticalInputsHaveInfinitePsnr) {
                                std::span<const double>(a));
   EXPECT_EQ(s.max_abs_error, 0.0);
   EXPECT_TRUE(std::isinf(s.psnr_db));
+}
+
+/// value_range's definition: one sequential fold from v[0].
+template <class T>
+Range<T> sequential_range(const std::vector<T>& v) {
+  if (v.empty()) return {};
+  T lo = v[0], hi = v[0];
+  for (T x : v) {
+    lo = x < lo ? x : lo;
+    hi = hi < x ? x : hi;
+  }
+  return {lo, hi};
+}
+
+/// Equal, or both NaN; +0 and −0 count as equal.
+template <class T>
+bool same_value(T a, T b) {
+  return (std::isnan(a) && std::isnan(b)) || a == b;
+}
+
+template <class T>
+void expect_range_matches_sequential_fold() {
+  constexpr T kNaN = std::numeric_limits<T>::quiet_NaN();
+  constexpr T kInf = std::numeric_limits<T>::infinity();
+  std::mt19937_64 rng(41);
+  std::normal_distribution<T> noise(0, 10);
+  for (const std::size_t n : {0, 1, 15, 16, 17, 1000}) {
+    std::vector<std::vector<T>> cases;
+    std::vector<T> base(n);
+    for (T& x : base) x = noise(rng);
+    cases.push_back(base);
+    // One-signed data: a fold seeded with anything but v[0] shows here.
+    std::vector<T> positive(n), negative(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      positive[i] = T(100) + std::abs(base[i]);
+      negative[i] = -positive[i];
+    }
+    cases.push_back(positive);
+    cases.push_back(negative);
+    if (n > 0) {
+      auto nan_first = base;
+      nan_first[0] = kNaN;
+      cases.push_back(nan_first);
+      auto nan_inside = base;
+      for (std::size_t i = n / 2; i < n; i += 7) nan_inside[i] = kNaN;
+      nan_inside[n - 1] = kNaN;
+      cases.push_back(nan_inside);
+      auto infs = base;
+      infs[n / 3] = kInf;
+      infs[n - 1 - n / 4] = -kInf;
+      cases.push_back(infs);
+      auto nan_then_inf = infs;
+      nan_then_inf[0] = kNaN;
+      cases.push_back(nan_then_inf);
+      std::vector<T> zeros(n);
+      for (std::size_t i = 0; i < n; ++i) zeros[i] = (rng() & 1) ? T(0) : -T(0);
+      cases.push_back(zeros);
+      auto zeros_and_values = zeros;
+      zeros_and_values[n / 2] = T(3);
+      zeros_and_values[n - 1 - n / 2] = T(-2);
+      cases.push_back(zeros_and_values);
+    }
+    for (const auto& v : cases) {
+      const Range<T> got = value_range(std::span<const T>(v));
+      const Range<T> want = sequential_range(v);
+      EXPECT_TRUE(same_value(got.lo, want.lo))
+          << n << " values: lo " << got.lo << " != " << want.lo;
+      EXPECT_TRUE(same_value(got.hi, want.hi))
+          << n << " values: hi " << got.hi << " != " << want.hi;
+    }
+  }
+}
+
+TEST(Stats, ValueRangeMatchesSequentialFold) {
+  // The lane-wise fold keeps the sequential fold's answer: NaN in v[0]
+  // poisons both ends, a later NaN is skipped, ±inf count as values, and
+  // only a tie between +0 and −0 may pick the other zero.
+  expect_range_matches_sequential_fold<float>();
+  expect_range_matches_sequential_fold<double>();
+  const std::vector<float> nan_first{std::nanf(""), 1.f, 2.f};
+  const Range<float> r = value_range(std::span<const float>(nan_first));
+  EXPECT_TRUE(std::isnan(r.lo) && std::isnan(r.hi));
 }
 
 TEST(Stats, CompressionRatio) {

@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "algorithms/mgard/hierarchy.hpp"
 #include "algorithms/mgard/mgard.hpp"
+#include "algorithms/mgard/quantize.hpp"
 #include "algorithms/mgard/transform.hpp"
 #include "core/stats.hpp"
 #include "machine/device_registry.hpp"
@@ -244,6 +246,58 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::get<0>(info.param) + "_" + to_string(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// The quantizer's range kernel (the host's ISA instance) against its
+// definition, symbol_of(quantize(c, bin)), on the coefficients where a
+// rounding rule or a range test shows: exact ties (k + ½)·bin, the
+// dictionary edges ±R, and values that are not finite numbers.
+// ---------------------------------------------------------------------------
+
+template <class T>
+void expect_range_kernel_matches_rule(double bin) {
+  constexpr double kR = static_cast<double>(kQuantRadius);
+  std::vector<double> c;
+  for (int k = -6; k <= 5; ++k) c.push_back((k + 0.5) * bin);
+  for (const double m : {kR - 0.5, kR, kR - 1, kR + 0.5, kR - 1.5, kR + 1})
+    for (const double sign : {1.0, -1.0}) c.push_back(sign * m * bin);
+  for (const double x :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 1e300, -1e300,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        static_cast<double>(std::numeric_limits<float>::denorm_min()), 0.0,
+        -0.0})
+    c.push_back(x);
+  std::mt19937_64 rng(7);
+  std::normal_distribution<double> noise(0.0, 100.0 * bin);
+  for (int i = 0; i < 45; ++i) c.push_back(noise(rng));
+  std::vector<T> coef(c.begin(), c.end());
+  // Read through a reversed order, so the kernel's gather is exercised.
+  std::vector<std::uint64_t> order(coef.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    order[i] = order.size() - 1 - i;
+  std::vector<std::uint32_t> symbols(coef.size(), 12345);
+  quantize_range(coef.data(), order.data(), bin, symbols.data(),
+                 symbols.size());
+  for (std::size_t i = 0; i < coef.size(); ++i) {
+    const T x = coef[order[i]];
+    EXPECT_EQ(symbols[i],
+              symbol_of(quantize(static_cast<double>(x), bin)))
+        << "coefficient " << x << ", bin " << bin;
+  }
+}
+
+TEST(MgardQuantize, RangeKernelMatchesPerElementRule) {
+  // Ties round to even (std::round or floor(x + ½) would move half of
+  // them), −(R + ½) rounds into the dictionary, (R − ½) rounds out of it,
+  // and NaN and ±inf are outliers (symbol 0).
+  for (const double bin : {1.0, 0.25, 0.1, 3.0}) {
+    expect_range_kernel_matches_rule<float>(bin);
+    expect_range_kernel_matches_rule<double>(bin);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Error-bound property tests: the compressor's contract is

@@ -301,9 +301,14 @@ TEST(TelemetryTrace, MergedTraceHasDeviceAndHostRows) {
 }
 
 TEST(TelemetryTrace, MergedTraceWithoutTimelineIsValid) {
+  // A host run has no device timeline: the trace names the host process
+  // (pid 1) and writes no pid-0 row at all.
   Value v = telemetry::parse(telemetry::merged_chrome_trace(nullptr, {}));
-  ASSERT_TRUE(v.is_array());  // only process_name metadata rows
-  EXPECT_GE(v.as_array().size(), 2u);
+  ASSERT_TRUE(v.is_array());
+  ASSERT_EQ(v.as_array().size(), 1u);
+  const Value& row = v.as_array()[0];
+  EXPECT_EQ(row.get("name")->as_string(), "process_name");
+  EXPECT_EQ(row.get("pid")->as_int(), 1);
 }
 
 // ---------------------------------------------------------------------------
